@@ -44,7 +44,6 @@ from .groups import (
 from .extension import (
     ExtensionDecomposition,
     ExtensionKind,
-    check_action_abelian_consistency,
     classify_prime_by_cyclic,
     decompose,
     direct_sum_decomposition,
@@ -54,13 +53,13 @@ from .extension import (
 from .encoder import (
     Encoder,
     Window,
+    connected,
     encode_forward,
     encoder_from_extension,
     encoder_from_spec,
     encoder_to_spec,
     extend_past,
     make_encoder,
-    pair_group,
     state_preimages,
     validate_encoder,
     zero_tail,
@@ -70,7 +69,6 @@ from .trellis import (
     branches,
     codeword_witness,
     concatenate,
-    connected,
     export_dot,
     is_codeword,
 )

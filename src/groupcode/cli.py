@@ -1,10 +1,12 @@
 """Command-line interface: analyze, encode, trellis, and sweep.
 
-Exit codes: 0 success, 1 structural-predicate violation (an implementation
-bug signal), 2 user error (bad flags, malformed or invalid encoder spec),
-3 output I/O error.  All outputs are byte-deterministic for identical
-inputs; sweep parallelism is bounded by the GROUPCODE_JOBS environment
-variable (default 1) and does not affect the output bytes.
+Exit codes: 0 success, 1 structural-predicate violation or a disagreement
+between the reachability chain and the brute-force oracle in ``analyze`` or
+``sweep`` (an implementation bug signal), 2 user error (bad flags, malformed
+or invalid encoder spec), 3 output I/O error.  All outputs are
+byte-deterministic for identical inputs; sweep parallelism is bounded by the
+GROUPCODE_JOBS environment variable (default 1) and does not affect the
+output bytes.
 """
 
 from __future__ import annotations
@@ -144,6 +146,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         report = sweep_theorems(primes, args.max_s_order, dedup=not args.no_dedup)
     except (NotPrime, TooLarge) as exc:
         return _fail(str(exc), 2)
+    except PredicateViolation as exc:
+        return _fail(f"structural predicate violated: {exc}", 1)
     print(report.summary_table())
     payload = _json_text(report.to_json_dict())
     if args.out is not None:

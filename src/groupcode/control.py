@@ -19,6 +19,8 @@ from .groups import (
     Element,
     Subgroup,
     invariant_factors,
+    is_p_power,
+    is_prime,
     recognize,
 )
 
@@ -71,7 +73,9 @@ def forward_chain(enc: Encoder) -> ReachabilityChain:
         level.validate()
         levels.append(level)
         if len(levels) > s_group.order:  # pragma: no cover - nesting bounds growth
-            raise RuntimeError("reachability chain failed to stabilize")
+            raise PredicateViolation(
+                "chain_stabilizes", tuple(level.order for level in levels)
+            )
     stabilized_at = len(levels) - 1
     return ReachabilityChain(
         levels=tuple(levels),
@@ -118,7 +122,8 @@ def decide_controllability(enc: Encoder) -> ControlVerdict:
 
     The chain criterion (reaching the full state group) is checked against
     exact L-step reachability from every state: at the claimed index every
-    state reaches everything, one step earlier none does.
+    state reaches everything, one step earlier none does.  A disagreement
+    raises ``PredicateViolation`` with the step count and a witness state.
     """
     chain = forward_chain(enc)
     controllable = chain.reaches_all
@@ -126,22 +131,25 @@ def decide_controllability(enc: Encoder) -> ControlVerdict:
 
     reach = exact_reach(enc, chain.stabilized_at + 1)
     full = frozenset(enc.state_group.elements())
+    e = enc.state_group.identity()
     for L in range(chain.stabilized_at + 1):
-        expected = frozenset(chain.level(L).elements)
-        if reach[L][enc.state_group.identity()] != expected:  # pragma: no cover
-            raise RuntimeError("chain disagrees with brute-force reachability")
-    if controllable and index is not None:
-        if any(reach[index][s] != full for s in reach[index]):  # pragma: no cover
-            raise RuntimeError("index not confirmed by brute-force reachability")
-        if index >= 1 and any(reach[index - 1][s] == full for s in reach[index - 1]):
-            raise RuntimeError("index - 1 already reaches everything")  # pragma: no cover
+        if reach[L][e] != frozenset(chain.level(L).elements):
+            raise PredicateViolation("chain_matches_exact_reach", (L, sorted(reach[L][e])))
+    if controllable:
+        short = [s for s in reach[index] if reach[index][s] != full]
+        if short:
+            raise PredicateViolation("index_reaches_every_state", (index, short[0]))
+        if index >= 1:
+            early = [s for s in reach[index - 1] if reach[index - 1][s] == full]
+            if early:
+                raise PredicateViolation("index_is_minimal", (index - 1, early[0]))
 
     return ControlVerdict(
         controllable=controllable,
         index=index,
         chain=chain,
         stuck_level=None if controllable else chain.levels[-1],
-        window_below_two=controllable and index is not None and index < 2,
+        window_below_two=controllable and index < 2,
     )
 
 
@@ -157,48 +165,34 @@ class StructureReport:
     raises ``PredicateViolation`` instead.  ``degenerate_inputs`` flags
     encoders whose inputs at the identity state all collapse onto it (their
     one-step level is trivial rather than of input-group size).
+    ``past_kernel`` is the past kernel the predicates were checked on.
     """
 
     prime: int
     state_factors: tuple[int, ...]
     predicates: dict[str, bool]
     degenerate_inputs: bool
+    past_kernel: Subgroup
     notes: dict[str, str] = field(default_factory=dict)
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _subgroup_is_cyclic(sub: Subgroup) -> bool:
     return len(recognize(list(sub.elements), sub.parent.add).factors) <= 1
 
 
-def structure_report(enc: Encoder) -> StructureReport:
+def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     """Check the reachability-chain structure theory on a concrete encoder.
 
-    Requires a prime-order input group over an abelian extension.  Raises
-    ``PredicateViolation`` naming the failed predicate with a counterexample
-    tuple; any violation falsifies the implementation, not the theory.
+    ``verdict`` is ``decide_controllability(enc)``; the predicates are checked
+    on its chain.  Requires a prime-order input group over an abelian
+    extension.  Raises ``PredicateViolation`` naming the failed predicate
+    with a counterexample tuple; any violation falsifies the implementation,
+    not the theory.
     """
     p = enc.input_group.order
-    if not _is_prime(p):
+    if not is_prime(p):
         raise NotApplicable(f"input group order {p} is not prime")
 
-    verdict = decide_controllability(enc)
     chain = verdict.chain
     kernel = past_kernel(enc)
     s_group = enc.state_group
@@ -232,7 +226,7 @@ def structure_report(enc: Encoder) -> StructureReport:
     )
     check(
         "chain_levels_are_p_groups",
-        all(_is_p_power(level.order, p) for level in chain.levels),
+        all(is_p_power(level.order, p) for level in chain.levels),
         chain.sizes(),
     )
 
@@ -316,7 +310,7 @@ def structure_report(enc: Encoder) -> StructureReport:
                     fresh_witness = (k, s, u, image)
     check("fresh_level_inputs_escape", fresh_ok, fresh_witness)
 
-    if verdict.controllable and verdict.index is not None:
+    if verdict.controllable:
         sizes_ok = all(
             chain.levels[i].order == p ** i for i in range(verdict.index + 1)
         )
@@ -357,6 +351,7 @@ def structure_report(enc: Encoder) -> StructureReport:
         state_factors=s_factors,
         predicates=predicates,
         degenerate_inputs=degenerate,
+        past_kernel=kernel,
         notes=notes,
     )
 
@@ -372,8 +367,7 @@ def _element_str(a: Element) -> str:
 def analysis_json(enc: Encoder) -> dict:
     """JSON-ready analysis payload: verdict, chain, past kernel, predicates."""
     verdict = decide_controllability(enc)
-    kernel = past_kernel(enc)
-    report = structure_report(enc)
+    report = structure_report(enc, verdict)
     return {
         "controllable": verdict.controllable,
         "index": verdict.index,
@@ -382,7 +376,7 @@ def analysis_json(enc: Encoder) -> dict:
             [_element_str(s) for s in level.elements] for level in verdict.chain.levels
         ],
         "chain_sizes": list(verdict.chain.sizes()),
-        "past_kernel": [_element_str(s) for s in kernel.elements],
+        "past_kernel": [_element_str(s) for s in report.past_kernel.elements],
         "predicates": dict(sorted(report.predicates.items())),
         "degenerate_inputs": report.degenerate_inputs,
         "input_factors": list(enc.input_group.factors),

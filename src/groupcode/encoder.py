@@ -17,18 +17,7 @@ from typing import Sequence
 
 from .errors import InvalidHom, NuNotSurjective, OmegaNotHom, PsiNotInjective, WrongGroup
 from .extension import ExtensionDecomposition, direct_sum_decomposition
-from .groups import (
-    Element,
-    FiniteAbelianGroup,
-    GroupHom,
-    direct_sum,
-    hom_image,
-)
-
-
-def pair_group(u_part: FiniteAbelianGroup, s_part: FiniteAbelianGroup) -> FiniteAbelianGroup:
-    """The coordinate group homomorphisms on a split extension are defined on."""
-    return direct_sum(u_part, s_part)
+from .groups import Element, FiniteAbelianGroup, GroupHom, hom_image
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +106,9 @@ def make_encoder(
 ) -> Encoder:
     """Build and validate an encoder on the split extension of ``u_part`` by ``s_part``.
 
-    The maps may be given as ``GroupHom`` objects on :func:`pair_group` or as
-    raw generator-image tables (input-group coordinates first, then states).
+    The maps may be given as ``GroupHom`` objects on
+    ``direct_sum(u_part, s_part)`` or as raw generator-image tables
+    (input-group coordinates first, then states).
     """
     dec = direct_sum_decomposition(u_part, s_part)
     ambient = dec.ambient
@@ -201,19 +191,17 @@ def extend_past(
     return past_states, past_inputs, past_outputs
 
 
-def zero_tail(enc: Encoder, s: Element, max_len: int) -> list[Element] | None:
-    """Shortest input word driving ``s`` to the identity state, or None.
+def connected(enc: Encoder, s: Element, r: Element, max_len: int) -> list[Element] | None:
+    """Shortest input word driving ``s`` to ``r``, or None within ``max_len``.
 
-    Breadth-first over the state graph with inputs expanded in canonical
-    order, so ties resolve to the lexicographically smallest word.  ``None``
-    means the identity state is unreachable within ``max_len`` steps, which
-    is itself a witness that the code is not controllable.
+    A state is connected to itself by the empty word.  Breadth-first search
+    with inputs in canonical order resolves ties lexicographically.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     enc.state_group.check(s)
-    e = enc.state_group.identity()
-    if s == e:
+    enc.state_group.check(r)
+    if s == r:
         return []
     inputs = list(enc.input_group.elements())
     queue: deque[tuple[Element, tuple[Element, ...]]] = deque([(s, ())])
@@ -227,11 +215,20 @@ def zero_tail(enc: Encoder, s: Element, max_len: int) -> list[Element] | None:
             if nxt in visited:
                 continue
             extended = word + (u,)
-            if nxt == e:
+            if nxt == r:
                 return list(extended)
             visited.add(nxt)
             queue.append((nxt, extended))
     return None
+
+
+def zero_tail(enc: Encoder, s: Element, max_len: int) -> list[Element] | None:
+    """Shortest input word driving ``s`` to the identity state, or None.
+
+    ``None`` means the identity state is unreachable within ``max_len``
+    steps, which is itself a witness that the code is not controllable.
+    """
+    return connected(enc, s, enc.state_group.identity(), max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +308,21 @@ def encoder_to_spec(enc: Encoder) -> dict:
     }
 
 
+def _wire_ints(value) -> tuple[int, ...]:
+    """A JSON array of integers; floats, booleans and strings are rejected."""
+    if not isinstance(value, list) or any(type(c) is not int for c in value):
+        raise WrongGroup(f"malformed encoder spec: {value!r} is not a list of integers")
+    return tuple(value)
+
+
 def encoder_from_spec(data: dict) -> Encoder:
     """Build a validated encoder from its wire dictionary."""
     try:
-        u_part = FiniteAbelianGroup(tuple(data["U"]["factors"]))
-        s_part = FiniteAbelianGroup(tuple(data["S"]["factors"]))
-        output_group = FiniteAbelianGroup(tuple(data["Y"]["factors"]))
-        nu_images = [tuple(img) for img in data["nu"]["gen_images"]]
-        omega_images = [tuple(img) for img in data["omega"]["gen_images"]]
+        u_part = FiniteAbelianGroup(_wire_ints(data["U"]["factors"]))
+        s_part = FiniteAbelianGroup(_wire_ints(data["S"]["factors"]))
+        output_group = FiniteAbelianGroup(_wire_ints(data["Y"]["factors"]))
+        nu_images = [_wire_ints(img) for img in data["nu"]["gen_images"]]
+        omega_images = [_wire_ints(img) for img in data["omega"]["gen_images"]]
     except (KeyError, TypeError) as exc:
         raise WrongGroup(f"malformed encoder spec: {exc}") from exc
     return make_encoder(u_part, s_part, output_group, nu_images, omega_images)

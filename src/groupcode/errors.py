@@ -66,6 +66,10 @@ class PredicateViolation(GroupCodeError):
         self.counterexample = counterexample
         super().__init__(f"predicate {name!r} violated, counterexample: {counterexample!r}")
 
+    def __reduce__(self):
+        # sweep workers send violations back to the parent process by pickling
+        return type(self), (self.name, self.counterexample)
+
 
 class NotPrime(GroupCodeError):
     """A sweep was requested with a composite input-group order."""

@@ -3,11 +3,11 @@
 Given an ambient abelian group ``G`` and a subgroup ``N``, the decomposition
 carries an isomorphism of ``N`` onto a canonical group ``U``, an isomorphism
 of ``G/N`` onto a canonical group ``S``, a lifting that picks the
-lexicographically minimal representative of every coset, a conjugation
-action table, and the factor set measuring how far the lifting is from a
-homomorphism.  Pairs ``(u, s)`` multiply by
+lexicographically minimal representative of every coset, and the factor set
+measuring how far the lifting is from a homomorphism.  Conjugation is trivial
+in an abelian group, so pairs ``(u, s)`` multiply by
 
-    (u1, s1) * (u2, s2) = (u1 + action(s1)(u2) + factor_set(s1, s2), s1 + s2)
+    (u1, s1) * (u2, s2) = (u1 + u2 + factor_set(s1, s2), s1 + s2)
 
 and the pair map ``(u, s) -> lifting(s) + embed(u)`` is an isomorphism onto
 ``G``.  With the minimal-representative lifting the factor set is normalized:
@@ -25,6 +25,7 @@ from .groups import (
     FiniteAbelianGroup,
     Subgroup,
     direct_sum,
+    is_prime,
     quotient,
     recognize_with_iso,
 )
@@ -47,7 +48,6 @@ class ExtensionDecomposition:
     u_to_n: dict[Element, Element]
     lifting: dict[Element, Element]
     to_quotient: dict[Element, Element]
-    action: dict[Element, dict[Element, Element]]
     factor_set: dict[tuple[Element, Element], Element]
 
     def pair_to_element(self, u: Element, s: Element) -> Element:
@@ -83,15 +83,6 @@ def decompose(ambient: FiniteAbelianGroup, normal: Subgroup) -> ExtensionDecompo
         if s not in lifting:
             lifting[s] = g
 
-    action: dict[Element, dict[Element, Element]] = {}
-    for s in s_part.elements():
-        lifted = lifting[s]
-        table = {}
-        for u in u_part.elements():
-            conjugated = ambient.sub(ambient.add(lifted, u_to_n[u]), lifted)
-            table[u] = n_to_u[conjugated]
-        action[s] = table
-
     factor_set: dict[tuple[Element, Element], Element] = {}
     for s1 in s_part.elements():
         for s2 in s_part.elements():
@@ -110,7 +101,6 @@ def decompose(ambient: FiniteAbelianGroup, normal: Subgroup) -> ExtensionDecompo
         u_to_n=u_to_n,
         lifting=lifting,
         to_quotient=to_quotient,
-        action=action,
         factor_set=factor_set,
     )
 
@@ -133,8 +123,6 @@ def direct_sum_decomposition(
     u_to_n = {u: u + zero_s for u in u_part.elements()}
     lifting = {s: zero_u + s for s in s_part.elements()}
     to_quotient = {g: g[len(u_part.factors):] for g in ambient.elements()}
-    trivial_table = {u: u for u in u_part.elements()}
-    action = {s: dict(trivial_table) for s in s_part.elements()}
     factor_set = {
         (s1, s2): zero_u for s1 in s_part.elements() for s2 in s_part.elements()
     }
@@ -147,7 +135,6 @@ def direct_sum_decomposition(
         u_to_n=u_to_n,
         lifting=lifting,
         to_quotient=to_quotient,
-        action=action,
         factor_set=factor_set,
     )
 
@@ -160,10 +147,7 @@ def extension_product(
     """Multiply two pairs; the second coordinate is always the state sum."""
     u1, s1 = pair1
     u2, s2 = pair2
-    u = dec.u_part.add(
-        dec.u_part.add(u1, dec.action[s1][u2]),
-        dec.factor_set[(s1, s2)],
-    )
+    u = dec.u_part.add(dec.u_part.add(u1, u2), dec.factor_set[(s1, s2)])
     return u, dec.s_part.add(s1, s2)
 
 
@@ -190,7 +174,7 @@ def classify_prime_by_cyclic(dec: ExtensionDecomposition) -> ExtensionKind:
     accumulated factor-set drift makes the whole group cyclic.
     """
     p_factors = dec.u_part.factors
-    if len(p_factors) != 1 or not _is_prime(p_factors[0]):
+    if len(p_factors) != 1 or not is_prime(p_factors[0]):
         raise NotApplicable(f"subgroup part {p_factors} is not of prime order")
     if len(dec.s_part.factors) > 1:
         raise NotApplicable(f"quotient part {dec.s_part.factors} is not cyclic")
@@ -219,33 +203,3 @@ def factor_set_matrix(dec: ExtensionDecomposition) -> list[list[list[int]]]:
     return [
         [list(dec.factor_set[(s1, s2)]) for s2 in ordered] for s1 in ordered
     ]
-
-
-def check_action_abelian_consistency(dec: ExtensionDecomposition) -> bool:
-    """Consistency of the conjugation action with commutativity.
-
-    For an abelian ambient group the action must be trivial; a nontrivial
-    action must be witnessed by a non-commuting pair of the pair product.
-    Returns True when the decomposition is consistent.
-    """
-    trivial = all(
-        table[u] == u for table in dec.action.values() for u in dec.u_part.elements()
-    )
-    if trivial:
-        return True
-    for p1 in dec.pairs():  # pragma: no cover - unreachable for abelian ambients
-        for p2 in dec.pairs():
-            if extension_product(dec, p1, p2) != extension_product(dec, p2, p1):
-                return True
-    return False
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

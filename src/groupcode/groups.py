@@ -144,17 +144,6 @@ def direct_sum(*groups: FiniteAbelianGroup) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(factors)
 
 
-def split_pair(g: FiniteAbelianGroup, left: FiniteAbelianGroup, a: Element) -> tuple[Element, Element]:
-    """Split an element of a direct sum into its left/right coordinate blocks."""
-    g.check(a)
-    k = len(left.factors)
-    return a[:k], a[k:]
-
-
-def join_pair(u: Element, s: Element) -> Element:
-    return tuple(u) + tuple(s)
-
-
 @lru_cache(maxsize=None)
 def _invariant_chain(moduli: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical divisor chain of the abelian group with the given moduli."""
@@ -182,6 +171,17 @@ def _factorint(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _factorint(n) == {n: 1}
+
+
+def is_p_power(n: int, p: int) -> bool:
+    """Whether ``n`` is ``p ** k`` for some ``k >= 0``."""
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def invariant_factors(g: FiniteAbelianGroup) -> tuple[int, ...]:
@@ -251,10 +251,6 @@ def subgroup_generated(g: FiniteAbelianGroup, gens: Iterable[Element]) -> Subgro
 
 def trivial_subgroup(g: FiniteAbelianGroup) -> Subgroup:
     return Subgroup(g, (g.identity(),))
-
-
-def full_subgroup(g: FiniteAbelianGroup) -> Subgroup:
-    return Subgroup(g, tuple(g.elements()))
 
 
 def subgroup_index(g: FiniteAbelianGroup, h: Subgroup) -> int:
@@ -385,7 +381,7 @@ def recognize_with_iso(elements: Sequence, mul: Callable) -> tuple[FiniteAbelian
     primary_bases: list[tuple[int, list]] = []  # (p, basis elements, exponents)
     primary_exponents: list[tuple[int, list[int]]] = []
     for p in primes:
-        component = [a for a in elements if _is_power_of(orders[a], p)]
+        component = [a for a in elements if is_p_power(orders[a], p)]
         exps = _census_exponents(component, orders, p)
         basis = _extract_basis(component, orders, identity, mul, p, exps)
         primary_bases.append((p, basis))
@@ -450,12 +446,6 @@ def _table_order(a, identity, mul) -> int:
         acc = mul(acc, a)
         n += 1
     return n
-
-
-def _is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _census_exponents(component: Sequence, orders: dict, p: int) -> list[int]:

@@ -30,22 +30,12 @@ from .groups import (
     enumerate_homs,
     identity_hom,
     invariant_factors,
+    is_prime,
     prime_order_subgroups,
     quotient,
 )
 
 EXHAUSTIVE_GUARD = 256
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +65,7 @@ def enumerate_extensions(
     orbit of the embedded subgroup; without it, every qualifying subgroup
     yields an instance, which is the soundness cross-check mode.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     total = p * state_group.order
     wanted = invariant_factors(state_group)
@@ -192,7 +182,7 @@ def _evaluate_instance(instance: ExtensionInstance) -> dict:
     for enc in encoders:
         verdict = decide_controllability(enc)
         try:
-            structure_report(enc)
+            structure_report(enc, verdict)
         except PredicateViolation as exc:
             violations.append(
                 {"predicate": exc.name, "counterexample": repr(exc.counterexample)}
@@ -248,7 +238,7 @@ def sweep_theorems(
         raise TooLarge("max_s_order must be at least 1")
     primes = sorted(set(p_list))
     for p in primes:
-        if not _is_prime(p):
+        if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if p * max_s_order > EXHAUSTIVE_GUARD:
             raise TooLarge(

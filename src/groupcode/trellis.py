@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .encoder import Encoder, Window
+from .encoder import Encoder, Window, connected  # noqa: F401 - re-exported
 from .groups import Element, format_element
 
 
@@ -29,37 +28,6 @@ def branches(enc: Encoder) -> list[Branch]:
     return out
 
 
-def connected(enc: Encoder, s: Element, r: Element, max_len: int) -> list[Element] | None:
-    """Shortest input word driving ``s`` to ``r``, or None within ``max_len``.
-
-    A state is connected to itself by the empty word.  Breadth-first search
-    with inputs in canonical order resolves ties lexicographically.
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    enc.state_group.check(s)
-    enc.state_group.check(r)
-    if s == r:
-        return []
-    inputs = list(enc.input_group.elements())
-    queue: deque[tuple[Element, tuple[Element, ...]]] = deque([(s, ())])
-    visited = {s}
-    while queue:
-        state, word = queue.popleft()
-        if len(word) >= max_len:
-            continue
-        for u in inputs:
-            nxt = enc.next_state_pair(u, state)
-            if nxt in visited:
-                continue
-            extended = word + (u,)
-            if nxt == r:
-                return list(extended)
-            visited.add(nxt)
-            queue.append((nxt, extended))
-    return None
-
-
 def concatenate(y1: Window, y2: Window, j: int) -> Window:
     """Symbolwise splice: ``y1`` strictly before time ``j``, ``y2`` from ``j`` on.
 
@@ -76,11 +44,11 @@ def concatenate(y1: Window, y2: Window, j: int) -> Window:
     return Window(y1.group, start, symbols).trimmed()
 
 
-def _identity_core(enc: Encoder, backwards: bool) -> set[Element]:
+def _identity_core(enc: Encoder, diagram: list[Branch], backwards: bool) -> set[Element]:
     """States admitting arbitrarily long identity-labeled histories or futures."""
     e_y = enc.output_group.identity()
     edges: dict[Element, set[Element]] = {s: set() for s in enc.state_group.elements()}
-    for b in branches(enc):
+    for b in diagram:
         if b.label == e_y:
             if backwards:
                 edges[b.target].add(b.source)  # predecessors
@@ -104,11 +72,12 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
     """
     if window.group != enc.output_group:
         raise ValueError("window symbols are not in the encoder output group")
-    past_core = _identity_core(enc, backwards=True)
-    future_core = _identity_core(enc, backwards=False)
+    diagram = branches(enc)
+    past_core = _identity_core(enc, diagram, backwards=True)
+    future_core = _identity_core(enc, diagram, backwards=False)
 
     by_label: dict[tuple[Element, Element], set[Element]] = {}
-    for b in branches(enc):
+    for b in diagram:
         by_label.setdefault((b.source, b.label), set()).add(b.target)
 
     feasible: list[set[Element]] = [set(past_core)]
@@ -150,24 +119,27 @@ def export_dot(enc: Encoder, unrolled_sections: int) -> str:
     if unrolled_sections < 0:
         raise ValueError("unrolled_sections must be >= 0")
     s_group = enc.state_group
-    states = list(s_group.elements())
+    nodes = [
+        (s_group.index_of(s), format_element(s_group, s)) for s in s_group.elements()
+    ]
+    edges = [
+        (
+            s_group.index_of(b.source),
+            s_group.index_of(b.target),
+            f"{format_element(enc.input_group, b.input)}/"
+            f"{format_element(enc.output_group, b.label)}",
+        )
+        for b in branches(enc)
+    ]
     lines = ["digraph trellis {", "  rankdir=LR;", "  node [shape=circle];"]
     times = max(unrolled_sections + 1, 1)
     for t in range(times):
-        for s in states:
-            lines.append(f'  "t{t}_s{s_group.index_of(s)}" [label="{format_element(s_group, s)}"];')
+        for i, name in nodes:
+            lines.append(f'  "t{t}_s{i}" [label="{name}"];')
     sections = unrolled_sections if unrolled_sections > 0 else 1
     for t in range(sections):
-        src_t = t
         dst_t = t + 1 if unrolled_sections > 0 else t
-        for b in branches(enc):
-            label = (
-                f"{format_element(enc.input_group, b.input)}/"
-                f"{format_element(enc.output_group, b.label)}"
-            )
-            lines.append(
-                f'  "t{src_t}_s{s_group.index_of(b.source)}" -> '
-                f'"t{dst_t}_s{s_group.index_of(b.target)}" [label="{label}"];'
-            )
+        for src, dst, label in edges:
+            lines.append(f'  "t{t}_s{src}" -> "t{dst_t}_s{dst}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import pickle
 import subprocess
 import sys
 
 import pytest
 
+from groupcode import PredicateViolation, control
 from groupcode.cli import main
 from groupcode.control import analysis_json
 
@@ -80,6 +82,71 @@ class TestAnalyze:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("S", {"factors": [2.7, 2]}),
+            ("S", {"factors": "22"}),
+            ("U", {"factors": [2.0]}),
+            ("nu", {"gen_images": [[True, 1], [0, 1], [1, 0]]}),
+            ("omega", {"gen_images": [[0.5, 0], [0, 0], [0, 1]]}),
+            ("omega", {"gen_images": [[1.0, 0], [0, 0], [0, 1]]}),
+        ],
+    )
+    def test_non_integer_wire_values_exit_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(EX_SPEC, **{key: value})))
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid encoder spec" in err
+        assert "Traceback" not in err
+
+
+def _corrupt_reach(monkeypatch, level, state, value):
+    """Make the brute-force oracle report ``value`` for ``state`` at ``level``."""
+    original = control.exact_reach
+
+    def corrupted(enc, max_len):
+        table = original(enc, max_len)
+        table[level][state] = value(enc)
+        return table
+
+    monkeypatch.setattr(control, "exact_reach", corrupted)
+
+
+class TestOracleDisagreement:
+    @pytest.mark.parametrize(
+        "level, state, value, name",
+        [
+            (1, (0, 0), lambda enc: frozenset(), "chain_matches_exact_reach"),
+            (2, (1, 1), lambda enc: frozenset([(0, 0)]), "index_reaches_every_state"),
+            (
+                1,
+                (1, 1),
+                lambda enc: frozenset(enc.state_group.elements()),
+                "index_is_minimal",
+            ),
+        ],
+    )
+    def test_analyze_exits_1(self, spec_path, capsys, monkeypatch, level, state, value, name):
+        _corrupt_reach(monkeypatch, level, state, value)
+        assert main(["analyze", spec_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert name in captured.err
+        assert "counterexample" in captured.err
+
+    def test_sweep_exits_1(self, capsys, monkeypatch):
+        _corrupt_reach(monkeypatch, 0, (), lambda enc: frozenset())
+        assert main(["sweep", "--p", "2", "--max-s-order", "1"]) == 1
+        assert "chain_matches_exact_reach" in capsys.readouterr().err
+
+    def test_violation_survives_pickling(self):
+        # sweep workers return exceptions to the parent process by pickling
+        exc = pickle.loads(pickle.dumps(PredicateViolation("index_is_minimal", (1, (1, 1)))))
+        assert (exc.name, exc.counterexample) == ("index_is_minimal", (1, (1, 1)))
+        assert "index_is_minimal" in str(exc)
 
 
 class TestEncode:

@@ -178,19 +178,19 @@ class TestExactReach:
 
 class TestStructureReport:
     def test_systematic_report_passes(self, systematic_encoder):
-        report = structure_report(systematic_encoder)
+        report = structure_report(systematic_encoder, decide_controllability(systematic_encoder))
         assert all(report.predicates.values())
         assert not report.degenerate_inputs
         assert report.prime == 2
         assert len(report.predicates) == 15
 
     def test_frozen_report_flags_degenerate_inputs(self, frozen_state_encoder):
-        report = structure_report(frozen_state_encoder)
+        report = structure_report(frozen_state_encoder, decide_controllability(frozen_state_encoder))
         assert all(report.predicates.values())
         assert report.degenerate_inputs
 
     def test_prime_cyclic_boundary_note(self, one_step_encoder):
-        report = structure_report(one_step_encoder)
+        report = structure_report(one_step_encoder, decide_controllability(one_step_encoder))
         assert "prime_cyclic_boundary" in report.notes
 
     def test_composite_input_group_rejected(self):
@@ -199,7 +199,7 @@ class TestStructureReport:
             u, s, make_group([4, 4]), [[1], [1]], [[1, 0], [0, 1]]
         )
         with pytest.raises(NotApplicable):
-            structure_report(enc)
+            structure_report(enc, decide_controllability(enc))
 
     def test_reports_pass_across_small_families(self):
         checked = 0
@@ -207,7 +207,7 @@ class TestStructureReport:
             state_group = make_group(s_factors)
             for instance in enumerate_extensions(p, state_group):
                 for enc in enumerate_encoders(instance):
-                    report = structure_report(enc)
+                    report = structure_report(enc, decide_controllability(enc))
                     assert all(report.predicates.values())
                     checked += 1
         assert checked > 50

@@ -13,6 +13,7 @@ from groupcode import (
     Window,
     WrongGroup,
     decompose,
+    direct_sum,
     encode_forward,
     encoder_from_spec,
     encoder_to_spec,
@@ -20,7 +21,6 @@ from groupcode import (
     extend_past,
     make_encoder,
     make_group,
-    pair_group,
     state_preimages,
     subgroup_generated,
     zero_tail,
@@ -246,7 +246,7 @@ class TestBranchInjectivityCriterion:
         shapes = [([2], [2]), ([2], [4]), ([3], [3])]
         for u_factors, s_factors in shapes:
             u, s = make_group(u_factors), make_group(s_factors)
-            g = pair_group(u, s)
+            g = direct_sum(u, s)
             for nu in enumerate_homs(g, s, surjective_only=True):
                 for omega in enumerate_homs(g, u):
                     dec_triples = set()
