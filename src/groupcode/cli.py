@@ -5,8 +5,8 @@ between the reachability chain and the brute-force oracle in ``analyze`` or
 ``sweep`` (an implementation bug signal), 2 user error (bad flags, malformed
 or invalid encoder spec), 3 output I/O error.  All outputs are
 byte-deterministic for identical inputs; sweep parallelism is bounded by the
-GROUPCODE_JOBS environment variable (default 1) and does not affect the
-output bytes.
+GROUPCODE_JOBS environment variable (default 1, at most the CPU count) and
+does not affect the output bytes.
 """
 
 from __future__ import annotations

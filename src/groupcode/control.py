@@ -21,7 +21,6 @@ from .groups import (
     invariant_factors,
     is_p_power,
     is_prime,
-    recognize,
 )
 
 
@@ -70,7 +69,6 @@ def forward_chain(enc: Encoder) -> ReachabilityChain:
         if image == set(levels[-1].elements):
             break
         level = Subgroup(s_group, tuple(sorted(image)))
-        level.validate()
         levels.append(level)
         if len(levels) > s_group.order:  # pragma: no cover - nesting bounds growth
             raise PredicateViolation(
@@ -89,7 +87,8 @@ def past_kernel(enc: Encoder) -> Subgroup:
 
     Always a subgroup, of the same size as the one-step-reachable level; the
     size equals the input-group order exactly when distinct inputs at the
-    identity state lead to distinct states.
+    identity state lead to distinct states.  Closure is not checked here:
+    ``structure_report`` checks it once, as ``past_kernel_is_subgroup``.
     """
     e = enc.state_group.identity()
     members = tuple(
@@ -97,21 +96,23 @@ def past_kernel(enc: Encoder) -> Subgroup:
         for s in enc.state_group.elements()
         if any(enc.next_state_pair(u, s) == e for u in enc.input_group.elements())
     )
-    return Subgroup(enc.state_group, members).validate()
+    return Subgroup(enc.state_group, members)
 
 
 def exact_reach(enc: Encoder, max_len: int) -> list[dict[Element, frozenset[Element]]]:
-    """``result[L][s]`` is the set of states reachable from ``s`` in exactly L steps."""
+    """``result[L][s]`` is the set of states reachable from ``s`` in exactly L steps.
+
+    A brute-force oracle over every start state: each state's one-step
+    successor set is computed once, and a start state's level L + 1 is the
+    union of the successor sets of its level-L states.
+    """
     states = list(enc.state_group.elements())
-    inputs = list(enc.input_group.elements())
+    successors = {s: frozenset(_one_step_image(enc, (s,))) for s in states}
     current = {s: frozenset([s]) for s in states}
     table = [current]
     for _ in range(max_len):
         current = {
-            s: frozenset(
-                enc.next_state_pair(u, r) for r in current[s] for u in inputs
-            )
-            for s in states
+            s: frozenset().union(*(successors[r] for r in current[s])) for s in states
         }
         table.append(current)
     return table
@@ -177,7 +178,8 @@ class StructureReport:
 
 
 def _subgroup_is_cyclic(sub: Subgroup) -> bool:
-    return len(recognize(list(sub.elements), sub.parent.add).factors) <= 1
+    """A finite group is cyclic exactly when some element has the group's order."""
+    return any(sub.parent.element_order(a) == sub.order for a in sub.elements)
 
 
 def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
@@ -230,16 +232,14 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
         chain.sizes(),
     )
 
+    # the pair map is a bijection onto the ambient group, and the pair (u, e_S)
+    # is the embedded input u, so both counts read the tabulated machine
     kernel_in_ambient = sum(
-        1 for g in enc.ambient.elements() if enc.next_state(g) == e_s
+        1 for u, s in dec.pairs() if enc.next_state_pair(u, s) == e_s
     )
     check("ambient_kernel_size_is_input_order", kernel_in_ambient == p, kernel_in_ambient)
 
-    collapsing = sum(
-        1
-        for u in u_group.elements()
-        if enc.next_state(dec.u_to_n[u]) == e_s
-    )
+    collapsing = sum(1 for u in u_group.elements() if enc.next_state_pair(u, e_s) == e_s)
     degenerate = collapsing == p
     one_step = chain.level(1)
     check(

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import InvalidHom, NuNotSurjective, OmegaNotHom, PsiNotInjective, WrongGroup
 from .extension import ExtensionDecomposition, direct_sum_decomposition
-from .groups import Element, FiniteAbelianGroup, GroupHom, hom_image
+from .groups import Element, FiniteAbelianGroup, GroupHom, hom_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,7 +25,8 @@ class Encoder:
     """A validated homomorphic encoder over an extension decomposition.
 
     ``next_state`` and ``output`` are homomorphisms on the ambient group;
-    their pair-coordinate views are tabulated once at construction.
+    their pair-coordinate views are tabulated once at construction, by
+    linearity from the generator images (see :func:`hom_table`).
     """
 
     decomposition: ExtensionDecomposition
@@ -34,10 +35,14 @@ class Encoder:
     output: GroupHom
 
     def __post_init__(self) -> None:
-        table = {}
-        for u, s in self.decomposition.pairs():
-            g = self.decomposition.pair_to_element(u, s)
-            table[(u, s)] = (self.next_state(g), self.output(g))
+        dec = self.decomposition
+        if self.next_state.source != dec.ambient or self.next_state.target != dec.s_part:
+            raise WrongGroup("next-state map is not defined from the ambient group onto states")
+        if self.output.source != dec.ambient or self.output.target != self.output_group:
+            raise WrongGroup("output map is not defined from the ambient group onto outputs")
+        nu = hom_table(self.next_state)
+        omega = hom_table(self.output)
+        table = {pair: (nu[i], omega[i]) for pair, i in dec.pair_indices}
         object.__setattr__(self, "_table", table)
 
     @property
@@ -67,23 +72,21 @@ class Encoder:
 
 
 def validate_encoder(enc: Encoder) -> Encoder:
-    """Check the defining encoder conditions, raising a named error per clause."""
+    """Check the defining encoder conditions, raising a named error per clause.
+
+    Both conditions are read off the tabulated machine: surjectivity from the
+    set of next states, injectivity from the step of every nonzero input at
+    the identity state (the pair ``(u, e_S)`` is the embedded input ``u``).
+    """
     dec = enc.decomposition
-    if enc.next_state.source != dec.ambient or enc.next_state.target != dec.s_part:
-        raise WrongGroup("next-state map is not defined from the ambient group onto states")
-    if enc.output.source != dec.ambient or enc.output.target != enc.output_group:
-        raise WrongGroup("output map is not defined from the ambient group onto outputs")
-    if hom_image(enc.next_state).order != dec.s_part.order:
-        reached = {enc.next_state(g) for g in dec.ambient.elements()}
+    reached = {next_state for next_state, _ in enc._table.values()}
+    if len(reached) != dec.s_part.order:
         missing = min(s for s in dec.s_part.elements() if s not in reached)
         raise NuNotSurjective(missing)
     e_s = dec.s_part.identity()
-    e_y = enc.output_group.identity()
+    silent = (e_s, enc.output_group.identity())
     for u in dec.u_part.elements():
-        if u == dec.u_part.identity():
-            continue
-        embedded = dec.u_to_n[u]
-        if enc.next_state(embedded) == e_s and enc.output(embedded) == e_y:
+        if u != dec.u_part.identity() and enc.step(u, e_s) == silent:
             raise PsiNotInjective((u, e_s))
     return enc
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotApplicable
 from .groups import (
@@ -62,6 +63,18 @@ class ExtensionDecomposition:
         for u in self.u_part.elements():
             for s in self.s_part.elements():
                 yield u, s
+
+    @cached_property
+    def pair_indices(self) -> tuple[tuple[tuple[Element, Element], int], ...]:
+        """Every pair in ``pairs()`` order with the ambient index of its element.
+
+        Computed once per decomposition and shared by every encoder built on
+        it, so tabulating an encoder costs no pair-map arithmetic.
+        """
+        index_of = self.ambient.index_of
+        return tuple(
+            ((u, s), index_of(self.pair_to_element(u, s))) for u, s in self.pairs()
+        )
 
 
 def decompose(ambient: FiniteAbelianGroup, normal: Subgroup) -> ExtensionDecomposition:

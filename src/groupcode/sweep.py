@@ -210,11 +210,13 @@ def _evaluate_instance(instance: ExtensionInstance) -> dict:
 
 
 def default_jobs() -> int:
+    """Worker count from ``GROUPCODE_JOBS``, clamped to 1..``os.cpu_count()``."""
     raw = os.environ.get("GROUPCODE_JOBS", "1")
     try:
-        return max(1, int(raw))
+        jobs = int(raw)
     except ValueError:
         return 1
+    return max(1, min(jobs, os.cpu_count() or 1))
 
 
 def sweep_theorems(

@@ -142,6 +142,19 @@ class TestOracleDisagreement:
         assert main(["sweep", "--p", "2", "--max-s-order", "1"]) == 1
         assert "chain_matches_exact_reach" in capsys.readouterr().err
 
+    def test_level_that_is_not_a_subgroup_exits_1(self, spec_path, capsys, monkeypatch):
+        # dropping state 11 from every image leaves the level {00, 01, 10},
+        # which the oracle (built from the same one-step images) agrees with
+        original = control._one_step_image
+        monkeypatch.setattr(
+            control, "_one_step_image", lambda enc, states: original(enc, states) - {(1, 1)}
+        )
+        assert main(["analyze", spec_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "chain_levels_are_subgroups" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_violation_survives_pickling(self):
         # sweep workers return exceptions to the parent process by pickling
         exc = pickle.loads(pickle.dumps(PredicateViolation("index_is_minimal", (1, (1, 1)))))

@@ -13,7 +13,8 @@ from groupcode import (
     past_kernel,
     structure_report,
 )
-from groupcode.control import analysis_json, exact_reach
+from groupcode.control import _subgroup_is_cyclic, analysis_json, exact_reach
+from groupcode.groups import abelian_groups_of_order, all_subgroups, recognize
 from groupcode.sweep import enumerate_encoders, enumerate_extensions
 
 
@@ -200,6 +201,17 @@ class TestStructureReport:
         )
         with pytest.raises(NotApplicable):
             structure_report(enc, decide_controllability(enc))
+
+    def test_cyclicity_check_matches_recognition(self):
+        # every subgroup of every abelian group of order <= 32
+        checked = 0
+        for order in range(1, 33):
+            for g in abelian_groups_of_order(order):
+                for sub in all_subgroups(g):
+                    recognized = recognize(list(sub.elements), g.add)
+                    assert _subgroup_is_cyclic(sub) == (len(recognized.factors) <= 1)
+                    checked += 1
+        assert checked == 1030
 
     def test_reports_pass_across_small_families(self):
         checked = 0

@@ -14,6 +14,7 @@ from groupcode import (
     WrongGroup,
     decompose,
     direct_sum,
+    direct_sum_decomposition,
     encode_forward,
     encoder_from_spec,
     encoder_to_spec,
@@ -26,7 +27,8 @@ from groupcode import (
     zero_tail,
 )
 from groupcode.encoder import encoder_from_extension
-from groupcode.groups import identity_hom
+from groupcode.groups import abelian_groups_of_order, identity_hom
+from groupcode.sweep import enumerate_encoders, enumerate_extensions
 
 
 def shift_register_reference(inputs):
@@ -58,6 +60,23 @@ class TestMakeEncoder:
         identity_like = [[1, 0], [0, 0], [0, 1]]
         with pytest.raises(NuNotSurjective):
             make_encoder(u, s, y, zero, identity_like)
+
+    @pytest.mark.parametrize(
+        "nu, missing",
+        [([[0, 0], [0, 0], [0, 0]], (0, 1)), ([[0, 1], [0, 1], [0, 0]], (1, 0))],
+    )
+    def test_non_surjective_witness_is_least_missing_state(self, nu, missing):
+        u, s, y = make_group([2]), make_group([2, 2]), make_group([2, 2])
+        with pytest.raises(NuNotSurjective) as info:
+            make_encoder(u, s, y, nu, [[1, 0], [0, 0], [0, 1]])
+        assert info.value.missing == missing
+
+    def test_maps_off_the_ambient_group_rejected(self):
+        dec = direct_sum_decomposition(make_group([2]), make_group([2, 2]))
+        wrong = make_group([4, 2])
+        nu = GroupHom(wrong, dec.s_part, ((0, 1), (1, 0)))
+        with pytest.raises(WrongGroup):
+            encoder_from_extension(dec, dec.ambient, nu, identity_hom(dec.ambient))
 
     def test_state_swap_with_blind_output_collides(self):
         u, s, y = make_group([2]), make_group([2, 2]), make_group([2, 2])
@@ -263,6 +282,26 @@ class TestBranchInjectivityCriterion:
                     except PsiNotInjective:
                         accepted = False
                     assert accepted == (not collision)
+
+
+class TestLinearTabulation:
+    def test_tables_match_checked_evaluation_on_the_sweep_family(self):
+        # every encoder of sweep_theorems([2, 3], 9), nonsplit decompositions included
+        encoders = nonsplit = 0
+        for p in (2, 3):
+            for order in range(1, 10):
+                for state_group in abelian_groups_of_order(order):
+                    for instance in enumerate_extensions(p, state_group):
+                        dec = instance.decomposition
+                        zero = dec.u_part.identity()
+                        nonsplit += any(v != zero for v in dec.factor_set.values())
+                        for enc in enumerate_encoders(instance):
+                            encoders += 1
+                            for u, s in dec.pairs():
+                                g = dec.pair_to_element(u, s)
+                                assert enc.step(u, s) == (enc.next_state(g), enc.output(g))
+        assert encoders == 3829
+        assert nonsplit > 0
 
 
 class TestWireFormat:

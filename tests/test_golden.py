@@ -7,9 +7,10 @@ import json
 
 import pytest
 
-from groupcode import Window, control, encode_forward, sweep, trellis, zero_tail
-from groupcode.control import analysis_json
-from groupcode.sweep import sweep_theorems
+from groupcode import Window, control, encode_forward, groups, sweep, trellis, zero_tail
+from groupcode.control import analysis_json, decide_controllability, structure_report
+from groupcode.groups import GroupHom, Subgroup, abelian_groups_of_order
+from groupcode.sweep import enumerate_encoders, enumerate_extensions, sweep_theorems
 from groupcode.trellis import codeword_witness, export_dot
 
 
@@ -69,6 +70,40 @@ def test_analysis_json_computes_each_fact_once(monkeypatch, systematic_encoder):
         "exact_reach": 1,
         "past_kernel": 1,
     }
+
+
+def test_analysis_json_checks_each_closure_once(monkeypatch, systematic_encoder):
+    checked = _count_calls(monkeypatch, [Subgroup], "is_closed")
+    payload = analysis_json(systematic_encoder)
+    # one check per chain level plus one for the past kernel
+    assert len(checked) == len(payload["chain"]) + 1 == 4
+
+
+def test_control_recognizes_no_operation_table(monkeypatch, systematic_encoder):
+    # state groups of order 8 give chains long enough for the cyclicity predicate
+    encoders = [
+        enc
+        for state_group in abelian_groups_of_order(8)
+        for instance in enumerate_extensions(2, state_group)
+        for enc in enumerate_encoders(instance)
+    ]
+    recognized = [
+        _count_calls(monkeypatch, [m for m in (groups, control) if hasattr(m, name)], name)
+        for name in ("recognize", "recognize_with_iso")
+    ]
+    analysis_json(systematic_encoder)
+    for enc in encoders:
+        structure_report(enc, decide_controllability(enc))
+    assert encoders
+    assert [len(calls) for calls in recognized] == [0, 0]
+
+
+def test_sweep_never_evaluates_a_hom_element_by_element(monkeypatch):
+    # covers encoder_from_extension, decide_controllability and structure_report
+    evaluated = _count_calls(monkeypatch, [GroupHom], "__call__")
+    report = sweep_theorems([2], 4, jobs=1)
+    assert report.totals["encoders"] > 0
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("sections", [0, 1, 7])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -20,6 +21,7 @@ from groupcode import (
     enumerate_homs,
     hom_image,
     hom_kernel,
+    hom_table,
     invariant_factors,
     is_isomorphic,
     is_surjective,
@@ -145,6 +147,24 @@ class TestSubgroups:
         assert not ragged.is_closed()
         with pytest.raises(NotASubgroup):
             ragged.validate()
+
+    def test_closure_matches_pairwise_brute_force(self):
+        # every nonempty subset of every abelian group of order <= 9
+        checked = 0
+        for order in range(1, 10):
+            for g in abelian_groups_of_order(order):
+                elements = list(g.elements())
+                for size in range(1, len(elements) + 1):
+                    for subset in itertools.combinations(elements, size):
+                        members = set(subset)
+                        brute = (
+                            g.identity() in members
+                            and all(g.neg(a) in members for a in subset)
+                            and all(g.add(a, b) in members for a in subset for b in subset)
+                        )
+                        assert Subgroup(g, subset).is_closed() == brute, (g, subset)
+                        checked += 1
+        assert checked == 1 + 3 + 7 + 2 * 15 + 31 + 63 + 127 + 3 * 255 + 2 * 511
 
     def test_lagrange_over_all_subgroups(self):
         for factors in ([8], [2, 4], [2, 2, 2], [3, 3], [12]):
@@ -298,6 +318,25 @@ class TestHoms:
                 for x in src.elements():
                     for y in src.elements():
                         assert h(src.add(x, y)) == dst.add(h(x), h(y))
+
+    @pytest.mark.parametrize(
+        "src_factors, dst_factors", [([6], [2, 4]), ([2, 4], [2, 4]), ([9], [3, 3])]
+    )
+    def test_hom_table_matches_checked_evaluation(self, src_factors, dst_factors):
+        src, dst = make_group(src_factors), make_group(dst_factors)
+        homs = enumerate_homs(src, dst)
+        assert homs
+        for h in homs:
+            assert hom_table(h) == [h(a) for a in src.elements()]
+
+    @pytest.mark.parametrize(
+        "src_factors, dst_factors",
+        [([6], [2, 4]), ([2, 4], [2, 4]), ([9], [3, 3]), ([2, 2, 2], [2, 2]), ([4], [2, 2])],
+    )
+    def test_surjective_enumeration_filters_all_homs(self, src_factors, dst_factors):
+        src, dst = make_group(src_factors), make_group(dst_factors)
+        expected = [h for h in enumerate_homs(src, dst) if is_surjective(h)]
+        assert enumerate_homs(src, dst, surjective_only=True) == expected
 
     def test_kernel_of_pair_projection(self):
         u, s = make_group([3]), make_group([3, 3])

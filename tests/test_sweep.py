@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 
 import pytest
 
@@ -185,12 +186,24 @@ class TestSweepTheorems:
     def test_jobs_env_variable(self, monkeypatch):
         from groupcode.sweep import default_jobs
 
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("GROUPCODE_JOBS", "3")
         assert default_jobs() == 3
         monkeypatch.setenv("GROUPCODE_JOBS", "not-a-number")
         assert default_jobs() == 1
         monkeypatch.delenv("GROUPCODE_JOBS")
         assert default_jobs() == 1
+
+    @pytest.mark.parametrize(
+        "cpus, raw, expected",
+        [(2, "3", 2), (2, "2", 2), (8, "64", 8), (1, "0", 1), (None, "4", 1), (4, "-3", 1)],
+    )
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch, cpus, raw, expected):
+        from groupcode.sweep import default_jobs
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("GROUPCODE_JOBS", raw)
+        assert default_jobs() == expected
 
     def test_summary_table_shape(self, small_sweep):
         table = small_sweep.summary_table()
