@@ -4,8 +4,9 @@ Given an ambient abelian group ``G`` and a subgroup ``N``, the decomposition
 carries an isomorphism of ``N`` onto a canonical group ``U``, an isomorphism
 of ``G/N`` onto a canonical group ``S``, a lifting that picks the
 lexicographically minimal representative of every coset, and the factor set
-measuring how far the lifting is from a homomorphism.  Conjugation is trivial
-in an abelian group, so pairs ``(u, s)`` multiply by
+measuring how far the lifting is from a homomorphism (computed from the
+lifting on first read).  Conjugation is trivial in an abelian group, so
+pairs ``(u, s)`` multiply by
 
     (u1, s1) * (u2, s2) = (u1 + u2 + factor_set(s1, s2), s1 + s2)
 
@@ -39,7 +40,11 @@ class ExtensionKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class ExtensionDecomposition:
-    """Pair-coordinate presentation of an ambient group over a normal subgroup."""
+    """Pair-coordinate presentation of an ambient group over a normal subgroup.
+
+    The factor set is computed from the lifting the first time it is read:
+    tabulating an encoder never reads it, and it has ``|S|^2`` entries.
+    """
 
     ambient: FiniteAbelianGroup
     normal: Subgroup
@@ -49,7 +54,6 @@ class ExtensionDecomposition:
     u_to_n: dict[Element, Element]
     lifting: dict[Element, Element]
     to_quotient: dict[Element, Element]
-    factor_set: dict[tuple[Element, Element], Element]
 
     def pair_to_element(self, u: Element, s: Element) -> Element:
         return self.ambient.add(self.lifting[s], self.u_to_n[u])
@@ -63,6 +67,19 @@ class ExtensionDecomposition:
         for u in self.u_part.elements():
             for s in self.s_part.elements():
                 yield u, s
+
+    @cached_property
+    def factor_set(self) -> dict[tuple[Element, Element], Element]:
+        """``(s1, s2) -> n_to_u[lifting(s1) + lifting(s2) - lifting(s1 + s2)]``."""
+        ambient, lifting, s_part = self.ambient, self.lifting, self.s_part
+        table = {}
+        for s1 in s_part.elements():
+            for s2 in s_part.elements():
+                drift = ambient.sub(
+                    ambient.add(lifting[s1], lifting[s2]), lifting[s_part.add(s1, s2)]
+                )
+                table[(s1, s2)] = self.n_to_u[drift]
+        return table
 
     @cached_property
     def pair_indices(self) -> tuple[tuple[tuple[Element, Element], int], ...]:
@@ -85,25 +102,15 @@ def decompose(ambient: FiniteAbelianGroup, normal: Subgroup) -> ExtensionDecompo
     minimal member of its coset, which in particular lifts the identity coset
     to the identity.
     """
-    normal.validate()
+    s_part, to_quotient = quotient(ambient, normal)  # checks that normal is a subgroup
     u_part, n_to_u = recognize_with_iso(list(normal.elements), ambient.add)
     u_to_n = {u: n for n, u in n_to_u.items()}
 
-    s_part, to_quotient = quotient(ambient, normal)
     lifting: dict[Element, Element] = {}
     for g in sorted(ambient.elements()):
         s = to_quotient[g]
         if s not in lifting:
             lifting[s] = g
-
-    factor_set: dict[tuple[Element, Element], Element] = {}
-    for s1 in s_part.elements():
-        for s2 in s_part.elements():
-            drift = ambient.sub(
-                ambient.add(lifting[s1], lifting[s2]),
-                lifting[s_part.add(s1, s2)],
-            )
-            factor_set[(s1, s2)] = n_to_u[drift]
 
     return ExtensionDecomposition(
         ambient=ambient,
@@ -114,7 +121,6 @@ def decompose(ambient: FiniteAbelianGroup, normal: Subgroup) -> ExtensionDecompo
         u_to_n=u_to_n,
         lifting=lifting,
         to_quotient=to_quotient,
-        factor_set=factor_set,
     )
 
 
@@ -136,9 +142,6 @@ def direct_sum_decomposition(
     u_to_n = {u: u + zero_s for u in u_part.elements()}
     lifting = {s: zero_u + s for s in s_part.elements()}
     to_quotient = {g: g[len(u_part.factors):] for g in ambient.elements()}
-    factor_set = {
-        (s1, s2): zero_u for s1 in s_part.elements() for s2 in s_part.elements()
-    }
     return ExtensionDecomposition(
         ambient=ambient,
         normal=normal,
@@ -148,7 +151,6 @@ def direct_sum_decomposition(
         u_to_n=u_to_n,
         lifting=lifting,
         to_quotient=to_quotient,
-        factor_set=factor_set,
     )
 
 

@@ -5,7 +5,10 @@ Groups are residue-vector groups: a group is a tuple of coordinate moduli
 ``0 <= c_i < d_i``, added componentwise.  ``make_group`` normalizes the
 moduli to the canonical divisibility chain; ``direct_sum`` concatenates
 moduli verbatim so pair coordinates survive (used by the encoder layer).
-Everything is immutable and safe to share across workers.
+Every subgroup closure (generated subgroups, the closure test, subgroup and
+automorphism enumeration, heights, basis extraction in recognition) is one
+coset-growing span, :func:`_span`.  Everything is immutable and safe to
+share across workers.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidFactor, InvalidHom, NotASubgroup, NotAbelian, WrongGroup
@@ -118,6 +121,28 @@ class FiniteAbelianGroup:
 def _add(moduli: tuple[int, ...], a: Element, b: Element) -> Element:
     """Unchecked sum of two elements known to lie in the group with ``moduli``."""
     return tuple(map(operator.mod, map(operator.add, a, b), moduli))
+
+
+def _span(op: Callable, identity, gens: Iterable) -> set:
+    """The set spanned by ``gens`` under the abelian group operation ``op``.
+
+    Grows the span one coset at a time: for each generator ``a`` outside the
+    current span ``H`` (a subgroup), the cosets ``a + H``, ``2a + H``, ... are
+    added until a multiple of ``a`` falls back into ``H``.  Each span element
+    is produced by one ``op``, plus one ``op`` per coset to step to the next
+    multiple, so the whole span costs under ``2 |span|`` operations.  The
+    generators are members of the result.
+    """
+    span = {identity}
+    for a in gens:
+        if a in span:
+            continue
+        base = list(span)
+        multiple = a
+        while multiple not in span:
+            span.update([op(multiple, b) for b in base])
+            multiple = op(multiple, a)
+    return span
 
 
 def format_element(g: FiniteAbelianGroup, a: Element) -> str:
@@ -225,39 +250,20 @@ class Subgroup:
     def is_closed(self) -> bool:
         """Whether the element set is a subgroup of ``parent``.
 
-        Grows a span from generators chosen greedily inside the set: for each
-        member ``a`` outside the current span ``H`` (a subgroup), the cosets
-        ``a + H``, ``2a + H``, ... are added one at a time until a multiple
-        of ``a`` falls back into ``H``.  Every new element is a sum of
-        members, so the answer is False as soon as one leaves the set; if
-        none does, the span is a subgroup holding every member, hence equal
-        to the set.  Each span element is produced by one add, plus one add
-        per generator (at most log2 |L| of them) to find the multiple that
-        returns into ``H``: under |L| + log2 |L| adds instead of the |L|^2
-        pairwise sums.
+        The identity must be a member, every member an element of ``parent``,
+        and the span of the members (one :func:`_span`, under ``2 |span|``
+        adds instead of the ``|L|^2`` pairwise sums) no larger than the set:
+        the span always holds the members, so equal sizes mean the set is
+        the subgroup it spans.
         """
         g = self.parent
-        members = self._member_set
         identity = g.identity()
-        if identity not in members:
+        if identity not in self._member_set:
             return False
         for a in self.elements:
             g.check(a)
-        moduli = g.factors
-        span = {identity}
-        for a in self.elements:
-            if a in span:
-                continue
-            base = list(span)
-            multiple = a
-            while multiple not in span:
-                for b in base:
-                    c = _add(moduli, multiple, b)
-                    if c not in members:
-                        return False
-                    span.add(c)
-                multiple = _add(moduli, multiple, a)
-        return True
+        span = _span(partial(_add, g.factors), identity, self.elements)
+        return len(span) == len(self._member_set)
 
     def validate(self) -> "Subgroup":
         if not self.is_closed():
@@ -266,18 +272,9 @@ class Subgroup:
 
 
 def subgroup_generated(g: FiniteAbelianGroup, gens: Iterable[Element]) -> Subgroup:
-    """Smallest subgroup containing ``gens``, computed by closure."""
+    """Smallest subgroup containing ``gens``, computed by :func:`_span`."""
     gens = [g.check(tuple(x)) for x in gens]
-    seen = {g.identity()}
-    frontier = [g.identity()]
-    while frontier:
-        a = frontier.pop()
-        for x in gens:
-            b = _add(g.factors, a, x)
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return Subgroup(g, tuple(sorted(seen)))
+    return Subgroup(g, tuple(_span(partial(_add, g.factors), g.identity(), gens)))
 
 
 def trivial_subgroup(g: FiniteAbelianGroup) -> Subgroup:
@@ -320,33 +317,24 @@ def quotient(g: FiniteAbelianGroup, n: Subgroup) -> tuple[FiniteAbelianGroup, di
 
 
 def all_subgroups(g: FiniteAbelianGroup) -> list[Subgroup]:
-    """Every subgroup of ``g``, found by closing element extensions."""
-    seen: dict[frozenset, tuple[Element, ...]] = {}
-    start = trivial_subgroup(g)
-    seen[frozenset(start.elements)] = start.elements
-    frontier = [start.elements]
+    """Every subgroup of ``g``, found by spanning element extensions."""
+    op = partial(_add, g.factors)
+    identity = g.identity()
+    start = frozenset([identity])
+    seen = {start}
+    frontier = [start]
     all_elements = list(g.elements())
     while frontier:
         current = frontier.pop()
-        current_set = frozenset(current)
         for x in all_elements:
-            if x in current_set:
+            if x in current:
                 continue
-            extended = _close(g, current, x)
-            key = frozenset(extended)
-            if key not in seen:
-                seen[key] = extended
+            extended = frozenset(_span(op, identity, (*current, x)))
+            if extended not in seen:
+                seen.add(extended)
                 frontier.append(extended)
-    return [Subgroup(g, els) for els in sorted(seen.values(), key=lambda e: (len(e), e))]
-
-
-def _close(g: FiniteAbelianGroup, base: tuple[Element, ...], x: Element) -> tuple[Element, ...]:
-    out = set(base)
-    power = g.identity()
-    for _ in range(g.element_order(x)):
-        power = g.add(power, x)
-        out.update(g.add(power, b) for b in base)
-    return tuple(sorted(out))
+    subgroups = [Subgroup(g, tuple(members)) for members in seen]
+    return sorted(subgroups, key=lambda h: (h.order, h.elements))
 
 
 def elements_of_order(g: FiniteAbelianGroup, n: int) -> list[Element]:
@@ -363,15 +351,20 @@ def prime_order_subgroups(g: FiniteAbelianGroup, p: int) -> list[Subgroup]:
 
 
 def element_height(g: FiniteAbelianGroup, a: Element, p: int) -> int:
-    """Largest t such that ``a`` is a p^t-th multiple inside ``g``."""
-    g.check(a)
-    if a == g.identity():
-        raise WrongGroup("height of the identity is unbounded")
-    layer = set(g.elements())
+    """Largest t such that ``a`` is a p^t-th multiple inside ``g``.
+
+    ``p^t g`` is the span of the p^t-th multiples of the coordinate
+    generators.  The height is unbounded exactly when the order of ``a`` is
+    prime to ``p`` (the identity included), and then ``WrongGroup`` is raised.
+    """
+    if g.element_order(a) % p != 0:
+        raise WrongGroup(f"height of {a} is unbounded: its order is prime to {p}")
+    op = partial(_add, g.factors)
+    gens = identity_hom(g).gen_images
     t = 0
     while True:
-        layer = {g.scalar_mul(p, x) for x in layer}
-        if a not in layer:
+        gens = [g.scalar_mul(p, x) for x in gens]
+        if a not in _span(op, g.identity(), gens):
             return t
         t += 1
 
@@ -510,18 +503,6 @@ def _extract_basis(component, orders, identity, mul, p: int, exps: list[int]) ->
         return []
     target_sizes = [p ** e for e in exps]
 
-    def closure_size(basis: list) -> int:
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            a = frontier.pop()
-            for b in basis:
-                c = mul(a, b)
-                if c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
-        return len(seen)
-
     def search(basis: list, depth: int) -> list | None:
         if depth == len(exps):
             return basis
@@ -531,7 +512,7 @@ def _extract_basis(component, orders, identity, mul, p: int, exps: list[int]) ->
             if orders[a] != needed:
                 continue
             candidate = basis + [a]
-            if closure_size(candidate) == expected:
+            if len(_span(mul, identity, candidate)) == expected:
                 result = search(candidate, depth + 1)
                 if result is not None:
                     return result
@@ -658,9 +639,11 @@ def enumerate_homs(
     for d in g1.factors:
         candidates = [a for a in g2.elements() if d % g2.element_order(a) == 0]
         candidate_lists.append(candidates)
+    op = partial(_add, g2.factors)
+    identity = g2.identity()
     homs = []
     for images in itertools.product(*candidate_lists):
-        if surjective_only and subgroup_generated(g2, images).order != g2.order:
+        if surjective_only and len(_span(op, identity, images)) != g2.order:
             continue
         homs.append(GroupHom(g1, g2, images))
     return homs
@@ -679,9 +662,11 @@ def automorphisms(g: FiniteAbelianGroup) -> list[GroupHom]:
     by_order: dict[int, list[Element]] = {}
     for a in g.elements():
         by_order.setdefault(g.element_order(a), []).append(a)
+    op = partial(_add, g.factors)
+    identity = g.identity()
     out: list[GroupHom] = []
 
-    def search(chosen: list[Element], span: tuple[Element, ...], expected: int) -> None:
+    def search(chosen: list[Element], span: set, expected: int) -> None:
         depth = len(chosen)
         if depth == len(g.factors):
             out.append(GroupHom(g, g, tuple(chosen)))
@@ -690,12 +675,12 @@ def automorphisms(g: FiniteAbelianGroup) -> list[GroupHom]:
         for a in by_order.get(d, ()):
             if a in span:
                 continue
-            new_span = _close(g, span, a)
+            new_span = _span(op, identity, chosen + [a])
             if len(new_span) != expected * d:
                 continue
             search(chosen + [a], new_span, expected * d)
 
-    search([], (g.identity(),), 1)
+    search([], {identity}, 1)
     return out
 
 

@@ -32,7 +32,6 @@ from .groups import (
     invariant_factors,
     is_prime,
     prime_order_subgroups,
-    quotient,
 )
 
 EXHAUSTIVE_GUARD = 256
@@ -73,8 +72,8 @@ def enumerate_extensions(
     for ambient in abelian_groups_of_order(total):
         seen_heights: set[int] = set()
         for normal in prime_order_subgroups(ambient, p):
-            q_group, _ = quotient(ambient, normal)
-            if q_group.factors != wanted:
+            dec = decompose(ambient, normal)
+            if dec.s_part.factors != wanted:
                 continue
             if dedup:
                 generator = min(
@@ -86,10 +85,7 @@ def enumerate_extensions(
                 seen_heights.add(height)
             instances.append(
                 ExtensionInstance(
-                    prime=p,
-                    ambient=ambient,
-                    normal=normal,
-                    decomposition=decompose(ambient, normal),
+                    prime=p, ambient=ambient, normal=normal, decomposition=dec
                 )
             )
     return instances

@@ -7,9 +7,25 @@ import json
 
 import pytest
 
-from groupcode import Window, control, encode_forward, groups, sweep, trellis, zero_tail
+from groupcode import (
+    Window,
+    control,
+    encode_forward,
+    extension,
+    groups,
+    sweep,
+    trellis,
+    zero_tail,
+)
 from groupcode.control import analysis_json, decide_controllability, structure_report
-from groupcode.groups import GroupHom, Subgroup, abelian_groups_of_order
+from groupcode.groups import (
+    GroupHom,
+    Subgroup,
+    abelian_groups_of_order,
+    enumerate_homs,
+    make_group,
+    prime_order_subgroups,
+)
 from groupcode.sweep import enumerate_encoders, enumerate_extensions, sweep_theorems
 from groupcode.trellis import codeword_witness, export_dot
 
@@ -96,6 +112,36 @@ def test_control_recognizes_no_operation_table(monkeypatch, systematic_encoder):
         structure_report(enc, decide_controllability(enc))
     assert encoders
     assert [len(calls) for calls in recognized] == [0, 0]
+
+
+def test_sweep_computes_each_quotient_once(monkeypatch):
+    modules = [m for m in (groups, extension, sweep) if hasattr(m, "quotient")]
+    quotients = _count_calls(monkeypatch, modules, "quotient")
+    sweep_theorems([2, 3], 6, jobs=1)
+    examined = sum(
+        len(prime_order_subgroups(ambient, p))
+        for p in (2, 3)
+        for order in range(1, 7)
+        for _ in abelian_groups_of_order(order)
+        for ambient in abelian_groups_of_order(p * order)
+    )
+    assert len(quotients) == examined
+
+
+def test_decompose_checks_closure_once(monkeypatch):
+    g = make_group([2, 4])
+    normal = prime_order_subgroups(g, 2)[0]
+    checked = _count_calls(monkeypatch, [Subgroup], "is_closed")
+    extension.decompose(g, normal)
+    assert len(checked) == 1
+
+
+def test_surjective_enumeration_builds_only_kept_homs(monkeypatch):
+    subgroups = _count_calls(monkeypatch, [Subgroup], "__post_init__")
+    homs = _count_calls(monkeypatch, [GroupHom], "__post_init__")
+    kept = enumerate_homs(make_group([2, 4]), make_group([2, 2]), surjective_only=True)
+    assert len(kept) == len(homs) > 0
+    assert subgroups == []
 
 
 def test_sweep_never_evaluates_a_hom_element_by_element(monkeypatch):

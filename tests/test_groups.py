@@ -50,6 +50,17 @@ def order_census(g):
     return sorted(brute_order(g, a) for a in g.elements())
 
 
+def layered_height(g, a, p):
+    """Reference height: p-multiples of the whole group, layer by layer."""
+    layer = set(g.elements())
+    t = 0
+    while True:
+        layer = {g.scalar_mul(p, x) for x in layer}
+        if a not in layer:
+            return t
+        t += 1
+
+
 class TestMakeGroup:
     def test_trivial(self):
         g = make_group([])
@@ -189,6 +200,52 @@ class TestSubgroups:
         assert element_height(g, (1, 0), 2) == 0
         assert element_height(g, (0, 2), 2) == 1
         assert element_height(g, (1, 2), 2) == 0
+
+    @pytest.mark.parametrize(
+        "factors, a, p", [([3], (1,), 2), ([2, 4], (0, 0), 2), ([6], (2,), 2), ([9], (0,), 3)]
+    )
+    def test_unbounded_height_raises(self, factors, a, p):
+        # the order of ``a`` is prime to p, so ``a`` lies in p^t G for every t
+        with pytest.raises(WrongGroup):
+            element_height(make_group(factors), a, p)
+
+    def test_element_height_matches_whole_group_layering(self):
+        # every abelian group of order <= 32, every prime p dividing its order
+        # and every element whose height is bounded
+        checked = 0
+        for order in range(2, 33):
+            for g in abelian_groups_of_order(order):
+                for p in _prime_factors(order):
+                    for a in g.elements():
+                        if g.element_order(a) % p != 0:
+                            continue
+                        assert element_height(g, a, p) == layered_height(g, a, p), (g, a, p)
+                        checked += 1
+        # the elements of order prime to p form a subgroup of order n / p^v_p(n)
+        assert checked == sum(
+            len(abelian_groups_of_order(n)) * (n - n // _p_part(n, p))
+            for n in range(2, 33)
+            for p in _prime_factors(n)
+        )
+
+    def test_span_of_every_pair_matches_pairwise_fixpoint(self):
+        # every abelian group of order <= 16 and every ordered pair of elements
+        checked = 0
+        for order in range(1, 17):
+            for g in abelian_groups_of_order(order):
+                for a, b in itertools.combinations_with_replacement(g.elements(), 2):
+                    closed = {g.identity(), a, b}
+                    while True:
+                        grown = closed | {g.add(x, y) for x in closed for y in closed}
+                        if grown == closed:
+                            break
+                        closed = grown
+                    for gens in ([a, b], [b, a]):
+                        assert set(subgroup_generated(g, gens).elements) == closed, (g, gens)
+                        checked += 1
+        assert checked == 2 * sum(
+            n * (n + 1) // 2 * len(abelian_groups_of_order(n)) for n in range(1, 17)
+        )
 
 
 class TestQuotient:
@@ -422,6 +479,13 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _p_part(n: int, p: int) -> int:
+    q = 1
+    while n % (q * p) == 0:
+        q *= p
+    return q
 
 
 class TestFamilies:
