@@ -12,6 +12,7 @@ does not affect the output bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -20,7 +21,7 @@ from .encoder import encode_forward, encoder_from_spec, zero_tail
 from .errors import GroupCodeError, NotPrime, PredicateViolation, TooLarge
 from .groups import format_element
 from .sweep import sweep_theorems
-from .trellis import export_dot
+from .trellis import _dot_lines
 
 _EPILOG = (
     "Encoder spec files are JSON objects with keys U, S, Y (each "
@@ -88,30 +89,30 @@ def _cmd_encode(args: argparse.Namespace) -> int:
                 2,
             )
         inputs = [tuple(flat[i : i + u_rank]) for i in range(0, len(flat), u_rank)]
-    for u in inputs:
-        if not enc.input_group.contains(u):
-            return _fail(f"input symbol {u} is not in the input group", 2)
-
     states, outputs = encode_forward(enc, s0_coords, inputs)
     rows = list(zip(inputs, states, outputs))
+    lines = []
     if args.zero_tail:
         final = states[-1] if states else s0_coords
         padding = zero_tail(enc, final, max_len=enc.state_group.order + 1)
         if padding is None:
-            print(
+            lines.append(
                 "zero tail: identity state unreachable "
-                f"within {enc.state_group.order + 1} steps"
+                f"within {enc.state_group.order + 1} steps\n"
             )
         else:
             pad_states, pad_outputs = encode_forward(enc, final, padding)
             rows.extend(zip(padding, pad_states, pad_outputs))
-    print(f"{'i':>4}  {'u':<8} {'s':<10} {'y':<10}")
-    for i, (u, s, y) in enumerate(rows, start=1):
-        print(
-            f"{i:>4}  {format_element(enc.input_group, u):<8} "
-            f"{format_element(enc.state_group, s):<10} "
-            f"{format_element(enc.output_group, y):<10}"
-        )
+    # each distinct element is rendered once, on first sight
+    u_name = functools.cache(functools.partial(format_element, enc.input_group))
+    s_name = functools.cache(functools.partial(format_element, enc.state_group))
+    y_name = functools.cache(functools.partial(format_element, enc.output_group))
+    lines.append(f"{'i':>4}  {'u':<8} {'s':<10} {'y':<10}\n")
+    lines.extend(
+        f"{i:>4}  {u_name(u):<8} {s_name(s):<10} {y_name(y):<10}\n"
+        for i, (u, s, y) in enumerate(rows, start=1)
+    )
+    sys.stdout.write("".join(lines))
     return 0
 
 
@@ -119,15 +120,17 @@ def _cmd_trellis(args: argparse.Namespace) -> int:
     if args.sections < 0:
         return _fail("--sections must be >= 0", 2)
     enc = _load_encoder(args.spec)
-    text = export_dot(enc, args.sections)
-    if args.out is None:
-        sys.stdout.write(text)
-        return 0
+    lines = _dot_lines(enc, args.sections)
     try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if args.out is None:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()  # a reader that closed the pipe fails here, not at exit
+        else:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.writelines(lines)
     except OSError as exc:
-        return _fail(f"cannot write {args.out!r}: {exc}", 3)
+        target = "stdout" if args.out is None else repr(args.out)
+        return _fail(f"cannot write {target}: {exc}", 3)
     return 0
 
 

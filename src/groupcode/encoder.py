@@ -145,8 +145,10 @@ def encode_forward(
     outputs: list[Element] = []
     s = s0
     for u in inputs:
-        enc.input_group.check(tuple(u))
-        s, y = enc.step(tuple(u), s)
+        u = tuple(u)
+        if not enc.input_group.contains(u):
+            raise WrongGroup(f"input symbol {u} is not in the input group")
+        s, y = enc.step(u, s)
         states.append(s)
         outputs.append(y)
     return states, outputs

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .encoder import Encoder, Window, connected  # noqa: F401 - re-exported
 from .groups import Element, format_element
@@ -44,22 +45,50 @@ def concatenate(y1: Window, y2: Window, j: int) -> Window:
     return Window(y1.group, start, symbols).trimmed()
 
 
-def _identity_core(enc: Encoder, diagram: list[Branch], backwards: bool) -> set[Element]:
-    """States admitting arbitrarily long identity-labeled histories or futures."""
-    e_y = enc.output_group.identity()
-    edges: dict[Element, set[Element]] = {s: set() for s in enc.state_group.elements()}
-    for b in diagram:
-        if b.label == e_y:
-            if backwards:
-                edges[b.target].add(b.source)  # predecessors
-            else:
-                edges[b.source].add(b.target)  # successors
-    current = set(edges)
+def _union_table(rows: list[int]) -> list[int]:
+    """Unions of ``rows`` four at a time, for reading one-step images of masks.
+
+    Entry ``16 * c + b`` is the union of the rows ``4 * c + j`` over the bits
+    ``j`` set in the nibble ``b``; the table holds 4 masks per row.
+    """
+    rows = rows + [0] * (-len(rows) % 4)
+    table: list[int] = []
+    for first in range(0, len(rows), 4):
+        entries = [0]
+        for row in rows[first : first + 4]:
+            entries += [e | row for e in entries]
+        table += entries
+    return table
+
+
+def _image(mask: int, table: list[int]) -> int:
+    """Union of the table's rows at the set bits of ``mask``."""
+    out = 0
+    base = 0
+    while mask:
+        out |= table[base + (mask & 15)]
+        mask >>= 4
+        base += 16
+    return out
+
+
+def _identity_core(table: list[int], full: int) -> int:
+    """Largest state mask contained in its own one-step identity-labeled image.
+
+    With the successor table these are the states admitting arbitrarily long
+    identity-labeled histories; with the predecessor table, futures.
+    """
+    current = full
     while True:
-        kept = {s for s in current if edges[s] & current}
+        kept = current & _image(current, table)
         if kept == current:
             return current
         current = kept
+
+
+def _lowest(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
@@ -69,40 +98,52 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
     identity tails force the boundary states into the sets that can absorb an
     infinite identity-labeled past or future.  Among all witnesses the
     lexicographically smallest state sequence is returned.
+
+    State sets are bitmasks over ``state_group.index_of``, which is
+    lexicographic, so the lowest set bit is the least state.
     """
     if window.group != enc.output_group:
         raise ValueError("window symbols are not in the encoder output group")
-    diagram = branches(enc)
-    past_core = _identity_core(enc, diagram, backwards=True)
-    future_core = _identity_core(enc, diagram, backwards=False)
+    s_group = enc.state_group
+    states = list(s_group.elements())
+    succ: dict[Element, list[int]] = {}
+    pred: dict[Element, list[int]] = {}
+    for b in branches(enc):
+        if b.label not in succ:
+            succ[b.label] = [0] * len(states)
+            pred[b.label] = [0] * len(states)
+        source, target = s_group.index_of(b.source), s_group.index_of(b.target)
+        succ[b.label][source] |= 1 << target
+        pred[b.label][target] |= 1 << source
 
-    by_label: dict[tuple[Element, Element], set[Element]] = {}
-    for b in diagram:
-        by_label.setdefault((b.source, b.label), set()).add(b.target)
+    symbols = window.symbols
+    e_y = enc.output_group.identity()  # labels the branch (e_U, e_S) -> e_S
+    labels = set(symbols) | {e_y}
+    if not labels <= succ.keys():
+        return None
+    forward = {y: _union_table(succ[y]) for y in labels}
+    backward = {y: _union_table(pred[y]) for y in labels}
+    full = (1 << len(states)) - 1
 
-    feasible: list[set[Element]] = [set(past_core)]
-    for symbol in window.symbols:
-        nxt: set[Element] = set()
-        for s in feasible[-1]:
-            nxt |= by_label.get((s, symbol), set())
+    feasible = [_identity_core(forward[e_y], full)]
+    for symbol in symbols:
+        nxt = _image(feasible[-1], forward[symbol])
         if not nxt:
             return None
         feasible.append(nxt)
-    feasible[-1] &= future_core
+    feasible[-1] &= _identity_core(backward[e_y], full)
     if not feasible[-1]:
         return None
-    for i in range(len(window.symbols) - 1, -1, -1):
-        symbol = window.symbols[i]
-        feasible[i] = {
-            s for s in feasible[i] if by_label.get((s, symbol), set()) & feasible[i + 1]
-        }
+    for i in range(len(symbols) - 1, -1, -1):
+        feasible[i] &= _image(feasible[i + 1], backward[symbols[i]])
         if not feasible[i]:
             return None
 
-    witness = [min(feasible[0])]
-    for i, symbol in enumerate(window.symbols):
-        options = by_label.get((witness[-1], symbol), set()) & feasible[i + 1]
-        witness.append(min(options))
+    current = _lowest(feasible[0])
+    witness = [states[current]]
+    for i, symbol in enumerate(symbols):
+        current = _lowest(succ[symbol][current] & feasible[i + 1])
+        witness.append(states[current])
     return witness
 
 
@@ -116,6 +157,11 @@ def export_dot(enc: Encoder, unrolled_sections: int) -> str:
     Nodes are named ``t{time}_s{state index}``; edge labels read
     ``input/output``.  Output is byte-deterministic.
     """
+    return "".join(_dot_lines(enc, unrolled_sections))
+
+
+def _dot_lines(enc: Encoder, unrolled_sections: int) -> Iterator[str]:
+    """The lines of :func:`export_dot`, each ending in a newline, one at a time."""
     if unrolled_sections < 0:
         raise ValueError("unrolled_sections must be >= 0")
     s_group = enc.state_group
@@ -131,15 +177,16 @@ def export_dot(enc: Encoder, unrolled_sections: int) -> str:
         )
         for b in branches(enc)
     ]
-    lines = ["digraph trellis {", "  rankdir=LR;", "  node [shape=circle];"]
+    yield "digraph trellis {\n"
+    yield "  rankdir=LR;\n"
+    yield "  node [shape=circle];\n"
     times = max(unrolled_sections + 1, 1)
     for t in range(times):
         for i, name in nodes:
-            lines.append(f'  "t{t}_s{i}" [label="{name}"];')
+            yield f'  "t{t}_s{i}" [label="{name}"];\n'
     sections = unrolled_sections if unrolled_sections > 0 else 1
     for t in range(sections):
         dst_t = t + 1 if unrolled_sections > 0 else t
         for src, dst, label in edges:
-            lines.append(f'  "t{t}_s{src}" -> "t{dst_t}_s{dst}" [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f'  "t{t}_s{src}" -> "t{dst_t}_s{dst}" [label="{label}"];\n'
+    yield "}\n"

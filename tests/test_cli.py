@@ -10,6 +10,7 @@ import pytest
 from groupcode import PredicateViolation, control
 from groupcode.cli import main
 from groupcode.control import analysis_json
+from groupcode.trellis import export_dot
 
 EX_SPEC = {
     "U": {"factors": [2]},
@@ -196,6 +197,10 @@ class TestEncode:
 
     def test_bad_symbol_exits_2(self, spec_path, capsys):
         assert main(["encode", spec_path, "--state", "0,0", "--inputs", "0,7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input symbol (7,) is not in the input group" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_bad_state_exits_2(self, spec_path):
         assert main(["encode", spec_path, "--state", "5,0", "--inputs", "0"]) == 2
@@ -214,6 +219,34 @@ class TestTrellis:
         text = capsys.readouterr().out
         assert text.count("->") == 24
         assert '"t3_s3"' in text
+
+    @pytest.mark.parametrize("sections", [0, 1, 7])
+    def test_streamed_bytes_equal_export_dot(
+        self, spec_path, tmp_path, capsys, systematic_encoder, sections
+    ):
+        expected = export_dot(systematic_encoder, sections)
+        out = tmp_path / "trellis.dot"
+        argv = ["trellis", spec_path, "--sections", str(sections)]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_closed_stdout_pipe_exits_3(self, spec_path):
+        # about 9 MB of DOT: far more than a pipe buffers, so the writer must
+        # still be writing when the reader closes the pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "groupcode", "trellis", spec_path, "--sections", "20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"digraph trellis {\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 3
+        assert "groupcode: cannot write stdout: [Errno 32] Broken pipe" in err
+        assert "Traceback" not in err
 
     def test_negative_sections_exit_2(self, spec_path):
         assert main(["trellis", spec_path, "--sections", "-1"]) == 2

@@ -26,6 +26,7 @@ from groupcode.groups import (
     make_group,
     prime_order_subgroups,
 )
+from groupcode.cli import main
 from groupcode.sweep import enumerate_encoders, enumerate_extensions, sweep_theorems
 from groupcode.trellis import codeword_witness, export_dot
 
@@ -65,6 +66,45 @@ def test_readme_analysis_bytes(systematic_encoder):
         _sha256(_canonical(analysis_json(systematic_encoder)))
         == "a4e736641330af4f365e60cc5eab5d66ee64be68dae6ce5cc16d15d615fecb54"
     )
+
+
+def _observed_shift_register(p: int, m: int) -> dict:
+    """``(s1..sm) -> (s2..sm, u + s1)`` over Z_p^m with output ``s1`` alone."""
+    unit = [[int(i == j) for j in range(m)] for i in range(m)]
+    return {
+        "U": {"factors": [p]},
+        "S": {"factors": [p] * m},
+        "Y": {"factors": [p]},
+        "nu": {"gen_images": [unit[m - 1]] + [unit[(i - 1) % m] for i in range(m)]},
+        "omega": {"gen_images": [[0], [1]] + [[0]] * (m - 1)},
+    }
+
+
+STREAM_CASES = {
+    (2, 5): {
+        "encode": "c3b2b47528c004eb455975be59c5e86738993c0f461f7dc86cf2eae18b3cd344",
+        "trellis": "68cb3faca32c8c2a0b10f01fd4a15bb3e04791401075f5c00193fd67d9a33582",
+    },
+    (3, 3): {
+        "encode": "72a64816691014f3e6f01d5c344d4afc58631b9095aec58d3eeaa0e609be0253",
+        "trellis": "ad85ce64e355aec103a8810d7315059d77831b44899ed54849e42445cbe5d967",
+    },
+}
+
+
+@pytest.mark.parametrize("p, m", sorted(STREAM_CASES))
+def test_stream_output_bytes(tmp_path, capsys, p, m):
+    spec = tmp_path / "encoder.json"
+    spec.write_text(json.dumps(_observed_shift_register(p, m)))
+    state = ",".join(str((i + 1) % p) for i in range(m))
+    word = ",".join(str((i * i + 3 * i + 1) % p) for i in range(64))
+    argv = ["encode", str(spec), "--state", state, "--inputs", word, "--zero-tail"]
+    assert main(argv) == 0
+    table = capsys.readouterr().out
+    dot = tmp_path / "trellis.dot"
+    assert main(["trellis", str(spec), "--sections", "32", "--out", str(dot)]) == 0
+    digests = {"encode": _sha256(table), "trellis": _sha256(dot.read_text())}
+    assert digests == STREAM_CASES[(p, m)]
 
 
 def test_sweep_decides_each_encoder_once(monkeypatch):

@@ -15,6 +15,64 @@ from groupcode import (
     make_group,
     zero_tail,
 )
+from groupcode.encoder import encoder_from_extension
+from groupcode.errors import PsiNotInjective
+from groupcode.groups import abelian_groups_of_order, enumerate_homs
+from groupcode.sweep import enumerate_extensions
+
+
+def _reference_identity_core(enc, diagram, backwards):
+    """States admitting arbitrarily long identity-labeled histories or futures."""
+    e_y = enc.output_group.identity()
+    edges = {s: set() for s in enc.state_group.elements()}
+    for b in diagram:
+        if b.label == e_y:
+            if backwards:
+                edges[b.target].add(b.source)  # predecessors
+            else:
+                edges[b.source].add(b.target)  # successors
+    current = set(edges)
+    while True:
+        kept = {s for s in current if edges[s] & current}
+        if kept == current:
+            return current
+        current = kept
+
+
+def reference_witness(enc, window):
+    """Membership on tuple state sets: the reference for ``codeword_witness``."""
+    diagram = branches(enc)
+    past_core = _reference_identity_core(enc, diagram, backwards=True)
+    future_core = _reference_identity_core(enc, diagram, backwards=False)
+
+    by_label = {}
+    for b in diagram:
+        by_label.setdefault((b.source, b.label), set()).add(b.target)
+
+    feasible = [set(past_core)]
+    for symbol in window.symbols:
+        nxt = set()
+        for s in feasible[-1]:
+            nxt |= by_label.get((s, symbol), set())
+        if not nxt:
+            return None
+        feasible.append(nxt)
+    feasible[-1] &= future_core
+    if not feasible[-1]:
+        return None
+    for i in range(len(window.symbols) - 1, -1, -1):
+        symbol = window.symbols[i]
+        feasible[i] = {
+            s for s in feasible[i] if by_label.get((s, symbol), set()) & feasible[i + 1]
+        }
+        if not feasible[i]:
+            return None
+
+    witness = [min(feasible[0])]
+    for i, symbol in enumerate(window.symbols):
+        options = by_label.get((witness[-1], symbol), set()) & feasible[i + 1]
+        witness.append(min(options))
+    return witness
 
 
 def node_lines(dot):
@@ -187,6 +245,40 @@ class TestIsCodeword:
         assert not is_codeword(enc, broken)
         for offset in (-9, 4):
             assert not is_codeword(enc, broken.shifted(offset))
+
+
+    def test_matches_reference_on_complete_small_family(self):
+        # every sweep next-state map for p=2 with |S| in {2, 4} and p=3 with
+        # |S| = 3, paired with every output hom onto Z_p that gives a valid
+        # encoder, against every window over Z_p of length <= 4
+        encoders = []
+        for p, orders in ((2, (2, 4)), (3, (3,))):
+            symbols = make_group([p])
+            for order in orders:
+                for state_group in abelian_groups_of_order(order):
+                    for inst in enumerate_extensions(p, state_group):
+                        ambient = inst.ambient
+                        for nu in enumerate_homs(ambient, state_group, surjective_only=True):
+                            for omega in enumerate_homs(ambient, symbols):
+                                try:
+                                    encoders.append(
+                                        encoder_from_extension(
+                                            inst.decomposition, symbols, nu, omega
+                                        )
+                                    )
+                                except PsiNotInjective:
+                                    pass
+        windows = rejected = 0
+        for enc in encoders:
+            y = enc.output_group
+            for n in range(5):
+                for word in itertools.product(list(y.elements()), repeat=n):
+                    window = Window(y, 0, word)
+                    expected = reference_witness(enc, window)
+                    assert codeword_witness(enc, window) == expected, (enc, word)
+                    windows += 1
+                    rejected += expected is None
+        assert (len(encoders), windows, rejected) == (400, 18340, 2100)
 
 
 class TestExportDot:
