@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Iterable
 
 from .control import analysis_json
 from .encoder import encode_forward, encoder_from_spec, zero_tail
@@ -52,6 +53,20 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _emit(lines: Iterable[str], path: str | None = None) -> None:
+    """Write ``lines`` to ``path``, or to stdout when None; a failed write exits 3."""
+    try:
+        if path is None:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()  # a reader that closed the pipe fails here, not at exit
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.writelines(lines)
+    except OSError as exc:
+        target = "stdout" if path is None else repr(path)
+        raise SystemExit(_fail(f"cannot write {target}: {exc}", 3))
+
+
 def _parse_coords(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
@@ -65,7 +80,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         payload = analysis_json(enc)
     except PredicateViolation as exc:
         return _fail(f"structural predicate violated: {exc}", 1)
-    sys.stdout.write(_json_text(payload))
+    _emit([_json_text(payload)])
     return 0
 
 
@@ -112,7 +127,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         f"{i:>4}  {u_name(u):<8} {s_name(s):<10} {y_name(y):<10}\n"
         for i, (u, s, y) in enumerate(rows, start=1)
     )
-    sys.stdout.write("".join(lines))
+    _emit(lines)
     return 0
 
 
@@ -120,17 +135,7 @@ def _cmd_trellis(args: argparse.Namespace) -> int:
     if args.sections < 0:
         return _fail("--sections must be >= 0", 2)
     enc = _load_encoder(args.spec)
-    lines = _dot_lines(enc, args.sections)
-    try:
-        if args.out is None:
-            sys.stdout.writelines(lines)
-            sys.stdout.flush()  # a reader that closed the pipe fails here, not at exit
-        else:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.writelines(lines)
-    except OSError as exc:
-        target = "stdout" if args.out is None else repr(args.out)
-        return _fail(f"cannot write {target}: {exc}", 3)
+    _emit(_dot_lines(enc, args.sections), args.out)
     return 0
 
 
@@ -151,17 +156,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return _fail(str(exc), 2)
     except PredicateViolation as exc:
         return _fail(f"structural predicate violated: {exc}", 1)
-    print(report.summary_table())
+    _emit([report.summary_table(), "\n"])
     payload = _json_text(report.to_json_dict())
-    if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-        except OSError as exc:
-            return _fail(f"cannot write {args.out!r}: {exc}", 3)
-    else:
-        print()
-        sys.stdout.write(payload)
+    _emit(["\n", payload] if args.out is None else [payload], args.out)
     print(f"sweep time: {report.elapsed_seconds:.2f}s", file=sys.stderr)
     return 1 if report.violations else 0
 

@@ -7,13 +7,18 @@ exactly when the chain reaches the whole state group, and the controllability
 index is the first level where it does.  ``structure_report`` re-checks the
 whole family of structural facts this package is built to verify on a
 concrete encoder and raises on any violation.
+
+State sets are bitmasks over ``state_group.index_of`` (the identity state is
+bit 0), and one-step images read the encoder's successor union table.  Chain
+levels, the past kernel and counterexamples are element tuples; the
+``exact_reach`` oracle returns masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .encoder import Encoder
+from .encoder import Encoder, _image, _lowest
 from .errors import NotApplicable, PredicateViolation
 from .groups import (
     Element,
@@ -35,6 +40,7 @@ class ReachabilityChain:
     levels: tuple[Subgroup, ...]
     stabilized_at: int
     reaches_all: bool
+    _masks: tuple[int, ...] = field(repr=False)  # the levels over state indices
 
     def level(self, i: int) -> Subgroup:
         return self.levels[min(i, self.stabilized_at)]
@@ -52,33 +58,30 @@ class ControlVerdict:
     window_below_two: bool
 
 
-def _one_step_image(enc: Encoder, states) -> set[Element]:
-    return {
-        enc.next_state_pair(u, s)
-        for u in enc.input_group.elements()
-        for s in states
-    }
+def _members(enc: Encoder, mask: int) -> tuple[Element, ...]:
+    """The states at the set bits of ``mask``, in index (lexicographic) order."""
+    return tuple(s for i, s in enumerate(enc.state_group.elements()) if mask >> i & 1)
 
 
 def forward_chain(enc: Encoder) -> ReachabilityChain:
     """Compute the reachability levels until the first repetition."""
     s_group = enc.state_group
-    levels = [Subgroup(s_group, (s_group.identity(),))]
+    table = enc._successors
+    masks = [1]  # the identity state has index 0
     while True:
-        image = _one_step_image(enc, levels[-1].elements)
-        if image == set(levels[-1].elements):
+        image = _image(masks[-1], table)
+        if image == masks[-1]:
             break
-        level = Subgroup(s_group, tuple(sorted(image)))
-        levels.append(level)
-        if len(levels) > s_group.order:  # pragma: no cover - nesting bounds growth
+        masks.append(image)
+        if len(masks) > s_group.order:  # pragma: no cover - nesting bounds growth
             raise PredicateViolation(
-                "chain_stabilizes", tuple(level.order for level in levels)
+                "chain_stabilizes", tuple(m.bit_count() for m in masks)
             )
-    stabilized_at = len(levels) - 1
     return ReachabilityChain(
-        levels=tuple(levels),
-        stabilized_at=stabilized_at,
-        reaches_all=levels[-1].order == s_group.order,
+        levels=tuple(Subgroup(s_group, _members(enc, m)) for m in masks),
+        stabilized_at=len(masks) - 1,
+        reaches_all=masks[-1].bit_count() == s_group.order,
+        _masks=tuple(masks),
     )
 
 
@@ -90,32 +93,25 @@ def past_kernel(enc: Encoder) -> Subgroup:
     identity state lead to distinct states.  Closure is not checked here:
     ``structure_report`` checks it once, as ``past_kernel_is_subgroup``.
     """
-    e = enc.state_group.identity()
-    members = tuple(
-        s
-        for s in enc.state_group.elements()
-        if any(enc.next_state_pair(u, s) == e for u in enc.input_group.elements())
+    table = enc._successors  # row i is the entry of the single bit i % 4 of nibble i // 4
+    mask = sum(
+        1 << i for i in range(enc.state_group.order) if table[16 * (i >> 2) + (1 << (i & 3))] & 1
     )
-    return Subgroup(enc.state_group, members)
+    return Subgroup(enc.state_group, _members(enc, mask))
 
 
-def exact_reach(enc: Encoder, max_len: int) -> list[dict[Element, frozenset[Element]]]:
-    """``result[L][s]`` is the set of states reachable from ``s`` in exactly L steps.
+def exact_reach(enc: Encoder, max_len: int) -> list[list[int]]:
+    """``result[L][i]`` is the mask of states reachable from state ``i`` in exactly L steps.
 
-    A brute-force oracle over every start state: each state's one-step
-    successor set is computed once, and a start state's level L + 1 is the
-    union of the successor sets of its level-L states.
+    A brute-force oracle over every start state, on bitmasks over
+    ``state_group.index_of``: a start state's level L + 1 is the one-step
+    image of its level L.
     """
-    states = list(enc.state_group.elements())
-    successors = {s: frozenset(_one_step_image(enc, (s,))) for s in states}
-    current = {s: frozenset([s]) for s in states}
-    table = [current]
+    table = enc._successors
+    result = [[1 << i for i in range(enc.state_group.order)]]
     for _ in range(max_len):
-        current = {
-            s: frozenset().union(*(successors[r] for r in current[s])) for s in states
-        }
-        table.append(current)
-    return table
+        result.append([_image(mask, table) for mask in result[-1]])
+    return result
 
 
 def decide_controllability(enc: Encoder) -> ControlVerdict:
@@ -131,19 +127,21 @@ def decide_controllability(enc: Encoder) -> ControlVerdict:
     index = chain.stabilized_at if controllable else None
 
     reach = exact_reach(enc, chain.stabilized_at + 1)
-    full = frozenset(enc.state_group.elements())
-    e = enc.state_group.identity()
+    s_group = enc.state_group
+    full = (1 << s_group.order) - 1
     for L in range(chain.stabilized_at + 1):
-        if reach[L][e] != frozenset(chain.level(L).elements):
-            raise PredicateViolation("chain_matches_exact_reach", (L, sorted(reach[L][e])))
+        if reach[L][0] != chain._masks[L]:
+            raise PredicateViolation(
+                "chain_matches_exact_reach", (L, list(_members(enc, reach[L][0])))
+            )
     if controllable:
-        short = [s for s in reach[index] if reach[index][s] != full]
+        short = [i for i, mask in enumerate(reach[index]) if mask != full]
         if short:
-            raise PredicateViolation("index_reaches_every_state", (index, short[0]))
-        if index >= 1:
-            early = [s for s in reach[index - 1] if reach[index - 1][s] == full]
-            if early:
-                raise PredicateViolation("index_is_minimal", (index - 1, early[0]))
+            witness = s_group.element_at(short[0])
+            raise PredicateViolation("index_reaches_every_state", (index, witness))
+        if index >= 1 and full in reach[index - 1]:
+            early = s_group.element_at(reach[index - 1].index(full))
+            raise PredicateViolation("index_is_minimal", (index - 1, early))
 
     return ControlVerdict(
         controllable=controllable,
@@ -182,6 +180,15 @@ def _subgroup_is_cyclic(sub: Subgroup) -> bool:
     return any(sub.parent.element_order(a) == sub.order for a in sub.elements)
 
 
+def _escape(enc: Encoder, sources: int, allowed: int):
+    """The first step ``(s, u, image)`` from a state in ``sources`` to one outside ``allowed``."""
+    for s in _members(enc, sources):
+        for u in enc.input_group.elements():
+            image = enc.next_state_pair(u, s)
+            if not allowed >> enc.state_group.index_of(image) & 1:
+                return s, u, image
+
+
 def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     """Check the reachability-chain structure theory on a concrete encoder.
 
@@ -198,123 +205,105 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     chain = verdict.chain
     kernel = past_kernel(enc)
     s_group = enc.state_group
-    u_group = enc.input_group
-    dec = enc.decomposition
     e_s = s_group.identity()
+
+    masks = chain._masks
+    table = enc._successors
+    full = (1 << s_group.order) - 1
+    kmask = sum(1 << s_group.index_of(s) for s in kernel.elements)
 
     predicates: dict[str, bool] = {}
     notes: dict[str, str] = {}
 
-    def check(name: str, ok: bool, counterexample=None) -> None:
+    def check(name: str, ok: bool, witness) -> None:
+        """Record ``ok``; on failure raise with ``witness()`` as the counterexample."""
         predicates[name] = bool(ok)
         if not ok:
-            raise PredicateViolation(name, counterexample)
+            raise PredicateViolation(name, witness())
 
     check(
         "chain_levels_are_subgroups",
         all(level.is_closed() for level in chain.levels),
-        chain.sizes(),
+        chain.sizes,
     )
-    nested = all(
-        set(chain.levels[i - 1].elements) <= set(chain.levels[i].elements)
-        for i in range(1, len(chain.levels))
-    )
-    check("chain_is_nested", nested, chain.sizes())
-    repeated = _one_step_image(enc, chain.levels[-1].elements)
+    nested = all(not masks[i - 1] & ~masks[i] for i in range(1, len(masks)))
+    check("chain_is_nested", nested, chain.sizes)
+    repeated = _image(masks[-1], table)
     check(
         "chain_stabilizes_permanently",
-        repeated == set(chain.levels[-1].elements),
-        (chain.stabilized_at, sorted(repeated)),
+        repeated == masks[-1],
+        lambda: (chain.stabilized_at, list(_members(enc, repeated))),
     )
     check(
         "chain_levels_are_p_groups",
         all(is_p_power(level.order, p) for level in chain.levels),
-        chain.sizes(),
+        chain.sizes,
     )
 
     # the pair map is a bijection onto the ambient group, and the pair (u, e_S)
     # is the embedded input u, so both counts read the tabulated machine
-    kernel_in_ambient = sum(
-        1 for u, s in dec.pairs() if enc.next_state_pair(u, s) == e_s
-    )
-    check("ambient_kernel_size_is_input_order", kernel_in_ambient == p, kernel_in_ambient)
+    kernel_in_ambient = sum(nxt == e_s for nxt, _ in enc._table.values())
+    check("ambient_kernel_size_is_input_order", kernel_in_ambient == p, lambda: kernel_in_ambient)
 
-    collapsing = sum(1 for u in u_group.elements() if enc.next_state_pair(u, e_s) == e_s)
+    collapsing = sum(1 for u in enc.input_group.elements() if enc.next_state_pair(u, e_s) == e_s)
     degenerate = collapsing == p
     one_step = chain.level(1)
     check(
         "one_step_levels_share_size",
         kernel.order == one_step.order == p // collapsing,
-        (kernel.order, one_step.order, collapsing),
+        lambda: (kernel.order, one_step.order, collapsing),
     )
     if degenerate:
         notes["degenerate_inputs"] = (
             "all inputs fix the identity state; one-step levels are trivial"
         )
 
-    check("past_kernel_is_subgroup", kernel.is_closed(), kernel.elements)
+    check("past_kernel_is_subgroup", kernel.is_closed(), lambda: kernel.elements)
 
-    overlap_ok = True
-    overlap_witness = None
-    for i, level in enumerate(chain.levels):
-        shared = [s for s in kernel.elements if s != e_s and s in level]
-        if shared and not all(s in level for s in kernel.elements):
-            overlap_ok = False
-            overlap_witness = (i, shared[0])
-            break
-    check("past_kernel_overlap_implies_containment", overlap_ok, overlap_witness)
+    # bit 0 is the identity state; a level "overlaps" the kernel when they
+    # share a state other than the identity
+    overlap = next((i for i, m in enumerate(masks) if kmask & m & ~1 and kmask & ~m), None)
+    check(
+        "past_kernel_overlap_implies_containment",
+        overlap is None,
+        lambda: (overlap, s_group.element_at(_lowest(kmask & masks[overlap] & ~1))),
+    )
 
-    absorbed_ok = True
-    absorbed_witness = None
-    for i, level in enumerate(chain.levels):
-        if not all(s in level for s in kernel.elements):
-            continue
-        for s in kernel.elements:
-            for u in u_group.elements():
-                image = enc.next_state_pair(u, s)
-                if image not in level:
-                    absorbed_ok = False
-                    absorbed_witness = (i, u, s, image)
-                    break
-    check("past_kernel_images_absorbed", absorbed_ok, absorbed_witness)
+    escaped = _image(kmask, table)
+    absorbed = next((i for i, m in enumerate(masks) if not kmask & ~m and escaped & ~m), None)
+    check(
+        "past_kernel_images_absorbed",
+        absorbed is None,
+        lambda: (absorbed, *_escape(enc, kmask, masks[absorbed])),
+    )
 
-    trapped_ok = True
-    trapped_witness = None
-    for i, level in enumerate(chain.levels):
-        if level.order == s_group.order:
-            continue
-        if any(s != e_s and s in level for s in kernel.elements):
-            if verdict.controllable:
-                trapped_ok = False
-                trapped_witness = (i, sorted(kernel.elements))
-            break
-    check("past_kernel_overlap_traps_chain", trapped_ok, trapped_witness)
+    trap = next((i for i, m in enumerate(masks) if m != full and kmask & m & ~1), None)
+    check(
+        "past_kernel_overlap_traps_chain",
+        trap is None or not verdict.controllable,
+        lambda: (trap, list(kernel.elements)),
+    )
 
-    fresh_ok = True
-    fresh_witness = None
-    for k in range(1, len(chain.levels)):
-        if chain.levels[k].order != p * chain.levels[k - 1].order:
-            continue
-        if k < 2:
-            continue  # the fresh layer below level 1 is empty
-        fresh = [
-            s
-            for s in chain.levels[k - 1].elements
-            if s != e_s and s not in chain.levels[k - 2]
-        ]
-        for s in fresh:
-            for u in u_group.elements():
-                image = enc.next_state_pair(u, s)
-                if image in chain.levels[k - 1] or image not in chain.levels[k]:
-                    fresh_ok = False
-                    fresh_witness = (k, s, u, image)
-    check("fresh_level_inputs_escape", fresh_ok, fresh_witness)
+    # states first reached at level k - 1 step into level k and nowhere lower
+    # when level k is p times level k - 1 (the layer below level 1 is empty)
+    fresh = None
+    for k in range(2, len(masks)):
+        if chain.levels[k].order == p * chain.levels[k - 1].order:
+            layer, above = masks[k - 1] & ~masks[k - 2], masks[k] & ~masks[k - 1]
+            if _image(layer, table) & ~above:
+                fresh = (k, layer, above)
+                break
+    check(
+        "fresh_level_inputs_escape",
+        fresh is None,
+        lambda: (fresh[0], *_escape(enc, fresh[1], fresh[2])),
+    )
 
     if verdict.controllable:
         sizes_ok = all(
             chain.levels[i].order == p ** i for i in range(verdict.index + 1)
         )
-        check("controllable_level_sizes_are_p_powers", sizes_ok, chain.sizes())
+        check("controllable_level_sizes_are_p_powers", sizes_ok, chain.sizes)
     else:
         predicates["controllable_level_sizes_are_p_powers"] = True
 
@@ -324,12 +313,12 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
         if _subgroup_is_cyclic(chain.levels[i]) and not _subgroup_is_cyclic(chain.levels[i + 1]):
             cyclic_ok = False
             cyclic_witness = (i, chain.levels[i].elements, chain.levels[i + 1].elements)
-    check("cyclic_levels_stay_cyclic", cyclic_ok, cyclic_witness)
+    check("cyclic_levels_stay_cyclic", cyclic_ok, lambda: cyclic_witness)
 
     s_factors = invariant_factors(s_group)
     s_cyclic = len(s_factors) <= 1
     if s_cyclic and s_group.order > 1 and s_factors != (p,):
-        check("cyclic_state_group_blocks_control", not verdict.controllable, s_factors)
+        check("cyclic_state_group_blocks_control", not verdict.controllable, lambda: s_factors)
     else:
         predicates["cyclic_state_group_blocks_control"] = True
     if s_factors == (p,):
@@ -341,7 +330,7 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
         check(
             "controllable_state_group_is_elementary",
             all(d == p for d in s_factors),
-            s_factors,
+            lambda: s_factors,
         )
     else:
         predicates["controllable_state_group_is_elementary"] = True

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InvalidHom, NuNotSurjective, OmegaNotHom, PsiNotInjective, WrongGroup
@@ -69,6 +70,47 @@ class Encoder:
 
     def output_pair(self, u: Element, s: Element) -> Element:
         return self.step(u, s)[1]
+
+    @cached_property
+    def _successors(self) -> list[int]:
+        """Union table of each state's one-step successor mask, built on first read."""
+        index = {s: i for i, s in enumerate(self.state_group.elements())}
+        rows = [0] * len(index)
+        for (_, s), (nxt, _) in self._table.items():
+            rows[index[s]] |= 1 << index[nxt]
+        return _union_table(rows)
+
+
+def _union_table(rows: list[int]) -> list[int]:
+    """Unions of ``rows`` four at a time, for reading one-step images of masks.
+
+    Entry ``16 * c + b`` is the union of the rows ``4 * c + j`` over the bits
+    ``j`` set in the nibble ``b``; the table holds 4 masks per row.
+    """
+    rows = rows + [0] * (-len(rows) % 4)
+    table: list[int] = []
+    for first in range(0, len(rows), 4):
+        entries = [0]
+        for row in rows[first : first + 4]:
+            entries += [e | row for e in entries]
+        table += entries
+    return table
+
+
+def _image(mask: int, table: list[int]) -> int:
+    """Union of the table's rows at the set bits of ``mask``."""
+    out = 0
+    base = 0
+    while mask:
+        out |= table[base + (mask & 15)]
+        mask >>= 4
+        base += 16
+    return out
+
+
+def _lowest(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def validate_encoder(enc: Encoder) -> Encoder:

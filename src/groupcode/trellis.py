@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .encoder import Encoder, Window, connected  # noqa: F401 - re-exported
+from .encoder import Encoder, Window, _image, _lowest, _union_table
+from .encoder import connected  # noqa: F401 - re-exported
 from .groups import Element, format_element
 
 
@@ -45,33 +46,6 @@ def concatenate(y1: Window, y2: Window, j: int) -> Window:
     return Window(y1.group, start, symbols).trimmed()
 
 
-def _union_table(rows: list[int]) -> list[int]:
-    """Unions of ``rows`` four at a time, for reading one-step images of masks.
-
-    Entry ``16 * c + b`` is the union of the rows ``4 * c + j`` over the bits
-    ``j`` set in the nibble ``b``; the table holds 4 masks per row.
-    """
-    rows = rows + [0] * (-len(rows) % 4)
-    table: list[int] = []
-    for first in range(0, len(rows), 4):
-        entries = [0]
-        for row in rows[first : first + 4]:
-            entries += [e | row for e in entries]
-        table += entries
-    return table
-
-
-def _image(mask: int, table: list[int]) -> int:
-    """Union of the table's rows at the set bits of ``mask``."""
-    out = 0
-    base = 0
-    while mask:
-        out |= table[base + (mask & 15)]
-        mask >>= 4
-        base += 16
-    return out
-
-
 def _identity_core(table: list[int], full: int) -> int:
     """Largest state mask contained in its own one-step identity-labeled image.
 
@@ -84,11 +58,6 @@ def _identity_core(table: list[int], full: int) -> int:
         if kept == current:
             return current
         current = kept
-
-
-def _lowest(mask: int) -> int:
-    """Index of the lowest set bit of a nonzero mask."""
-    return (mask & -mask).bit_length() - 1
 
 
 def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:

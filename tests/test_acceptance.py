@@ -2,12 +2,14 @@
 
 Each test prints a PASS line (visible with ``pytest -s``) after asserting the
 criterion.  The enumerated family shared by several criteria (primes 2 and 3,
-state groups up to order 9) is built once per session.
+state groups up to order 9) is the session fixture ``family_p23`` of
+``conftest.py``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -24,8 +26,6 @@ from groupcode import (
     decide_controllability,
     decompose,
     encode_forward,
-    enumerate_encoders,
-    enumerate_extensions,
     forward_chain,
     invariant_factors,
     is_codeword,
@@ -48,19 +48,6 @@ EX_SPEC = {
     "nu": {"gen_images": [[0, 1], [0, 1], [1, 0]]},
     "omega": {"gen_images": [[1, 0], [0, 0], [0, 1]]},
 }
-
-
-@pytest.fixture(scope="session")
-def family_p23():
-    """Every enumerated encoder for p in {2, 3} and |S| <= 9."""
-    family = []
-    for p in (2, 3):
-        for order in range(1, 10):
-            for state_group in abelian_groups_of_order(order):
-                for instance in enumerate_extensions(p, state_group):
-                    for enc in enumerate_encoders(instance):
-                        family.append((p, state_group, enc))
-    return family
 
 
 def test_criterion_01_extension_decomposition_of_the_binary_cube():
@@ -270,6 +257,24 @@ def test_criterion_08_elementary_state_groups_only(family_p23):
         verdict = decide_controllability(enc)
         if verdict.controllable:
             assert all(d == p for d in invariant_factors(enc.state_group))
+    # the exact count: over the ambient Z_p^(j+1) with S = Z_p^j the controllable
+    # encoders are the p^j * |GL_j(F_p)| reachable pairs, each of index j, and
+    # no other instance has any
+    counted = {}
+    for row in report.rows:
+        p, j = row["p"], len(row["state_factors"])
+        if row["ambient_factors"] == [p] * (j + 1) and row["state_factors"] == [p] * j:
+            gl_order = math.prod(p**j - p**i for i in range(j))
+            assert row["controllable_count"] == p**j * gl_order
+            assert row["min_index"] == j
+            counted[(p, j)] = row["controllable_count"]
+        else:
+            assert row["controllable_count"] == 0
+    assert counted == {
+        (2, 0): 1, (2, 1): 2, (2, 2): 24, (2, 3): 1344, (3, 0): 1, (3, 1): 6, (3, 2): 432
+    }
+    for witness in report.controllable_encoders:
+        assert witness["index"] == len(witness["state_factors"])
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0
     print(

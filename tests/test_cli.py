@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import subprocess
 import sys
@@ -105,12 +106,12 @@ class TestAnalyze:
 
 
 def _corrupt_reach(monkeypatch, level, state, value):
-    """Make the brute-force oracle report ``value`` for ``state`` at ``level``."""
+    """Make the brute-force oracle report the mask ``value`` for ``state`` at ``level``."""
     original = control.exact_reach
 
     def corrupted(enc, max_len):
         table = original(enc, max_len)
-        table[level][state] = value(enc)
+        table[level][enc.state_group.index_of(state)] = value(enc)
         return table
 
     monkeypatch.setattr(control, "exact_reach", corrupted)
@@ -120,12 +121,12 @@ class TestOracleDisagreement:
     @pytest.mark.parametrize(
         "level, state, value, name",
         [
-            (1, (0, 0), lambda enc: frozenset(), "chain_matches_exact_reach"),
-            (2, (1, 1), lambda enc: frozenset([(0, 0)]), "index_reaches_every_state"),
+            (1, (0, 0), lambda enc: 0, "chain_matches_exact_reach"),
+            (2, (1, 1), lambda enc: 1, "index_reaches_every_state"),
             (
                 1,
                 (1, 1),
-                lambda enc: frozenset(enc.state_group.elements()),
+                lambda enc: (1 << enc.state_group.order) - 1,
                 "index_is_minimal",
             ),
         ],
@@ -139,16 +140,17 @@ class TestOracleDisagreement:
         assert "counterexample" in captured.err
 
     def test_sweep_exits_1(self, capsys, monkeypatch):
-        _corrupt_reach(monkeypatch, 0, (), lambda enc: frozenset())
+        _corrupt_reach(monkeypatch, 0, (), lambda enc: 0)
         assert main(["sweep", "--p", "2", "--max-s-order", "1"]) == 1
         assert "chain_matches_exact_reach" in capsys.readouterr().err
 
     def test_level_that_is_not_a_subgroup_exits_1(self, spec_path, capsys, monkeypatch):
-        # dropping state 11 from every image leaves the level {00, 01, 10},
-        # which the oracle (built from the same one-step images) agrees with
-        original = control._one_step_image
+        # dropping state 11 (bit 3) from every image leaves the level
+        # {00, 01, 10}, which the oracle (built from the same one-step images)
+        # agrees with
+        original = control._image
         monkeypatch.setattr(
-            control, "_one_step_image", lambda enc, states: original(enc, states) - {(1, 1)}
+            control, "_image", lambda mask, table: original(mask, table) & ~(1 << 3)
         )
         assert main(["analyze", spec_path]) == 1
         captured = capsys.readouterr()
@@ -295,6 +297,37 @@ class TestSweep:
 
     def test_guard_exits_2(self):
         assert main(["sweep", "--p", "2", "--max-s-order", "129"]) == 2
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "SPEC"],
+            ["encode", "SPEC", "--inputs", "0,1,1"],
+            ["trellis", "SPEC", "--sections", "2"],
+            ["sweep", "--p", "2", "--max-s-order", "2"],
+        ],
+        ids=["analyze", "encode", "trellis", "sweep"],
+    )
+    def test_exits_3(self, spec_path, argv):
+        # the read end is closed before the command starts, so even the
+        # smallest output meets a broken pipe
+        argv = [spec_path if arg == "SPEC" else arg for arg in argv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "groupcode", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 3
+        assert err == "groupcode: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 class TestEntryPoint:

@@ -18,6 +18,15 @@ from groupcode.groups import abelian_groups_of_order, all_subgroups, recognize
 from groupcode.sweep import enumerate_encoders, enumerate_extensions
 
 
+def reach_sets(enc, table):
+    """``exact_reach`` masks read back as ``{start state: set of reached states}`` per L."""
+    states = list(enc.state_group.elements())
+    return [
+        {s: {r for j, r in enumerate(states) if masks[i] >> j & 1} for i, s in enumerate(states)}
+        for masks in table
+    ]
+
+
 def brute_exact_reach(enc, start, length):
     """Oracle: enumerate every input word of the exact length."""
     inputs = list(enc.input_group.elements())
@@ -144,7 +153,7 @@ class TestDecide:
 class TestExactReach:
     def test_against_word_enumeration(self, systematic_encoder, frozen_state_encoder):
         for enc in (systematic_encoder, frozen_state_encoder):
-            table = exact_reach(enc, 4)
+            table = reach_sets(enc, exact_reach(enc, 4))
             for length in range(5):
                 for s in enc.state_group.elements():
                     assert table[length][s] == brute_exact_reach(enc, s, length)
@@ -152,7 +161,7 @@ class TestExactReach:
     def test_reach_sets_are_chain_level_cosets(self, systematic_encoder):
         enc = systematic_encoder
         chain = forward_chain(enc)
-        table = exact_reach(enc, enc.state_group.order)
+        table = reach_sets(enc, exact_reach(enc, enc.state_group.order))
         for length in range(len(table)):
             level = set(chain.level(length).elements)
             for s, reached in table[length].items():
@@ -163,7 +172,7 @@ class TestExactReach:
     def test_index_is_least_all_pairs_window(self, systematic_encoder):
         enc = systematic_encoder
         full = set(enc.state_group.elements())
-        table = exact_reach(enc, enc.state_group.order)
+        table = reach_sets(enc, exact_reach(enc, enc.state_group.order))
         all_pairs = [
             length
             for length in range(len(table))
@@ -175,6 +184,64 @@ class TestExactReach:
         enc = frozen_state_encoder
         for length in range(enc.state_group.order + 1):
             assert (1,) not in brute_exact_reach(enc, (0,), length)
+
+
+def _ref_one_step_image(enc, states):
+    return {
+        enc.next_state_pair(u, s)
+        for u in enc.input_group.elements()
+        for s in states
+    }
+
+
+def _ref_chain(enc):
+    """Tuple-set reference: levels from the identity state up to the first repetition."""
+    levels = [{enc.state_group.identity()}]
+    while True:
+        image = _ref_one_step_image(enc, levels[-1])
+        if image == levels[-1]:
+            return levels
+        levels.append(image)
+
+
+def _ref_past_kernel(enc):
+    e = enc.state_group.identity()
+    return {
+        s
+        for s in enc.state_group.elements()
+        if any(enc.next_state_pair(u, s) == e for u in enc.input_group.elements())
+    }
+
+
+def _ref_exact_reach(enc, max_len):
+    """Tuple-set reference: ``result[L][s]``, the states ``s`` reaches in exactly L steps."""
+    states = list(enc.state_group.elements())
+    successors = {s: frozenset(_ref_one_step_image(enc, (s,))) for s in states}
+    current = {s: frozenset([s]) for s in states}
+    table = [current]
+    for _ in range(max_len):
+        current = {
+            s: frozenset().union(*(successors[r] for r in current[s])) for s in states
+        }
+        table.append(current)
+    return table
+
+
+class TestBitmasksAgainstTupleSets:
+    def test_complete_family(self, family_p23):
+        # every encoder with p in {2, 3} and |S| <= 9
+        assert len(family_p23) == 3829
+        for _, _, enc in family_p23:
+            chain = forward_chain(enc)
+            levels = _ref_chain(enc)
+            assert [level.elements for level in chain.levels] == [
+                tuple(sorted(level)) for level in levels
+            ]
+            assert chain.stabilized_at == len(levels) - 1
+            assert chain.reaches_all == (len(levels[-1]) == enc.state_group.order)
+            assert set(past_kernel(enc).elements) == _ref_past_kernel(enc)
+            length = chain.stabilized_at + 1
+            assert reach_sets(enc, exact_reach(enc, length)) == _ref_exact_reach(enc, length)
 
 
 class TestStructureReport:

@@ -11,6 +11,7 @@ from groupcode import (
     Window,
     control,
     encode_forward,
+    encoder,
     extension,
     groups,
     sweep,
@@ -27,6 +28,7 @@ from groupcode.groups import (
     prime_order_subgroups,
 )
 from groupcode.cli import main
+from groupcode.encoder import encoder_from_spec
 from groupcode.sweep import enumerate_encoders, enumerate_extensions, sweep_theorems
 from groupcode.trellis import codeword_witness, export_dot
 
@@ -80,6 +82,39 @@ def _observed_shift_register(p: int, m: int) -> dict:
     }
 
 
+# (s1, s2, s3) -> (s2, s3, s1 + 2u) over Z4^3: the chain stops at the 8 states
+# of order at most 2
+STUCK_Z4_CUBE = {
+    "U": {"factors": [2]},
+    "S": {"factors": [4, 4, 4]},
+    "Y": {"factors": [4]},
+    "nu": {"gen_images": [[0, 0, 2], [0, 0, 1], [1, 0, 0], [0, 1, 0]]},
+    "omega": {"gen_images": [[2], [1], [0], [0]]},
+}
+
+
+@pytest.mark.parametrize(
+    "spec, chain_sizes, digest",
+    [
+        (
+            _observed_shift_register(2, 8),
+            [2**i for i in range(9)],
+            "3d7937b92a9b4b65a99052283b0685cdb998200bf49604f74b3199630e7657aa",
+        ),
+        (
+            STUCK_Z4_CUBE,
+            [1, 2, 4, 8],
+            "7466909bdc2c7bb0f26db05a0c1cbb17698c4c806f84ec0deb8a9b6323919fbd",
+        ),
+    ],
+    ids=["controllable-Z2^8", "stuck-Z4^3"],
+)
+def test_analysis_bytes_at_scale(spec, chain_sizes, digest):
+    payload = analysis_json(encoder_from_spec(spec))
+    assert payload["chain_sizes"] == chain_sizes
+    assert _sha256(_canonical(payload)) == digest
+
+
 STREAM_CASES = {
     (2, 5): {
         "encode": "c3b2b47528c004eb455975be59c5e86738993c0f461f7dc86cf2eae18b3cd344",
@@ -126,6 +161,14 @@ def test_analysis_json_computes_each_fact_once(monkeypatch, systematic_encoder):
         "exact_reach": 1,
         "past_kernel": 1,
     }
+
+
+def test_analysis_json_builds_the_successor_table_once(monkeypatch):
+    # the chain, the oracle, the past kernel and the predicates share one table
+    enc = encoder_from_spec(_observed_shift_register(2, 3))
+    built = _count_calls(monkeypatch, [encoder], "_union_table")
+    analysis_json(enc)
+    assert len(built) == 1
 
 
 def test_analysis_json_checks_each_closure_once(monkeypatch, systematic_encoder):
