@@ -5,10 +5,11 @@ Groups are residue-vector groups: a group is a tuple of coordinate moduli
 ``0 <= c_i < d_i``, added componentwise.  ``make_group`` normalizes the
 moduli to the canonical divisibility chain; ``direct_sum`` concatenates
 moduli verbatim so pair coordinates survive (used by the encoder layer).
-Every subgroup closure (generated subgroups, the closure test, subgroup and
-automorphism enumeration, heights, basis extraction in recognition) is one
-coset-growing span, :func:`_span`.  Everything is immutable and safe to
-share across workers.
+Every subgroup closure (generated subgroups, the closure test, subgroup
+enumeration, heights) is one coset-growing span, :func:`_span`.  Every search
+for generator images (surjective homs, automorphisms, basis extraction in
+recognition) is one prefix-span search, :func:`_image_tuples`.  Everything is
+immutable and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _add(moduli: tuple[int, ...], a: Element, b: Element) -> Element:
     return tuple(map(operator.mod, map(operator.add, a, b), moduli))
 
 
-def _span(op: Callable, identity, gens: Iterable) -> set:
+def _span(op: Callable, identity, gens: Iterable, start: set | None = None) -> set:
     """The set spanned by ``gens`` under the abelian group operation ``op``.
 
     Grows the span one coset at a time: for each generator ``a`` outside the
@@ -131,9 +132,10 @@ def _span(op: Callable, identity, gens: Iterable) -> set:
     added until a multiple of ``a`` falls back into ``H``.  Each span element
     is produced by one ``op``, plus one ``op`` per coset to step to the next
     multiple, so the whole span costs under ``2 |span|`` operations.  The
-    generators are members of the result.
+    generators are members of the result.  ``start``, a subgroup left
+    unchanged, is the span grown from instead of ``{identity}``.
     """
-    span = {identity}
+    span = {identity} if start is None else set(start)
     for a in gens:
         if a in span:
             continue
@@ -143,6 +145,38 @@ def _span(op: Callable, identity, gens: Iterable) -> set:
             span.update([op(multiple, b) for b in base])
             multiple = op(multiple, a)
     return span
+
+
+def _image_tuples(
+    lists: Sequence[Sequence], op: Callable, identity, sizes: Sequence[int | None]
+) -> Iterator[tuple]:
+    """Tuples ``(a_1, ..., a_k)``, ``a_i`` from ``lists[i - 1]``, in lexicographic list order.
+
+    The first i entries must span ``sizes[i]`` elements (i = 0..k), or any
+    number where ``sizes[i]`` is None.  Each prefix span is built once, by
+    one :func:`_span` from its parent's span, and shared by the prefix's
+    extensions.  A candidate ``a`` after a prefix spanning ``H`` is sized
+    without a span: ``|H| * n``, n the least n >= 1 with ``n a`` in ``H``.
+    """
+
+    def extend(prefix: tuple, span: set) -> Iterator[tuple]:
+        i = len(prefix)
+        if i == len(lists):
+            yield prefix
+            return
+        for a in lists[i]:
+            multiple, n = a, 1
+            while multiple not in span:
+                multiple = op(multiple, a)
+                n += 1
+            if sizes[i + 1] is None or len(span) * n == sizes[i + 1]:
+                if i + 1 == len(lists):
+                    yield prefix + (a,)
+                else:
+                    yield from extend(prefix + (a,), _span(op, identity, [a], span))
+
+    if sizes[0] in (None, 1):  # the empty prefix spans {identity}
+        yield from extend((), {identity})
 
 
 def format_element(g: FiniteAbelianGroup, a: Element) -> str:
@@ -329,7 +363,7 @@ def all_subgroups(g: FiniteAbelianGroup) -> list[Subgroup]:
         for x in all_elements:
             if x in current:
                 continue
-            extended = frozenset(_span(op, identity, (*current, x)))
+            extended = frozenset(_span(op, identity, [x], current))
             if extended not in seen:
                 seen.add(extended)
                 frontier.append(extended)
@@ -499,29 +533,12 @@ def _census_exponents(component: Sequence, orders: dict, p: int) -> list[int]:
 
 def _extract_basis(component, orders, identity, mul, p: int, exps: list[int]) -> list:
     """Find elements realizing the census exponents as independent generators."""
-    if not exps:
-        return []
-    target_sizes = [p ** e for e in exps]
-
-    def search(basis: list, depth: int) -> list | None:
-        if depth == len(exps):
-            return basis
-        needed = p ** exps[depth]
-        expected = math.prod(target_sizes[: depth + 1])
-        for a in component:
-            if orders[a] != needed:
-                continue
-            candidate = basis + [a]
-            if len(_span(mul, identity, candidate)) == expected:
-                result = search(candidate, depth + 1)
-                if result is not None:
-                    return result
-        return None
-
-    basis = search([], 0)
+    lists = [[a for a in component if orders[a] == p ** e] for e in exps]
+    sizes = list(itertools.accumulate([p ** e for e in exps], operator.mul, initial=1))
+    basis = next(_image_tuples(lists, mul, identity, sizes), None)
     if basis is None:
         raise NotAbelian("no independent basis found for primary component")  # pragma: no cover
-    return basis
+    return list(basis)
 
 
 def _crt(residues: list[tuple[int, int]]) -> int:
@@ -562,8 +579,8 @@ class GroupHom:
             )
         for d, img in zip(self.source.factors, self.gen_images):
             self.target.check(img)
-            img_order = self.target.element_order(img)
-            if d % img_order != 0:
+            if any(d * c % m for c, m in zip(img, self.target.factors)):
+                img_order = self.target.element_order(img)
                 raise InvalidHom(
                     f"image {img} of an order-{d} generator has order "
                     f"{img_order}, which does not divide {d}"
@@ -632,56 +649,37 @@ def enumerate_homs(
 
     A hom is one image per coordinate generator of ``g1``, constrained to the
     elements of ``g2`` whose order divides the generator's modulus.  With
-    ``surjective_only`` the images are tested for spanning ``g2`` before a
-    ``GroupHom`` is built for them.
+    ``surjective_only`` the image tuples come from :func:`_image_tuples`,
+    which spans each prefix once and only sizes the last image, so a
+    ``GroupHom`` is built for the surjections alone.
     """
     candidate_lists = []
     for d in g1.factors:
         candidates = [a for a in g2.elements() if d % g2.element_order(a) == 0]
         candidate_lists.append(candidates)
-    op = partial(_add, g2.factors)
-    identity = g2.identity()
-    homs = []
-    for images in itertools.product(*candidate_lists):
-        if surjective_only and len(_span(op, identity, images)) != g2.order:
-            continue
-        homs.append(GroupHom(g1, g2, images))
-    return homs
+    if surjective_only:
+        sizes = [None] * len(candidate_lists) + [g2.order]
+        tuples = _image_tuples(candidate_lists, partial(_add, g2.factors), g2.identity(), sizes)
+    else:
+        tuples = itertools.product(*candidate_lists)
+    return [GroupHom(g1, g2, images) for images in tuples]
 
 
 def automorphisms(g: FiniteAbelianGroup) -> list[GroupHom]:
     """Every automorphism of ``g``, in lexicographic generator-image order.
 
-    Backtracks over generator images: an automorphism sends each coordinate
-    generator to an element of the same order, and its restriction to the
-    first i generators is injective, so partial spans must have exact size
-    ``d_1 * ... * d_i``.
+    An automorphism sends each coordinate generator to an element of the
+    same order, and its restriction to the first i generators is injective,
+    so :func:`_image_tuples` requires prefix spans of exact size
+    ``d_1 * ... * d_i`` (Hillar and Rhea, Amer. Math. Monthly 2007).
     """
-    if not g.factors:
-        return [GroupHom(g, g, ())]
     by_order: dict[int, list[Element]] = {}
     for a in g.elements():
         by_order.setdefault(g.element_order(a), []).append(a)
-    op = partial(_add, g.factors)
-    identity = g.identity()
-    out: list[GroupHom] = []
-
-    def search(chosen: list[Element], span: set, expected: int) -> None:
-        depth = len(chosen)
-        if depth == len(g.factors):
-            out.append(GroupHom(g, g, tuple(chosen)))
-            return
-        d = g.factors[depth]
-        for a in by_order.get(d, ()):
-            if a in span:
-                continue
-            new_span = _span(op, identity, chosen + [a])
-            if len(new_span) != expected * d:
-                continue
-            search(chosen + [a], new_span, expected * d)
-
-    search([], {identity}, 1)
-    return out
+    lists = [by_order.get(d, []) for d in g.factors]
+    sizes = list(itertools.accumulate(g.factors, operator.mul, initial=1))
+    tuples = _image_tuples(lists, partial(_add, g.factors), g.identity(), sizes)
+    return [GroupHom(g, g, images) for images in tuples]
 
 
 # ---------------------------------------------------------------------------

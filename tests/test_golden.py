@@ -23,9 +23,11 @@ from groupcode.groups import (
     GroupHom,
     Subgroup,
     abelian_groups_of_order,
+    all_subgroups,
     enumerate_homs,
     make_group,
     prime_order_subgroups,
+    quotient,
 )
 from groupcode.cli import main
 from groupcode.encoder import encoder_from_spec
@@ -225,6 +227,29 @@ def test_surjective_enumeration_builds_only_kept_homs(monkeypatch):
     kept = enumerate_homs(make_group([2, 4]), make_group([2, 2]), surjective_only=True)
     assert len(kept) == len(homs) > 0
     assert subgroups == []
+
+
+def test_surjective_enumeration_spans_each_prefix_once(monkeypatch):
+    spanned = _count_calls(monkeypatch, [groups], "_span")
+    kept = enumerate_homs(make_group([2] * 4), make_group([2] * 3), surjective_only=True)
+    assert len(kept) == 15 * 14 * 12
+    # one span per prefix of 1, 2 or 3 images; the fourth image is only sized
+    assert len(spanned) == 8 + 64 + 512
+
+
+def test_quotient_coordinates_bytes():
+    # recognition picks the quotient basis; this pins the coordinates it gives
+    digest = hashlib.sha256()
+    pairs = 0
+    for order in range(1, 33):
+        for g in abelian_groups_of_order(order):
+            for h in all_subgroups(g):
+                q, projection = quotient(g, h)
+                record = (g.factors, h.elements, q.factors, sorted(projection.items()))
+                digest.update(repr(record).encode("utf-8"))
+                pairs += 1
+    assert pairs == 1030
+    assert digest.hexdigest() == "a13cee59125893d2aa166c299184d4112927baa4fd68fbe6b3ec60edbc205a48"
 
 
 def test_sweep_never_evaluates_a_hom_element_by_element(monkeypatch):

@@ -46,6 +46,22 @@ def brute_order(g, a):
     return n
 
 
+def small_groups(max_order):
+    return [g for n in range(1, max_order + 1) for g in abelian_groups_of_order(n)]
+
+
+# the first five pairs were picked by hand; the rest completes every pair with
+# |src| <= 16 and |dst| <= 8, the trivial groups included
+PICKED_HOM_PAIRS = [([6], [2, 4]), ([2, 4], [2, 4]), ([9], [3, 3]), ([2, 2, 2], [2, 2]), ([4], [2, 2])]
+SMALL_HOM_PAIRS = PICKED_HOM_PAIRS + [
+    pair
+    for pair in (
+        (list(src.factors), list(dst.factors)) for src in small_groups(16) for dst in small_groups(8)
+    )
+    if pair not in PICKED_HOM_PAIRS
+]
+
+
 def order_census(g):
     return sorted(brute_order(g, a) for a in g.elements())
 
@@ -386,10 +402,7 @@ class TestHoms:
         for h in homs:
             assert hom_table(h) == [h(a) for a in src.elements()]
 
-    @pytest.mark.parametrize(
-        "src_factors, dst_factors",
-        [([6], [2, 4]), ([2, 4], [2, 4]), ([9], [3, 3]), ([2, 2, 2], [2, 2]), ([4], [2, 2])],
-    )
+    @pytest.mark.parametrize("src_factors, dst_factors", SMALL_HOM_PAIRS)
     def test_surjective_enumeration_filters_all_homs(self, src_factors, dst_factors):
         src, dst = make_group(src_factors), make_group(dst_factors)
         expected = [h for h in enumerate_homs(src, dst) if is_surjective(h)]
@@ -409,7 +422,8 @@ class TestHoms:
             assert hom_kernel(h).order * hom_image(h).order == src.order
 
     def test_invalid_generator_image(self):
-        with pytest.raises(InvalidHom):
+        message = r"^image \(1,\) of an order-2 generator has order 4, which does not divide 2$"
+        with pytest.raises(InvalidHom, match=message):
             GroupHom(make_group([2, 4]), make_group([4]), ((1,), (1,)))
 
     def test_surjectivity_detection(self):
@@ -427,10 +441,24 @@ class TestAutomorphisms:
             ([2, 4], 8),     # 2 socle images x 4 order-4 images
             ([3], 2),
             ([3, 3], 48),    # GL(2, F3)
+            ([2, 2, 2, 2], 20160),  # GL(4, F2)
+            ([3, 3, 3], 11232),     # GL(3, F3)
         ],
     )
     def test_known_counts(self, factors, count):
         assert len(automorphisms(make_group(factors))) == count
+
+    def test_automorphisms_are_the_bijective_homs(self):
+        # every abelian group of order <= 16 but Z2^4, whose 65,536 endomorphisms
+        # are too many to list here
+        total = 0
+        for g in small_groups(16):
+            if g.factors == (2, 2, 2, 2):
+                continue
+            bijective = [h for h in enumerate_homs(g, g) if is_surjective(h)]
+            assert automorphisms(g) == bijective
+            total += len(bijective)
+        assert total == 626
 
     def test_identity_is_included(self):
         g = make_group([2, 4])
