@@ -20,7 +20,12 @@ class NotASubgroup(GroupCodeError):
 
 
 class NotAbelian(GroupCodeError):
-    """An operation table turned out to be non-commutative."""
+    """An operation table is not an abelian group.
+
+    It does not commute, lacks an identity, has an element that does not reach
+    the identity within as many steps as the table has elements, or is not
+    spanned by its recognized basis.
+    """
 
 
 class InvalidHom(GroupCodeError):

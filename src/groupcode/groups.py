@@ -8,8 +8,10 @@ moduli verbatim so pair coordinates survive (used by the encoder layer).
 Every subgroup closure (generated subgroups, the closure test, subgroup
 enumeration, heights) is one coset-growing span, :func:`_span`.  Every search
 for generator images (surjective homs, automorphisms, basis extraction in
-recognition) is one prefix-span search, :func:`_image_tuples`.  Everything is
-immutable and safe to share across workers.
+recognition) is one prefix-span search, :func:`_image_tuples`.  Every table
+of sums of generator multiples (hom tables, recognition coordinates) is one
+linear table, :func:`_linear_table`.  Everything is immutable and safe to
+share across workers.
 """
 
 from __future__ import annotations
@@ -179,6 +181,24 @@ def _image_tuples(
         yield from extend((), {identity})
 
 
+def _linear_table(op: Callable, identity, gens: Iterable[tuple[int, object]]) -> list:
+    """The sums ``c_1 a_1 + ... + c_k a_k``, ``0 <= c_i < d_i``, for ``gens = [(d_i, a_i)]``.
+
+    The sums come in lexicographic order of ``(c_1, ..., c_k)``.  After the
+    first i generators the table holds the sums of all prefixes; the next
+    generator extends each entry by the multiples ``0, a, 2a, ...`` of its
+    element ``a``.  Each new entry is one ``op``, so the whole table costs
+    fewer than ``2 * prod(d_i)`` operations.
+    """
+    table = [identity]
+    for d, a in gens:
+        multiples = [identity]
+        for _ in range(d - 1):
+            multiples.append(op(multiples[-1], a))
+        table = [op(t, m) for t in table for m in multiples]
+    return table
+
+
 def format_element(g: FiniteAbelianGroup, a: Element) -> str:
     """Compact rendering: digits concatenated when unambiguous, else comma-joined."""
     g.check(a)
@@ -264,14 +284,14 @@ def is_isomorphic(g1: FiniteAbelianGroup, g2: FiniteAbelianGroup) -> bool:
 
 @dataclass(frozen=True, eq=True)
 class Subgroup:
-    """A subgroup stored as an explicit, canonically sorted element tuple."""
+    """A subgroup stored as the canonically sorted tuple of its distinct elements."""
 
     parent: FiniteAbelianGroup
     elements: tuple[Element, ...]
     _member_set: frozenset = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(sorted(self.elements)))
+        object.__setattr__(self, "elements", tuple(sorted(dict.fromkeys(self.elements))))
         object.__setattr__(self, "_member_set", frozenset(self.elements))
 
     @property
@@ -419,8 +439,9 @@ def recognize_with_iso(elements: Sequence, mul: Callable) -> tuple[FiniteAbelian
     Returns the canonical group plus a dict mapping each table element to its
     residue-vector coordinates.  The basis is extracted deterministically
     (candidates scanned in table order, maximal orders first), so identical
-    inputs always produce identical labelings.  Raises ``NotAbelian`` when
-    the table does not commute.
+    inputs always produce identical labelings.  Coordinates are read off the
+    :func:`_linear_table` of the basis, one :func:`_crt` per invariant factor.
+    Raises ``NotAbelian`` when the table is not an abelian group.
     """
     elements = list(elements)
     n = len(elements)
@@ -433,60 +454,25 @@ def recognize_with_iso(elements: Sequence, mul: Callable) -> tuple[FiniteAbelian
             if mul(a, b) != mul(b, a):
                 raise NotAbelian(f"operation does not commute on {a!r}, {b!r}")
 
-    orders = {a: _table_order(a, identity, mul) for a in elements}
-    primes = sorted(_factorint(n))
-
-    primary_bases: list[tuple[int, list]] = []  # (p, basis elements, exponents)
-    primary_exponents: list[tuple[int, list[int]]] = []
-    for p in primes:
+    orders = {a: _table_order(a, identity, mul, n) for a in elements}
+    basis = []  # (rank within its prime, p**e, element), primes in increasing order
+    for p in sorted(_factorint(n)):
         component = [a for a in elements if is_p_power(orders[a], p)]
         exps = _census_exponents(component, orders, p)
-        basis = _extract_basis(component, orders, identity, mul, p, exps)
-        primary_bases.append((p, basis))
-        primary_exponents.append((p, exps))
+        basis += _extract_basis(component, orders, identity, mul, p, exps)
 
-    # Invariant factors: layer the largest exponents of each prime together.
-    depth = max(len(exps) for _, exps in primary_exponents)
-    layers: list[int] = []
-    layer_parts: list[list[tuple[int, int]]] = []  # per layer: (p, p**e)
-    for i in range(depth):
-        parts = [(p, p ** exps[i]) for p, exps in primary_exponents if i < len(exps)]
-        layer_parts.append(parts)
-        layers.append(math.prod(q for _, q in parts))
-    factors = tuple(reversed(layers))
-    group = FiniteAbelianGroup(factors)
-
-    # Enumerate the span of the combined basis to read off coordinates.
-    flat_basis: list[tuple[int, int, object, int]] = []  # (layer, p, element, p**e)
-    for p, basis in primary_bases:
-        exps = dict(primary_exponents)[p]
-        for i, b in enumerate(basis):
-            flat_basis.append((i, p, b, p ** exps[i]))
-
-    coords: dict = {identity: group.identity()}
-    span: list[tuple[object, dict[tuple[int, int], int]]] = [(identity, {})]
-    for layer, p, b, q in flat_basis:
-        extended = []
-        for base_elt, base_coeff in span:
-            acc = base_elt
-            for c in range(q):
-                if c > 0:
-                    acc = mul(acc, b)
-                coeff = dict(base_coeff)
-                if c:
-                    coeff[(layer, p)] = c
-                extended.append((acc, coeff))
-        span = extended
-    if len(span) != n:
-        raise NotAbelian("basis span does not cover the table")  # pragma: no cover
-
-    for elt, coeff in span:
-        vector = []
-        for layer_idx in range(depth - 1, -1, -1):
-            parts = layer_parts[layer_idx]
-            residues = [(coeff.get((layer_idx, p), 0), q) for p, q in parts]
-            vector.append(_crt(residues))
-        coords[elt] = tuple(vector)
+    # layer r holds the rank-r prime powers; invariant factors: layer products, smallest first
+    moduli = [q for _, q, _ in basis]
+    depth = max((rank + 1 for rank, _, _ in basis), default=0)
+    layers = [[i for i, b in enumerate(basis) if b[0] == r] for r in reversed(range(depth))]
+    group = FiniteAbelianGroup(tuple(math.prod(moduli[i] for i in layer) for layer in layers))
+    table = _linear_table(mul, identity, [(q, b) for _, q, b in basis])
+    coords = {
+        elt: tuple(_crt([(c[i], moduli[i]) for i in layer]) for layer in layers)
+        for elt, c in zip(table, itertools.product(*map(range, moduli)))
+    }
+    if len(coords) != n:
+        raise NotAbelian("basis span does not cover the table")
     return group, coords
 
 
@@ -497,10 +483,13 @@ def _table_identity(elements: Sequence, mul: Callable):
     raise NotAbelian("operation table has no identity")
 
 
-def _table_order(a, identity, mul) -> int:
+def _table_order(a, identity, mul, bound: int) -> int:
+    """Least n >= 1 with a^n = identity; no such n up to ``bound`` raises ``NotAbelian``."""
     acc = a
     n = 1
     while acc != identity:
+        if n == bound:
+            raise NotAbelian(f"{a!r} does not reach the identity within {bound} steps")
         acc = mul(acc, a)
         n += 1
     return n
@@ -532,31 +521,22 @@ def _census_exponents(component: Sequence, orders: dict, p: int) -> list[int]:
 
 
 def _extract_basis(component, orders, identity, mul, p: int, exps: list[int]) -> list:
-    """Find elements realizing the census exponents as independent generators."""
+    """Independent generators realizing the census exponents, as ``(rank, p**e, element)``."""
     lists = [[a for a in component if orders[a] == p ** e] for e in exps]
     sizes = list(itertools.accumulate([p ** e for e in exps], operator.mul, initial=1))
     basis = next(_image_tuples(lists, mul, identity, sizes), None)
     if basis is None:
         raise NotAbelian("no independent basis found for primary component")  # pragma: no cover
-    return list(basis)
+    return [(rank, p ** e, b) for rank, (e, b) in enumerate(zip(exps, basis))]
 
 
 def _crt(residues: list[tuple[int, int]]) -> int:
     """Solve x = r (mod q) for pairwise coprime moduli."""
     x, modulus = 0, 1
     for r, q in residues:
-        g, inv, _ = _egcd(modulus % q, q)
-        x = x + modulus * ((r - x) * inv % q)
+        x += modulus * ((r - x) * pow(modulus, -1, q) % q)
         modulus *= q
-        x %= modulus
     return x
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if a == 0:
-        return b, 0, 1
-    g, x, y = _egcd(b % a, a)
-    return g, y - (b // a) * x, x
 
 
 # ---------------------------------------------------------------------------
@@ -597,24 +577,13 @@ class GroupHom:
 def hom_table(h: GroupHom) -> list[Element]:
     """The image of every source element, in ``h.source.elements()`` order.
 
-    Built by linearity from the generator images instead of evaluating ``h``
-    element by element.  After the first i source coordinates the table holds
-    the images of all prefixes ``(c_1, ..., c_i)`` in lexicographic order;
-    the next coordinate extends each entry by the multiples ``0, x, 2x, ...``
-    of its generator image ``x``.  Each new entry is one unchecked add, so the
-    whole table costs fewer than ``2 |G|`` adds, against ``|G| * rank``
-    checked ``scalar_mul``/``add`` calls through ``h(a)``, which stays the
-    checked evaluation.
+    Built by linearity from the generator images, by one :func:`_linear_table`
+    (fewer than ``2 |G|`` unchecked adds), instead of ``|G| * rank`` checked
+    ``scalar_mul``/``add`` calls through ``h(a)``, which stays the checked
+    evaluation.
     """
-    moduli = h.target.factors
-    identity = h.target.identity()
-    table = [identity]
-    for d, image in zip(h.source.factors, h.gen_images):
-        multiples = [identity]
-        for _ in range(d - 1):
-            multiples.append(_add(moduli, multiples[-1], image))
-        table = [_add(moduli, t, m) for t in table for m in multiples]
-    return table
+    gens = zip(h.source.factors, h.gen_images)
+    return _linear_table(partial(_add, h.target.factors), h.target.identity(), gens)
 
 
 def identity_hom(g: FiniteAbelianGroup) -> GroupHom:

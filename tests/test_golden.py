@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -28,9 +31,10 @@ from groupcode.groups import (
     make_group,
     prime_order_subgroups,
     quotient,
+    recognize_with_iso,
 )
 from groupcode.cli import main
-from groupcode.encoder import encoder_from_spec
+from groupcode.encoder import encoder_from_spec, encoder_to_spec
 from groupcode.sweep import enumerate_encoders, enumerate_extensions, sweep_theorems
 from groupcode.trellis import codeword_witness, export_dot
 
@@ -70,6 +74,25 @@ def test_readme_analysis_bytes(systematic_encoder):
         _sha256(_canonical(analysis_json(systematic_encoder)))
         == "a4e736641330af4f365e60cc5eab5d66ee64be68dae6ce5cc16d15d615fecb54"
     )
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block(language: str) -> str:
+    blocks = re.findall(rf"```{language}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(_readme_block("python"), str(README), "exec"), {})
+    assert capsys.readouterr().out == "True 2\n"
+
+
+def test_readme_wire_format_round_trips():
+    spec = json.loads(_readme_block("json"))
+    assert encoder_to_spec(encoder_from_spec(spec)) == spec
 
 
 def _observed_shift_register(p: int, m: int) -> dict:
@@ -250,6 +273,16 @@ def test_quotient_coordinates_bytes():
                 pairs += 1
     assert pairs == 1030
     assert digest.hexdigest() == "a13cee59125893d2aa166c299184d4112927baa4fd68fbe6b3ec60edbc205a48"
+
+
+def test_unit_group_coordinates_bytes():
+    # recognition on tables that are not residue vectors: the units mod n
+    records = []
+    for n in range(2, 201):
+        units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+        g, coords = recognize_with_iso(units, lambda a, b, n=n: a * b % n)
+        records.append((n, g.factors, sorted(coords.items())))
+    assert _sha256(repr(records)) == "f639e8f0ff38dae6ea6e6a490e7a18f7545547ef0a7c83bb78895e8dd9212ee4"
 
 
 def test_sweep_never_evaluates_a_hom_element_by_element(monkeypatch):

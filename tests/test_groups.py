@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -201,6 +203,13 @@ class TestSubgroups:
                 assert g.order % sub.order == 0
                 assert subgroup_index(g, sub) * sub.order == g.order
 
+    def test_duplicate_elements_counted_once(self):
+        g = make_group([2])
+        doubled = Subgroup(g, ((0,), (0,)))
+        assert doubled.order == 1
+        assert subgroup_index(g, doubled) == 2
+        assert doubled == trivial_subgroup(g)
+
     def test_subgroup_counts_of_klein_cube(self):
         # 1 trivial + 7 of order 2 + 7 of order 4 + the whole group
         assert len(all_subgroups(make_group([2, 2, 2]))) == 16
@@ -344,6 +353,28 @@ class TestRecognize:
 
         with pytest.raises(NotAbelian):
             recognize(perms, compose)
+
+
+    def test_commutative_table_without_inverses_raises(self):
+        # max on {0, 1} commutes and has the identity 0, but 1 never returns
+        # to it; run in a child process with a timeout so a hang fails the test
+        code = (
+            "from groupcode import NotAbelian, recognize\n"
+            "try:\n"
+            "    recognize([0, 1], max)\n"
+            "except NotAbelian as exc:\n"
+            "    print(exc)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "1 does not reach the identity within 2 steps\n"
+
+    def test_basis_span_not_covering_table_raises(self):
+        # a repeated element: the census finds one Z2 factor for four entries
+        with pytest.raises(NotAbelian, match="^basis span does not cover the table$"):
+            recognize([0, 0, 1, 1], lambda a, b: (a + b) % 2)
 
 
 class TestIsomorphism:
