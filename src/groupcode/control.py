@@ -9,7 +9,8 @@ whole family of structural facts this package is built to verify on a
 concrete encoder and raises on any violation.
 
 State sets are bitmasks over ``state_group.index_of`` (the identity state is
-bit 0), and one-step images read the encoder's successor union table.  Chain
+bit 0), and one-step images read the encoder's successor union table.  Masks
+and states convert through the state group's one element index.  Chain
 levels, the past kernel and counterexamples are element tuples; the
 ``exact_reach`` oracle returns masks.
 """
@@ -23,6 +24,7 @@ from .errors import NotApplicable, PredicateViolation
 from .groups import (
     Element,
     Subgroup,
+    _order,
     invariant_factors,
     is_p_power,
     is_prime,
@@ -60,7 +62,7 @@ class ControlVerdict:
 
 def _members(enc: Encoder, mask: int) -> tuple[Element, ...]:
     """The states at the set bits of ``mask``, in index (lexicographic) order."""
-    return tuple(s for i, s in enumerate(enc.state_group.elements()) if mask >> i & 1)
+    return tuple(s for s, i in enc.state_group._index.items() if mask >> i & 1)
 
 
 def forward_chain(enc: Encoder) -> ReachabilityChain:
@@ -176,8 +178,8 @@ class StructureReport:
 
 
 def _subgroup_is_cyclic(sub: Subgroup) -> bool:
-    """A finite group is cyclic exactly when some element has the group's order."""
-    return any(sub.parent.element_order(a) == sub.order for a in sub.elements)
+    """Cyclic iff some element has the group's order (unchecked: levels are validated)."""
+    return any(_order(sub.parent.factors, a) == sub.order for a in sub.elements)
 
 
 def _escape(enc: Encoder, sources: int, allowed: int):
@@ -210,7 +212,7 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     masks = chain._masks
     table = enc._successors
     full = (1 << s_group.order) - 1
-    kmask = sum(1 << s_group.index_of(s) for s in kernel.elements)
+    kmask = sum(1 << s_group._index[s] for s in kernel.elements)
 
     predicates: dict[str, bool] = {}
     notes: dict[str, str] = {}

@@ -6,7 +6,8 @@ pair coordinates ``(u, s)``.  Construction validates the three defining
 conditions: the next-state map is surjective, the output map is a
 homomorphism, and the branch map ``(u, s) -> (s, output, next state)`` is
 injective.  Encoded sequences are bi-infinite with identity tails and are
-represented as finite windows.
+represented as finite windows.  Encoders read each hom's cached table and
+the state group's one element index.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 from .errors import InvalidHom, NuNotSurjective, OmegaNotHom, PsiNotInjective, WrongGroup
 from .extension import ExtensionDecomposition, direct_sum_decomposition
-from .groups import Element, FiniteAbelianGroup, GroupHom, hom_table
+from .groups import Element, FiniteAbelianGroup, GroupHom
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,8 +27,8 @@ class Encoder:
     """A validated homomorphic encoder over an extension decomposition.
 
     ``next_state`` and ``output`` are homomorphisms on the ambient group;
-    their pair-coordinate views are tabulated once at construction, by
-    linearity from the generator images (see :func:`hom_table`).
+    their pair-coordinate views are read at construction from each hom's
+    table, built once per hom object (see :func:`hom_table`).
     """
 
     decomposition: ExtensionDecomposition
@@ -41,8 +42,7 @@ class Encoder:
             raise WrongGroup("next-state map is not defined from the ambient group onto states")
         if self.output.source != dec.ambient or self.output.target != self.output_group:
             raise WrongGroup("output map is not defined from the ambient group onto outputs")
-        nu = hom_table(self.next_state)
-        omega = hom_table(self.output)
+        nu, omega = self.next_state._table, self.output._table
         table = {pair: (nu[i], omega[i]) for pair, i in dec.pair_indices}
         object.__setattr__(self, "_table", table)
 
@@ -74,7 +74,7 @@ class Encoder:
     @cached_property
     def _successors(self) -> list[int]:
         """Union table of each state's one-step successor mask, built on first read."""
-        index = {s: i for i, s in enumerate(self.state_group.elements())}
+        index = self.state_group._index
         rows = [0] * len(index)
         for (_, s), (nxt, _) in self._table.items():
             rows[index[s]] |= 1 << index[nxt]

@@ -10,8 +10,9 @@ enumeration, heights) is one coset-growing span, :func:`_span`.  Every search
 for generator images (surjective homs, automorphisms, basis extraction in
 recognition) is one prefix-span search, :func:`_image_tuples`.  Every table
 of sums of generator multiples (hom tables, recognition coordinates) is one
-linear table, :func:`_linear_table`.  Everything is immutable and safe to
-share across workers.
+linear table, :func:`_linear_table`.  A hom is tabulated once and a group
+keeps one element index, both on first read.  Everything is immutable and
+safe to share across workers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidFactor, InvalidHom, NotASubgroup, NotAbelian, WrongGroup
@@ -78,7 +79,14 @@ class FiniteAbelianGroup:
         ranges = [range(d) for d in self.factors]
         return (tuple(c) for c in itertools.product(*ranges))
 
+    @cached_property
+    def _index(self) -> dict[Element, int]:
+        """``{element: index}`` in ``elements()`` order, built on first read."""
+        return {a: i for i, a in enumerate(self.elements())}
+
     def element_at(self, index: int) -> Element:
+        if not 0 <= index < self.order:
+            raise WrongGroup(f"index {index} is outside the group with moduli {self.factors}")
         coords = []
         for d in reversed(self.factors):
             index, c = divmod(index, d)
@@ -86,6 +94,7 @@ class FiniteAbelianGroup:
         return tuple(reversed(coords))
 
     def index_of(self, a: Element) -> int:
+        """Position of ``a`` in ``elements()``; not range-checked (callers pass members)."""
         idx = 0
         for c, d in zip(a, self.factors):
             idx = idx * d + c
@@ -109,11 +118,7 @@ class FiniteAbelianGroup:
 
     def element_order(self, a: Element) -> int:
         """Least n >= 1 with n*a = identity."""
-        self.check(a)
-        n = 1
-        for x, d in zip(a, self.factors):
-            n = math.lcm(n, d // math.gcd(d, x))
-        return n
+        return _order(self.factors, self.check(a))
 
     def __str__(self) -> str:
         if not self.factors:
@@ -124,6 +129,11 @@ class FiniteAbelianGroup:
 def _add(moduli: tuple[int, ...], a: Element, b: Element) -> Element:
     """Unchecked sum of two elements known to lie in the group with ``moduli``."""
     return tuple(map(operator.mod, map(operator.add, a, b), moduli))
+
+
+def _order(moduli: tuple[int, ...], a: Element) -> int:
+    """Unchecked order of an element known to lie in the group with ``moduli``."""
+    return math.lcm(*(d // math.gcd(d, x) for x, d in zip(a, moduli)))
 
 
 def _span(op: Callable, identity, gens: Iterable, start: set | None = None) -> set:
@@ -186,16 +196,20 @@ def _linear_table(op: Callable, identity, gens: Iterable[tuple[int, object]]) ->
 
     The sums come in lexicographic order of ``(c_1, ..., c_k)``.  After the
     first i generators the table holds the sums of all prefixes; the next
-    generator extends each entry by the multiples ``0, a, 2a, ...`` of its
-    element ``a``.  Each new entry is one ``op``, so the whole table costs
-    fewer than ``2 * prod(d_i)`` operations.
+    generator replaces each entry ``t`` by ``t, t + a, t + 2a, ...`` for its
+    element ``a``.  The zero multiple is never added (``op(t, identity)`` is
+    ``t``), so the table costs ``prod(d_i) - 1 + sum(d_i - 2)`` operations.
     """
     table = [identity]
     for d, a in gens:
-        multiples = [identity]
-        for _ in range(d - 1):
+        multiples = [a]
+        for _ in range(d - 2):
             multiples.append(op(multiples[-1], a))
-        table = [op(t, m) for t in table for m in multiples]
+        extended = []
+        for t in table:
+            extended.append(t)
+            extended += [op(t, m) for m in multiples]
+        table = extended
     return table
 
 
@@ -306,18 +320,20 @@ class Subgroup:
 
         The identity must be a member, every member an element of ``parent``,
         and the span of the members (one :func:`_span`, under ``2 |span|``
-        adds instead of the ``|L|^2`` pairwise sums) no larger than the set:
-        the span always holds the members, so equal sizes mean the set is
-        the subgroup it spans.
+        adds instead of the ``|L|^2`` pairwise sums) equal to the set.  Span
+        members are the identity or ``_add`` outputs, so members are checked
+        only when the span differs or some member's length is not the rank.
         """
         g = self.parent
         identity = g.identity()
         if identity not in self._member_set:
             return False
+        span = _span(partial(_add, g.factors), identity, self.elements)
+        if span == self._member_set and set(map(len, self.elements)) == {g.rank}:
+            return True
         for a in self.elements:
             g.check(a)
-        span = _span(partial(_add, g.factors), identity, self.elements)
-        return len(span) == len(self._member_set)
+        return False
 
     def validate(self) -> "Subgroup":
         if not self.is_closed():
@@ -573,17 +589,21 @@ class GroupHom:
             out = self.target.add(out, self.target.scalar_mul(c, img))
         return out
 
+    @cached_property
+    def _table(self) -> tuple[Element, ...]:
+        """The :func:`hom_table`, built on first read."""
+        op, gens = partial(_add, self.target.factors), zip(self.source.factors, self.gen_images)
+        return tuple(_linear_table(op, self.target.identity(), gens))
+
 
 def hom_table(h: GroupHom) -> list[Element]:
     """The image of every source element, in ``h.source.elements()`` order.
 
-    Built by linearity from the generator images, by one :func:`_linear_table`
-    (fewer than ``2 |G|`` unchecked adds), instead of ``|G| * rank`` checked
-    ``scalar_mul``/``add`` calls through ``h(a)``, which stays the checked
-    evaluation.
+    Built once per hom object, by one :func:`_linear_table` of unchecked adds
+    instead of ``|G| * rank`` checked ``scalar_mul``/``add`` calls through
+    ``h(a)``, which stays the checked evaluation.  Each call returns a new list.
     """
-    gens = zip(h.source.factors, h.gen_images)
-    return _linear_table(partial(_add, h.target.factors), h.target.identity(), gens)
+    return list(h._table)
 
 
 def identity_hom(g: FiniteAbelianGroup) -> GroupHom:

@@ -69,6 +69,15 @@ def test_sweep_report_bytes():
     )
 
 
+def test_sweep_report_bytes_up_to_order_nine():
+    # the grid the benchmark's sweep workload runs
+    report = sweep_theorems([2, 3], 9, jobs=1)
+    assert (
+        _sha256(_canonical(report.to_json_dict()))
+        == "f62d30b989cfdcdd782e083c6a4a4498af3b212b8c9d3f78971e0f50be7e1766"
+    )
+
+
 def test_readme_analysis_bytes(systematic_encoder):
     assert (
         _sha256(_canonical(analysis_json(systematic_encoder)))
@@ -194,6 +203,41 @@ def test_analysis_json_builds_the_successor_table_once(monkeypatch):
     built = _count_calls(monkeypatch, [encoder], "_union_table")
     analysis_json(enc)
     assert len(built) == 1
+
+
+def _instance(p, state_factors, ambient_factors):
+    instances = enumerate_extensions(p, make_group(state_factors))
+    return next(i for i in instances if i.ambient.factors == ambient_factors)
+
+
+@pytest.mark.parametrize(
+    "ambient_factors, count", [((2, 2, 2), 42), ((2, 4), 6)], ids=["Z2^3", "Z2xZ4"]
+)
+def test_enumerate_encoders_tabulates_each_map_once(monkeypatch, ambient_factors, count):
+    # one table per next-state map, plus one for the identity output map they share
+    instance = _instance(2, [2, 2], ambient_factors)
+    tabulated = _count_calls(monkeypatch, [groups], "_linear_table")
+    encoders = enumerate_encoders(instance)
+    assert len(encoders) == count
+    assert len(tabulated) == count + 1
+
+
+def test_state_index_is_built_once_per_instance(monkeypatch):
+    # the successor tables and chain members of all encoders read one index
+    instance = _instance(2, [2, 2], (2, 2, 2))
+    encoders = enumerate_encoders(instance)
+    original = groups.FiniteAbelianGroup.elements
+    enumerated = []
+
+    def counted(self):
+        enumerated.append(self)
+        return original(self)
+
+    monkeypatch.setattr(groups.FiniteAbelianGroup, "elements", counted)
+    for enc in encoders:
+        control.past_kernel(enc)
+        control.forward_chain(enc)
+    assert sum(g is instance.state_group for g in enumerated) <= 1
 
 
 def test_analysis_json_checks_each_closure_once(monkeypatch, systematic_encoder):

@@ -36,7 +36,7 @@ from groupcode import (
     subgroup_index,
     trivial_subgroup,
 )
-from groupcode.groups import element_height, elements_of_order
+from groupcode.groups import _add, _linear_table, element_height, elements_of_order, identity_hom
 
 
 def brute_order(g, a):
@@ -149,6 +149,11 @@ class TestArithmetic:
             assert g.index_of(a) == i
             assert g.element_at(i) == a
 
+    @pytest.mark.parametrize("index", [-1, 8, 100])
+    def test_element_at_rejects_out_of_range_index(self, index):
+        with pytest.raises(WrongGroup):
+            make_group([2, 4]).element_at(index)
+
 
 class TestSubgroups:
     def test_empty_generators_give_identity(self):
@@ -176,6 +181,15 @@ class TestSubgroups:
         assert not ragged.is_closed()
         with pytest.raises(NotASubgroup):
             ragged.validate()
+
+    @pytest.mark.parametrize(
+        "factors, members",
+        [([4], ((0,), (5,))), ([2], ((0,), ()))],
+        ids=["unreduced", "short"],
+    )
+    def test_closure_rejects_foreign_members(self, factors, members):
+        with pytest.raises(WrongGroup):
+            Subgroup(make_group(factors), members).is_closed()
 
     def test_closure_matches_pairwise_brute_force(self):
         # every nonempty subset of every abelian group of order <= 9
@@ -432,6 +446,29 @@ class TestHoms:
         assert homs
         for h in homs:
             assert hom_table(h) == [h(a) for a in src.elements()]
+
+    def test_hom_table_returns_a_fresh_list(self):
+        h = identity_hom(make_group([2, 4]))
+        table = hom_table(h)
+        table[0] = (1, 1)
+        assert hom_table(h) == list(h.source.elements())
+
+    @pytest.mark.parametrize(
+        "factors, ops", [((2, 2, 2, 2), 15), ((2, 4), 9), ((3, 9), 34), ((2, 12), 33), ((), 0)]
+    )
+    def test_linear_table_op_count(self, factors, ops):
+        # |G| - 1 + sum(d_i - 2) adds, none of them adding the zero multiple
+        g = FiniteAbelianGroup(factors)
+        added = []
+
+        def op(a, b):
+            assert b != g.identity()
+            added.append(b)
+            return _add(g.factors, a, b)
+
+        gens = zip(factors, identity_hom(g).gen_images)
+        assert _linear_table(op, g.identity(), gens) == list(g.elements())
+        assert len(added) == ops
 
     @pytest.mark.parametrize("src_factors, dst_factors", SMALL_HOM_PAIRS)
     def test_surjective_enumeration_filters_all_homs(self, src_factors, dst_factors):
