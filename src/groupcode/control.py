@@ -18,6 +18,7 @@ levels, the past kernel and counterexamples are element tuples; the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .encoder import Encoder, _image, _lowest
 from .errors import NotApplicable, PredicateViolation
@@ -60,9 +61,12 @@ class ControlVerdict:
     window_below_two: bool
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits as ``compress`` selectors
+
+
 def _members(enc: Encoder, mask: int) -> tuple[Element, ...]:
-    """The states at the set bits of ``mask``, in index (lexicographic) order."""
-    return tuple(s for s, i in enc.state_group._index.items() if mask >> i & 1)
+    """The states at the set bits of ``mask``, in index order, picked by one ``compress``."""
+    return tuple(compress(enc.state_group._index, bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 def forward_chain(enc: Encoder) -> ReachabilityChain:

@@ -10,21 +10,42 @@ orbits at this scale; the tests cross-check the classification against
 explicitly enumerated automorphisms.  Each instance then yields one encoder
 per surjective next-state homomorphism, with the identity output map, which
 keeps the branch map injective for free and does not affect reachability.
+
+The sweep decides one encoder per symmetry orbit.  An automorphism ``beta``
+of ``G`` with ``beta(N) = N`` induces ``beta_bar`` on ``S = G/N``, and
+``nu -> beta_bar . nu . beta^-1`` conjugates the machine: its chain levels
+map through ``beta_bar``, so the verdict, the index and every predicate are
+constant on an orbit.  ``beta_bar . nu . beta`` is not a symmetry (the F_2
+generators are involutions, so only odd primes tell it apart), and neither is
+an automorphism of ``S`` alone: it turns the README's shift register (chain
+sizes 1, 2, 4) into one with sizes 1, 2.  The generators are the unit
+scalings and transvections of the coordinates that fix ``N`` (Hillar and
+Rhea, Amer. Math. Monthly 2007); any subset of the stabiliser is sound.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import Iterator
 
 from .control import decide_controllability, structure_report
 from .encoder import Encoder, encoder_from_extension
 from .errors import NotPrime, PredicateViolation, TooLarge
 from .extension import ExtensionDecomposition, decompose
 from .groups import (
+    Element,
     FiniteAbelianGroup,
+    GroupHom,
     Subgroup,
+    _add,
+    _image_tuples,
+    _order,
     abelian_groups_of_order,
     element_height,
     enumerate_homs,
@@ -34,7 +55,8 @@ from .groups import (
     prime_order_subgroups,
 )
 
-EXHAUSTIVE_GUARD = 256
+EXHAUSTIVE_GUARD = 256  # bound on p * |S|: instance setup is linear in |G|
+HOM_GUARD = 2**20  # bound on |Hom(G, S)|: the orbit search marks every hom
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,60 +167,161 @@ class SweepReport:
         """One line per (p, state group): encoder and controllability tallies."""
         header = f"{'p':>3}  {'S':<14} {'#enc':>6} {'#ctrl':>6} {'min_index':>9} {'violations':>10}"
         lines = [header, "-" * len(header)]
-        grouped: dict[tuple[int, tuple[int, ...]], dict] = {}
+        grouped: dict[tuple[int, tuple[int, ...]], list[dict]] = {}
         for row in self.rows:
-            key = (row["p"], tuple(row["state_factors"]))
-            agg = grouped.setdefault(
-                key, {"encoders": 0, "controllable": 0, "min_index": None, "violations": 0}
-            )
-            agg["encoders"] += row["encoder_count"]
-            agg["controllable"] += row["controllable_count"]
-            agg["violations"] += row["predicate_violations"]
-            if row["min_index"] is not None:
-                agg["min_index"] = (
-                    row["min_index"]
-                    if agg["min_index"] is None
-                    else min(agg["min_index"], row["min_index"])
-                )
-        for (p, factors), agg in sorted(grouped.items()):
+            grouped.setdefault((row["p"], tuple(row["state_factors"])), []).append(row)
+        for (p, factors), rows in sorted(grouped.items()):
             s_text = "[" + ",".join(str(d) for d in factors) + "]"
-            min_index = "-" if agg["min_index"] is None else str(agg["min_index"])
-            lines.append(
-                f"{p:>3}  {s_text:<14} {agg['encoders']:>6} {agg['controllable']:>6} "
-                f"{min_index:>9} {agg['violations']:>10}"
+            enc, ctrl, bad = (
+                sum(row[key] for row in rows)
+                for key in ("encoder_count", "controllable_count", "predicate_violations")
             )
+            indices = [row["min_index"] for row in rows if row["min_index"] is not None]
+            min_index = str(min(indices)) if indices else "-"
+            lines.append(f"{p:>3}  {s_text:<14} {enc:>6} {ctrl:>6} {min_index:>9} {bad:>10}")
         return "\n".join(lines)
 
 
+# beta: e_m -> a e_m + b e_i for (a, b) = forward, the other generators fixed; inverse is
+# the pair of beta^-1, and bar the map beta_bar on S (a namedtuple: no annotations to compile)
+_Symmetry = namedtuple("_Symmetry", "m i forward inverse bar")
+
+
+def _move(moduli: tuple[int, ...], m: int, i: int, coeffs: tuple[int, int], g: Element) -> Element:
+    """``g`` under ``e_m -> a e_m + b e_i``; a scaling has ``i == m`` and ``b == 0``."""
+    out = list(g)
+    out[i] = (g[i] + coeffs[1] * g[m]) % moduli[i]
+    out[m] = coeffs[0] * g[m] % moduli[m]
+    return tuple(out)
+
+
+def _symmetries(instance: ExtensionInstance) -> list[_Symmetry]:
+    """The unit scalings and transvections of the ambient coordinates that fix ``N``.
+
+    The scaling ``e_m -> c e_m`` (c a unit mod d_m, c != 1) has inverse
+    ``c^-1``.  The transvection ``e_m -> e_m + c e_i`` takes the least c for
+    which ``c e_i`` has order dividing ``d_m``, ``c = d_i / gcd(d_i, d_m)``;
+    its inverse is ``-c``, and it is skipped when ``c e_i`` is zero.
+    """
+    moduli, dec = instance.ambient.factors, instance.decomposition
+    found = []
+    for m, d_m in enumerate(moduli):
+        moves = [(m, (c, 0), (pow(c, -1, d_m), 0)) for c in range(2, d_m) if math.gcd(c, d_m) == 1]
+        for i, d_i in enumerate(moduli):
+            if i != m and (c := d_i // math.gcd(d_i, d_m)) != d_i:
+                moves.append((i, (1, c), (1, -c)))
+        for i, forward, inverse in moves:
+            if _move(moduli, m, i, forward, instance.normal_generator) in instance.normal:
+                bar = {s: dec.to_quotient[_move(moduli, m, i, forward, g)] for s, g in dec.lifting.items()}
+                found.append(_Symmetry(m, i, forward, inverse, bar))
+    return found
+
+
+def _moved_image(sym: _Symmetry, s_moduli: tuple[int, ...], x_m: Element, x_i: Element) -> Element:
+    """``beta_bar(nu(beta^-1 e_m))`` from ``x_m = nu(e_m)`` and ``x_i = nu(e_i)``."""
+    a, b = sym.inverse
+    return sym.bar[tuple((a * y + b * z) % d for y, z, d in zip(x_m, x_i, s_moduli))]
+
+
+def _orbits(
+    instance: ExtensionInstance, candidates: list[list[Element]]
+) -> Iterator[tuple[tuple[Element, ...], list[int]]]:
+    """Each orbit of surjective homs ``G -> S`` as (its first hom's images, member codes).
+
+    A hom's code is the mixed-radix number of its images' positions in the
+    ``candidates`` lists (:func:`enumerate_homs` order).  The surjective homs
+    are walked in that order; each one not yet marked floods its orbit under
+    :func:`_symmetries` (surjectivity is an orbit invariant).  A symmetry maps
+    every image but the ``m``-th through ``beta_bar``, so it acts on codes by
+    one table per digit, the ``m``-th indexed by the ``m``-th and ``i``-th digits.
+    """
+    s_group = instance.state_group
+    positions = [{a: k for k, a in enumerate(c)} for c in candidates]
+    radices = [len(c) for c in candidates]
+    weights = [math.prod(radices[j + 1 :]) for j in range(len(radices))]
+    actions = []
+    for sym in _symmetries(instance):
+        m, i = sym.m, sym.i
+        unary = [[w * pos[sym.bar[a]] for a in c] for c, pos, w in zip(candidates, positions, weights)]
+        unary[m] = [0] * radices[m]
+        binary = [
+            weights[m] * positions[m][_moved_image(sym, s_group.factors, x, y)]
+            for x in candidates[m]
+            for y in candidates[i]
+        ]
+        actions.append((unary, binary, m, i, radices[i]))
+
+    seen = bytearray(math.prod(radices))
+    op, sizes = partial(_add, s_group.factors), [None] * len(radices) + [s_group.order]
+    for images in _image_tuples(candidates, op, s_group.identity(), sizes):
+        code = sum(map(operator.mul, weights, map(operator.getitem, positions, images)))
+        if seen[code]:
+            continue
+        seen[code] = 1
+        members = [code]
+        for member in members:
+            digits = [member // w % r for w, r in zip(weights, radices)]
+            for unary, binary, m, i, radix in actions:
+                image = binary[digits[m] * radix + digits[i]] + sum(map(operator.getitem, unary, digits))
+                if not seen[image]:
+                    seen[image] = 1
+                    members.append(image)
+        yield images, members
+
+
 def _evaluate_instance(instance: ExtensionInstance) -> dict:
-    """Verdict row for one instance; returns per-encoder facts for the tallies."""
-    encoders = enumerate_encoders(instance)
-    controllable = []
-    violations = []
-    for enc in encoders:
+    """Verdict row for one instance, from one decided encoder per symmetry orbit.
+
+    Counts are orbit sizes; controllable encoders are listed member by member
+    with their orbit's index.  An orbit whose first encoder fails a predicate
+    has every member evaluated alone, as evaluating every encoder would.
+    """
+    ambient, s_group, dec = instance.ambient, instance.state_group, instance.decomposition
+    omega = identity_hom(ambient)
+    head = {
+        "p": instance.prime,
+        "state_factors": list(s_group.factors),
+        "ambient_factors": list(ambient.factors),
+        "normal_generator": list(instance.normal_generator),
+    }
+
+    def evaluate(images):
+        enc = encoder_from_extension(dec, ambient, GroupHom(ambient, s_group, images), omega)
         verdict = decide_controllability(enc)
         try:
             structure_report(enc, verdict)
         except PredicateViolation as exc:
-            violations.append(
-                {"predicate": exc.name, "counterexample": repr(exc.counterexample)}
-            )
-        if verdict.controllable:
-            controllable.append(
-                {
-                    "next_state_images": [list(img) for img in enc.next_state.gen_images],
-                    "index": verdict.index,
-                }
-            )
-    min_index = min((c["index"] for c in controllable), default=None)
+            return verdict, {"predicate": exc.name, "counterexample": repr(exc.counterexample)}
+        return verdict, None
+
+    candidates = [  # the images of each coordinate generator, as in enumerate_homs
+        [a for a in s_group.elements() if d % _order(s_group.factors, a) == 0]
+        for d in ambient.factors
+    ]
+    encoder_count = 0
+    listed: dict[int, int | None] = {}  # code -> its orbit's index, or None: evaluate it alone
+    for images, members in _orbits(instance, candidates):
+        encoder_count += len(members)
+        verdict, violation = evaluate(images)
+        if violation is not None or verdict.controllable:
+            listed.update(dict.fromkeys(members, None if violation else verdict.index))
+
+    weights = [math.prod(map(len, candidates[j + 1 :])) for j in range(len(candidates))]
+    controllable, violations = [], []
+    for code in sorted(listed):
+        images = tuple(c[code // w % len(c)] for c, w in zip(candidates, weights))
+        index = listed[code]
+        if index is None:
+            verdict, violation = evaluate(images)
+            violations += [violation] if violation else []
+            index = verdict.index
+        if index is not None:
+            controllable.append({**head, "next_state_images": list(map(list, images)), "index": index})
     return {
-        "p": instance.prime,
-        "state_factors": list(instance.state_group.factors),
-        "ambient_factors": list(instance.ambient.factors),
-        "normal_generator": list(instance.normal_generator),
-        "encoder_count": len(encoders),
+        **head,
+        "encoder_count": encoder_count,
         "controllable_count": len(controllable),
-        "min_index": min_index,
+        "min_index": min((c["index"] for c in controllable), default=None),
         "predicate_violations": len(violations),
         "violation_details": violations,
         "controllable": controllable,
@@ -243,12 +366,19 @@ def sweep_theorems(
                 f"p * max_s_order = {p * max_s_order} exceeds the exhaustive guard "
                 f"{EXHAUSTIVE_GUARD}"
             )
+    grid = [(p, s) for p in primes for n in range(1, max_s_order + 1) for s in abelian_groups_of_order(n)]
+    for p, state_group in grid:
+        for ambient in abelian_groups_of_order(p * state_group.order):
+            homs = math.prod(math.gcd(d, e) for d in ambient.factors for e in state_group.factors)
+            if homs > HOM_GUARD:
+                raise TooLarge(
+                    f"p = {p}, S = {state_group}, G = {ambient}: {homs} homomorphisms "
+                    f"G -> S exceed the exhaustive guard {HOM_GUARD}"
+                )
 
     instances: list[ExtensionInstance] = []
-    for p in primes:
-        for order in range(1, max_s_order + 1):
-            for state_group in abelian_groups_of_order(order):
-                instances.extend(enumerate_extensions(p, state_group, dedup=dedup))
+    for p, state_group in grid:
+        instances.extend(enumerate_extensions(p, state_group, dedup=dedup))
 
     jobs = default_jobs() if jobs is None else max(1, jobs)
     if jobs > 1 and len(instances) > 1:
@@ -260,66 +390,28 @@ def sweep_theorems(
         key=lambda r: (r["p"], r["state_factors"], r["ambient_factors"], r["normal_generator"])
     )
 
-    elementary_checked = 0
-    elementary_violations = 0
-    cyclic_checked = 0
-    cyclic_violations = 0
-    predicate_violations = 0
-    controllable_encoders = []
-    total_encoders = 0
-    total_controllable = 0
-    boundary = []
-    for row in rows:
-        p = row["p"]
-        factors = tuple(row["state_factors"])
-        total_encoders += row["encoder_count"]
-        total_controllable += row["controllable_count"]
-        predicate_violations += row["predicate_violations"]
-        if row["controllable_count"] > 0:
-            elementary_checked += row["controllable_count"]
-            if any(d != p for d in factors):
-                elementary_violations += row["controllable_count"]
-        s_order = 1
-        for d in factors:
-            s_order *= d
-        if len(factors) <= 1 and s_order > p:
-            cyclic_checked += row["encoder_count"]
-            cyclic_violations += row["controllable_count"]
-        if factors == (p,):
-            boundary.append(
-                {
-                    "p": p,
-                    "ambient_factors": row["ambient_factors"],
-                    "encoder_count": row["encoder_count"],
-                    "controllable_count": row["controllable_count"],
-                }
-            )
-        for witness in row["controllable"]:
-            controllable_encoders.append(
-                {
-                    "p": p,
-                    "state_factors": row["state_factors"],
-                    "ambient_factors": row["ambient_factors"],
-                    "normal_generator": row["normal_generator"],
-                    "next_state_images": witness["next_state_images"],
-                    "index": witness["index"],
-                }
-            )
+    def total(key: str, kept: list[dict] = rows) -> int:
+        return sum(row[key] for row in kept)
 
-    report_rows = [
-        {key: value for key, value in row.items() if key != "controllable"}
-        for row in rows
+    non_elementary = [r for r in rows if any(d != r["p"] for d in r["state_factors"])]
+    long_cyclic = [
+        r for r in rows if len(r["state_factors"]) <= 1 and math.prod(r["state_factors"]) > r["p"]
+    ]
+    boundary = [
+        {"p": r["p"], **{k: r[k] for k in ("ambient_factors", "encoder_count", "controllable_count")}}
+        for r in rows
+        if r["state_factors"] == [r["p"]]
     ]
     checks = {
         "controllable_implies_elementary_state_group": {
-            "checked": elementary_checked,
-            "violations": elementary_violations,
+            "checked": total("controllable_count"),
+            "violations": total("controllable_count", non_elementary),
         },
         "long_cyclic_state_group_never_controllable": {
-            "checked": cyclic_checked,
-            "violations": cyclic_violations,
+            "checked": total("encoder_count", long_cyclic),
+            "violations": total("controllable_count", long_cyclic),
         },
-        "predicate_violations": predicate_violations,
+        "predicate_violations": total("predicate_violations"),
     }
     return SweepReport(
         parameters={
@@ -327,13 +419,13 @@ def sweep_theorems(
             "max_state_order": max_s_order,
             "deduplicated": dedup,
         },
-        rows=report_rows,
-        controllable_encoders=controllable_encoders,
+        rows=[{key: value for key, value in row.items() if key != "controllable"} for row in rows],
+        controllable_encoders=[entry for row in rows for entry in row["controllable"]],
         checks=checks,
         totals={
             "instances": len(rows),
-            "encoders": total_encoders,
-            "controllable": total_controllable,
+            "encoders": total("encoder_count"),
+            "controllable": total("controllable_count"),
             "prime_cyclic_boundary": boundary,
         },
         elapsed_seconds=time.perf_counter() - start,

@@ -298,6 +298,13 @@ class TestSweep:
     def test_guard_exits_2(self):
         assert main(["sweep", "--p", "2", "--max-s-order", "129"]) == 2
 
+    def test_hom_count_guard_exits_2(self, capsys):
+        # p * |S| = 64 passes the ambient guard; Z2^6 -> Z2^5 has 2^30 homs
+        assert main(["sweep", "--p", "2", "--max-s-order", "32"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "G = Z2 x Z2 x Z2 x Z2 x Z2 x Z2: 1073741824 homomorphisms" in captured.err
+
 
 class TestClosedStdout:
     @pytest.mark.parametrize(

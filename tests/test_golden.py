@@ -78,6 +78,22 @@ def test_sweep_report_bytes_up_to_order_nine():
     )
 
 
+def test_sweep_report_bytes_without_dedup():
+    # every qualifying subgroup N, most of them not a coordinate subgroup
+    report = sweep_theorems([2, 3], 9, dedup=False, jobs=1)
+    assert report.totals["instances"] == 91
+    assert report.totals["encoders"] == 47251
+    assert (
+        _sha256(_canonical(report.to_json_dict()))
+        == "ddb82189b918d1277c62c2809dbe773fbc5c66e3ba276ac6830fd95244a7927d"
+    )
+    # several instances per (p, S) row of the table
+    assert (
+        _sha256(report.summary_table())
+        == "bad0365cf0db9bdefae12b5235b1942d9837f5fc3f9c41b4df4e806ccc4aa04d"
+    )
+
+
 def test_readme_analysis_bytes(systematic_encoder):
     assert (
         _sha256(_canonical(analysis_json(systematic_encoder)))
@@ -180,8 +196,21 @@ def test_sweep_decides_each_encoder_once(monkeypatch):
     decided = _count_calls(monkeypatch, [sweep, control], "decide_controllability")
     oracle = _count_calls(monkeypatch, [control], "exact_reach")
     report = sweep_theorems([2], 4, jobs=1)
-    assert report.totals["encoders"] > 0
-    assert len(decided) == len(oracle) == report.totals["encoders"]
+    # one decided encoder per symmetry orbit: 20 orbits of the 61 encoders
+    assert report.totals["encoders"] == 61
+    assert len(decided) == len(oracle) == 20
+
+
+def test_sweep_decides_one_encoder_per_orbit(monkeypatch):
+    decided = _count_calls(monkeypatch, [sweep, control], "decide_controllability")
+    listed = [
+        _count_calls(monkeypatch, [m for m in (groups, sweep) if hasattr(m, name)], name)
+        for name in ("enumerate_homs", "enumerate_encoders")
+    ]
+    report = sweep_theorems([2, 3], 9, jobs=1)
+    assert report.totals["encoders"] == 3829
+    assert len(decided) == 186
+    assert listed == [[], []]
 
 
 def test_analysis_json_computes_each_fact_once(monkeypatch, systematic_encoder):

@@ -9,13 +9,22 @@ import pytest
 from groupcode import (
     GroupHom,
     NotPrime,
+    PredicateViolation,
     TooLarge,
+    abelian_groups_of_order,
     automorphisms,
+    decide_controllability,
     enumerate_encoders,
     enumerate_extensions,
     make_group,
+    structure_report,
     sweep_theorems,
 )
+from groupcode import sweep as sweep_module
+from groupcode.control import forward_chain
+from groupcode.encoder import encoder_from_extension
+from groupcode.groups import enumerate_homs, identity_hom
+from groupcode.sweep import _evaluate_instance, _move, _moved_image, _symmetries
 
 
 class TestEnumerateExtensions:
@@ -180,8 +189,36 @@ class TestSweepTheorems:
     def test_guard(self):
         with pytest.raises(TooLarge):
             sweep_theorems([2], 200)
+        with pytest.raises(TooLarge, match=r"Z2 x Z2 x Z2 x Z2 x Z2 x Z2: 1073741824 "):
+            sweep_theorems([2], 128)  # p * |S| = 256 passes; Z2^6 -> Z2^5 has 2^30 homs
         with pytest.raises(NotPrime):
             sweep_theorems([6], 2)
+
+    @pytest.mark.parametrize(
+        "primes, max_s_order, accepted",
+        [
+            ([2], 16, True),
+            ([3], 27, True),
+            ([2, 3], 9, True),
+            ([2], 31, True),
+            ([2], 32, False),
+            ([3], 81, False),
+        ],
+    )
+    def test_guard_counts_homs_before_any_instance(
+        self, monkeypatch, primes, max_s_order, accepted
+    ):
+        # 2^20 homs Z2^5 -> Z2^4 and 3^12 homs Z3^4 -> Z3^3 pass; 2^30 homs
+        # Z2^6 -> Z2^5 and 3^20 homs Z3^5 -> Z3^4 are refused before any instance
+        class Accepted(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Accepted
+
+        monkeypatch.setattr(sweep_module, "enumerate_extensions", refuse)
+        with pytest.raises(Accepted if accepted else TooLarge):
+            sweep_theorems(primes, max_s_order)
 
     def test_jobs_env_variable(self, monkeypatch):
         from groupcode.sweep import default_jobs
@@ -210,3 +247,112 @@ class TestSweepTheorems:
         lines = table.splitlines()
         assert lines[0].split() == ["p", "S", "#enc", "#ctrl", "min_index", "violations"]
         assert any("[2,2]" in line for line in lines)
+
+
+def _reference_row(instance, report=structure_report) -> dict:
+    """The instance's sweep row, built by deciding and checking every encoder."""
+    head = {
+        "p": instance.prime,
+        "state_factors": list(instance.state_group.factors),
+        "ambient_factors": list(instance.ambient.factors),
+        "normal_generator": list(instance.normal_generator),
+    }
+    controllable, violations = [], []
+    encoders = enumerate_encoders(instance)
+    for enc in encoders:
+        verdict = decide_controllability(enc)
+        try:
+            report(enc, verdict)
+        except PredicateViolation as exc:
+            violations.append({"predicate": exc.name, "counterexample": repr(exc.counterexample)})
+        if verdict.controllable:
+            controllable.append(
+                {
+                    **head,
+                    "next_state_images": [list(img) for img in enc.next_state.gen_images],
+                    "index": verdict.index,
+                }
+            )
+    return {
+        **head,
+        "encoder_count": len(encoders),
+        "controllable_count": len(controllable),
+        "min_index": min((c["index"] for c in controllable), default=None),
+        "predicate_violations": len(violations),
+        "violation_details": violations,
+        "controllable": controllable,
+    }
+
+
+def _grid(p: int, max_s_order: int) -> list:
+    return [
+        instance
+        for order in range(1, max_s_order + 1)
+        for state_group in abelian_groups_of_order(order)
+        for instance in enumerate_extensions(p, state_group)
+    ]
+
+
+@pytest.mark.parametrize("p, max_s_order", [(5, 5), (2, 15)])
+def test_rows_equal_full_enumeration(p, max_s_order):
+    instances = _grid(p, max_s_order)
+    assert instances
+    for instance in instances:
+        assert _evaluate_instance(instance) == _reference_row(instance)
+
+
+def test_violating_orbits_are_checked_member_by_member(monkeypatch):
+    # a stand-in predicate failing on every encoder with a two-level chain (an
+    # orbit invariant), with a counterexample that differs from member to member
+    def report(enc, verdict):
+        if len(verdict.chain.levels) == 2:
+            raise PredicateViolation("two_levels", enc.next_state.gen_images)
+        return structure_report(enc, verdict)
+
+    monkeypatch.setattr(sweep_module, "structure_report", report)
+    failing = 0
+    for instance in _grid(3, 9):
+        row = _evaluate_instance(instance)
+        assert row == _reference_row(instance, report)
+        failing += row["predicate_violations"]
+    assert failing > 100
+
+
+def _act(sym, s_group, images: tuple) -> tuple:
+    """Generator images of ``beta_bar . nu . beta^-1`` from those of ``nu``."""
+    out = [sym.bar[x] for x in images]
+    out[sym.m] = _moved_image(sym, s_group.factors, images[sym.m], images[sym.i])
+    return tuple(out)
+
+
+def _chain_sizes(instance) -> dict:
+    """Chain sizes of every surjective next-state map, keyed by its generator images."""
+    ambient, omega = instance.ambient, identity_hom(instance.ambient)
+    return {
+        nu.gen_images: forward_chain(
+            encoder_from_extension(instance.decomposition, ambient, nu, omega)
+        ).sizes()
+        for nu in enumerate_homs(ambient, instance.state_group, surjective_only=True)
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_symmetries_fix_n_and_keep_chain_sizes(p):
+    acted = 0
+    for instance in _grid(p, 9):
+        s_group, moduli = instance.state_group, instance.ambient.factors
+        s_elements = list(s_group.elements())
+        sizes = _chain_sizes(instance)
+        for sym in _symmetries(instance):
+            beta = {g: _move(moduli, sym.m, sym.i, sym.forward, g) for g in instance.ambient.elements()}
+            assert all(_move(moduli, sym.m, sym.i, sym.inverse, b) == g for g, b in beta.items())
+            assert {beta[n] for n in instance.normal.elements} == set(instance.normal.elements)
+            # beta_bar is a bijective hom of S
+            assert sorted(sym.bar.values()) == s_elements
+            for s in s_elements:
+                for t in s_elements:
+                    assert sym.bar[s_group.add(s, t)] == s_group.add(sym.bar[s], sym.bar[t])
+            for images, chain in sizes.items():
+                assert sizes[_act(sym, s_group, images)] == chain
+                acted += 1
+    assert acted > 1000
