@@ -40,7 +40,7 @@ def _load_encoder(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise SystemExit(_fail(f"cannot read encoder spec {path!r}: {exc}", 2))
     try:
         return encoder_from_spec(data)

@@ -99,11 +99,9 @@ def past_kernel(enc: Encoder) -> Subgroup:
     identity state lead to distinct states.  Closure is not checked here:
     ``structure_report`` checks it once, as ``past_kernel_is_subgroup``.
     """
-    table = enc._successors  # row i is the entry of the single bit i % 4 of nibble i // 4
-    mask = sum(
-        1 << i for i in range(enc.state_group.order) if table[16 * (i >> 2) + (1 << (i & 3))] & 1
-    )
-    return Subgroup(enc.state_group, _members(enc, mask))
+    identity = enc.state_group.identity()
+    members = [s for (_, s), (nxt, _) in enc._table.items() if nxt == identity]
+    return Subgroup(enc.state_group, tuple(members))
 
 
 def exact_reach(enc: Encoder, max_len: int) -> list[list[int]]:

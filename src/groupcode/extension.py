@@ -100,17 +100,16 @@ def decompose(ambient: FiniteAbelianGroup, normal: Subgroup) -> ExtensionDecompo
     The subgroup and quotient are recognized into canonical coordinate
     groups; the lifting sends each quotient element to the lexicographically
     minimal member of its coset, which in particular lifts the identity coset
-    to the identity.
+    to the identity.  :func:`quotient` lists the projection in ``elements()``
+    order, so that minimum is the first element projecting onto it.
     """
     s_part, to_quotient = quotient(ambient, normal)  # checks that normal is a subgroup
     u_part, n_to_u = recognize_with_iso(list(normal.elements), ambient.add)
     u_to_n = {u: n for n, u in n_to_u.items()}
 
     lifting: dict[Element, Element] = {}
-    for g in sorted(ambient.elements()):
-        s = to_quotient[g]
-        if s not in lifting:
-            lifting[s] = g
+    for g, s in to_quotient.items():  # elements() order: each coset's minimum comes first
+        lifting.setdefault(s, g)
 
     return ExtensionDecomposition(
         ambient=ambient,

@@ -362,24 +362,25 @@ def subgroup_index(g: FiniteAbelianGroup, h: Subgroup) -> int:
 def quotient(g: FiniteAbelianGroup, n: Subgroup) -> tuple[FiniteAbelianGroup, dict[Element, Element]]:
     """Quotient group in canonical form plus the projection g -> quotient.
 
-    Cosets are labeled through their lexicographically minimal representative;
-    the returned dict maps every element of ``g`` to its image coordinates.
+    Cosets are labeled through their lexicographically minimal representative,
+    which is the first member met walking ``g.elements()`` (lexicographic
+    order), so no coset is sorted.  The returned dict maps every element of
+    ``g``, in that order, to its image coordinates.
     """
     n.validate()
     if n.parent != g:
         raise NotASubgroup("subgroup belongs to a different group")
+    add = partial(_add, g.factors)
     rep_of: dict[Element, Element] = {}
+    reps = []
     for a in g.elements():
-        if a in rep_of:
-            continue
-        coset = sorted(g.add(a, x) for x in n.elements)
-        rep = coset[0]
-        for b in coset:
-            rep_of[b] = rep
-    reps = sorted(set(rep_of.values()))
+        if a not in rep_of:
+            reps.append(a)
+            for x in n.elements:
+                rep_of[add(a, x)] = a
 
     def coset_mul(a: Element, b: Element) -> Element:
-        return rep_of[g.add(a, b)]
+        return rep_of[add(a, b)]
 
     q_group, coords = recognize_with_iso(reps, coset_mul)
     projection = {a: coords[rep_of[a]] for a in g.elements()}
@@ -421,22 +422,21 @@ def prime_order_subgroups(g: FiniteAbelianGroup, p: int) -> list[Subgroup]:
 
 
 def element_height(g: FiniteAbelianGroup, a: Element, p: int) -> int:
-    """Largest t such that ``a`` is a p^t-th multiple inside ``g``.
+    """Largest t such that ``a`` is a p^t-th multiple inside ``g``, for a prime ``p``.
 
-    ``p^t g`` is the span of the p^t-th multiples of the coordinate
-    generators.  The height is unbounded exactly when the order of ``a`` is
-    prime to ``p`` (the identity included), and then ``WrongGroup`` is raised.
+    Read from the coordinates: in ``Z_d`` the p^t-th multiples are the
+    multiples of ``gcd(p^t, d)``, so the height is the smallest p-adic
+    valuation among the coordinates whose order is divisible by ``p``.  The
+    height is unbounded exactly when there is no such coordinate (the order
+    of ``a`` is prime to ``p``, the identity included), and then
+    ``WrongGroup`` is raised.
     """
     if g.element_order(a) % p != 0:
         raise WrongGroup(f"height of {a} is unbounded: its order is prime to {p}")
-    op = partial(_add, g.factors)
-    gens = identity_hom(g).gen_images
     t = 0
-    while True:
-        gens = [g.scalar_mul(p, x) for x in gens]
-        if a not in _span(op, g.identity(), gens):
-            return t
+    while all(c % math.gcd(p ** (t + 1), d) == 0 for c, d in zip(a, g.factors)):
         t += 1
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +629,15 @@ def is_surjective(h: GroupHom) -> bool:
     return hom_image(h).order == h.target.order
 
 
+def _hom_candidates(g1: FiniteAbelianGroup, g2: FiniteAbelianGroup) -> list[list[Element]]:
+    """Per coordinate generator of ``g1``, the elements of ``g2`` it may map to.
+
+    The images of an order-``d`` generator are the elements whose order
+    divides ``d``, in ``g2.elements()`` order.
+    """
+    return [[a for a in g2.elements() if d % _order(g2.factors, a) == 0] for d in g1.factors]
+
+
 def enumerate_homs(
     g1: FiniteAbelianGroup,
     g2: FiniteAbelianGroup,
@@ -636,16 +645,12 @@ def enumerate_homs(
 ) -> list[GroupHom]:
     """All homomorphisms g1 -> g2, in lexicographic order of image indices.
 
-    A hom is one image per coordinate generator of ``g1``, constrained to the
-    elements of ``g2`` whose order divides the generator's modulus.  With
-    ``surjective_only`` the image tuples come from :func:`_image_tuples`,
-    which spans each prefix once and only sizes the last image, so a
-    ``GroupHom`` is built for the surjections alone.
+    A hom is one image per coordinate generator of ``g1``, drawn from
+    :func:`_hom_candidates`.  With ``surjective_only`` the image tuples come
+    from :func:`_image_tuples`, which spans each prefix once and only sizes
+    the last image, so a ``GroupHom`` is built for the surjections alone.
     """
-    candidate_lists = []
-    for d in g1.factors:
-        candidates = [a for a in g2.elements() if d % g2.element_order(a) == 0]
-        candidate_lists.append(candidates)
+    candidate_lists = _hom_candidates(g1, g2)
     if surjective_only:
         sizes = [None] * len(candidate_lists) + [g2.order]
         tuples = _image_tuples(candidate_lists, partial(_add, g2.factors), g2.identity(), sizes)

@@ -4,12 +4,13 @@ Instances are enumerated by ambient group: for a prime ``p`` and a state
 group ``S``, every abelian group of order ``p * |S|`` is paired with each
 orbit representative of its order-``p`` subgroups whose quotient is
 isomorphic to ``S``.  Orbits of order-``p`` subgroups under the automorphism
-group are classified by the divisibility height of a generator, which is an
-automorphism invariant and, together with the fixed quotient type, separates
-orbits at this scale; the tests cross-check the classification against
-explicitly enumerated automorphisms.  Each instance then yields one encoder
-per surjective next-state homomorphism, with the identity output map, which
-keeps the branch map injective for free and does not affect reachability.
+group are classified by the divisibility height of a generator (Kaplansky,
+Infinite Abelian Groups, 1954), so subgroups of one height also share their
+quotient type, and the height is read before anything is decomposed; the
+tests cross-check both facts against explicitly enumerated automorphisms and
+quotients.  Each instance then yields one encoder per surjective next-state
+homomorphism, with the identity output map, which keeps the branch map
+injective for free and does not affect reachability.
 
 The sweep decides one encoder per symmetry orbit.  An automorphism ``beta``
 of ``G`` with ``beta(N) = N`` induces ``beta_bar`` on ``S = G/N``, and
@@ -44,8 +45,8 @@ from .groups import (
     GroupHom,
     Subgroup,
     _add,
+    _hom_candidates,
     _image_tuples,
-    _order,
     abelian_groups_of_order,
     element_height,
     enumerate_homs,
@@ -66,15 +67,12 @@ class ExtensionInstance:
     prime: int
     ambient: FiniteAbelianGroup
     normal: Subgroup
+    normal_generator: Element  # the least non-identity member of ``normal``
     decomposition: ExtensionDecomposition
 
     @property
     def state_group(self) -> FiniteAbelianGroup:
         return self.decomposition.s_part
-
-    @property
-    def normal_generator(self):
-        return min(a for a in self.normal.elements if a != self.ambient.identity())
 
 
 def enumerate_extensions(
@@ -83,8 +81,12 @@ def enumerate_extensions(
     """All extension instances of a prime-order group by ``state_group``.
 
     With ``dedup`` (the default) one representative is kept per automorphism
-    orbit of the embedded subgroup; without it, every qualifying subgroup
-    yields an instance, which is the soundness cross-check mode.
+    orbit of the embedded subgroup: the first subgroup whose generator has a
+    given height.  The height is read before the subgroup is decomposed, and
+    a height already met is skipped undecomposed, since subgroups of one
+    height share their quotient type.  Without ``dedup`` every subgroup is
+    decomposed and every qualifying one yields an instance, which is the
+    soundness cross-check mode.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -94,22 +96,15 @@ def enumerate_extensions(
     for ambient in abelian_groups_of_order(total):
         seen_heights: set[int] = set()
         for normal in prime_order_subgroups(ambient, p):
-            dec = decompose(ambient, normal)
-            if dec.s_part.factors != wanted:
-                continue
+            generator = normal.elements[1]  # elements are sorted, the identity first
             if dedup:
-                generator = min(
-                    a for a in normal.elements if a != ambient.identity()
-                )
                 height = element_height(ambient, generator, p)
                 if height in seen_heights:
                     continue
                 seen_heights.add(height)
-            instances.append(
-                ExtensionInstance(
-                    prime=p, ambient=ambient, normal=normal, decomposition=dec
-                )
-            )
+            dec = decompose(ambient, normal)
+            if dec.s_part.factors == wanted:
+                instances.append(ExtensionInstance(p, ambient, normal, generator, dec))
     return instances
 
 
@@ -224,13 +219,14 @@ def _moved_image(sym: _Symmetry, s_moduli: tuple[int, ...], x_m: Element, x_i: E
 
 
 def _orbits(
-    instance: ExtensionInstance, candidates: list[list[Element]]
+    instance: ExtensionInstance, candidates: list[list[Element]], weights: list[int]
 ) -> Iterator[tuple[tuple[Element, ...], list[int]]]:
     """Each orbit of surjective homs ``G -> S`` as (its first hom's images, member codes).
 
-    A hom's code is the mixed-radix number of its images' positions in the
-    ``candidates`` lists (:func:`enumerate_homs` order).  The surjective homs
-    are walked in that order; each one not yet marked floods its orbit under
+    A hom's code is the mixed-radix number, digit ``j`` of weight
+    ``weights[j]``, of its images' positions in the ``candidates`` lists
+    (:func:`enumerate_homs` order).  The surjective homs are walked in that
+    order; each one not yet marked floods its orbit under
     :func:`_symmetries` (surjectivity is an orbit invariant).  A symmetry maps
     every image but the ``m``-th through ``beta_bar``, so it acts on codes by
     one table per digit, the ``m``-th indexed by the ``m``-th and ``i``-th digits.
@@ -238,7 +234,6 @@ def _orbits(
     s_group = instance.state_group
     positions = [{a: k for k, a in enumerate(c)} for c in candidates]
     radices = [len(c) for c in candidates]
-    weights = [math.prod(radices[j + 1 :]) for j in range(len(radices))]
     actions = []
     for sym in _symmetries(instance):
         m, i = sym.m, sym.i
@@ -294,19 +289,16 @@ def _evaluate_instance(instance: ExtensionInstance) -> dict:
             return verdict, {"predicate": exc.name, "counterexample": repr(exc.counterexample)}
         return verdict, None
 
-    candidates = [  # the images of each coordinate generator, as in enumerate_homs
-        [a for a in s_group.elements() if d % _order(s_group.factors, a) == 0]
-        for d in ambient.factors
-    ]
+    candidates = _hom_candidates(ambient, s_group)
+    weights = [math.prod(map(len, candidates[j + 1 :])) for j in range(len(candidates))]
     encoder_count = 0
     listed: dict[int, int | None] = {}  # code -> its orbit's index, or None: evaluate it alone
-    for images, members in _orbits(instance, candidates):
+    for images, members in _orbits(instance, candidates, weights):
         encoder_count += len(members)
         verdict, violation = evaluate(images)
         if violation is not None or verdict.controllable:
             listed.update(dict.fromkeys(members, None if violation else verdict.index))
 
-    weights = [math.prod(map(len, candidates[j + 1 :])) for j in range(len(candidates))]
     controllable, violations = [], []
     for code in sorted(listed):
         images = tuple(c[code // w % len(c)] for c, w in zip(candidates, weights))
@@ -359,13 +351,13 @@ def sweep_theorems(
         raise TooLarge("max_s_order must be at least 1")
     primes = sorted(set(p_list))
     for p in primes:
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        if p * max_s_order > EXHAUSTIVE_GUARD:
+        if p * max_s_order > EXHAUSTIVE_GUARD:  # first: is_prime trial-divides up to sqrt(p)
             raise TooLarge(
                 f"p * max_s_order = {p * max_s_order} exceeds the exhaustive guard "
                 f"{EXHAUSTIVE_GUARD}"
             )
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
     grid = [(p, s) for p in primes for n in range(1, max_s_order + 1) for s in abelian_groups_of_order(n)]
     for p, state_group in grid:
         for ambient in abelian_groups_of_order(p * state_group.order):

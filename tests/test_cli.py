@@ -69,10 +69,12 @@ class TestAnalyze:
         assert capsys.readouterr().out == first
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        assert main(["analyze", str(path)]) == 2
-        assert "cannot read" in capsys.readouterr().err
+        # bad JSON, bytes that are not UTF-8, and nesting past the recursion limit
+        for content in (b"{not json", b"\xff\xfe{}", b"[" * 200_000):
+            path = tmp_path / "broken.json"
+            path.write_bytes(content)
+            assert main(["analyze", str(path)]) == 2
+            assert f"groupcode: cannot read encoder spec {str(path)!r}: " in capsys.readouterr().err
 
     def test_invalid_encoder_exits_2(self, tmp_path, capsys):
         bad = dict(EX_SPEC)
@@ -297,6 +299,21 @@ class TestSweep:
 
     def test_guard_exits_2(self):
         assert main(["sweep", "--p", "2", "--max-s-order", "129"]) == 2
+
+    def test_guard_precedes_primality_test(self):
+        # trial division of this prime would take minutes; the guard refuses
+        # it first (in a child process, so a hang fails the test)
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupcode", "sweep", "--p", "1000000000000000003",
+             "--max-s-order", "1"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "groupcode: p * max_s_order = 1000000000000000003 exceeds the exhaustive guard 256\n"
+        )
 
     def test_hom_count_guard_exits_2(self, capsys):
         # p * |S| = 64 passes the ambient guard; Z2^6 -> Z2^5 has 2^30 homs

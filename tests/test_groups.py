@@ -562,6 +562,25 @@ class TestAutomorphisms:
                         same_key = element_height(g, gen1, p) == element_height(g, gen2, p)
                         assert same_orbit == same_key
 
+    def test_height_determines_quotient_type(self):
+        # the sweep decomposes one order-p subgroup per generator height, so
+        # order-p subgroups whose generators have one height must have
+        # isomorphic quotients
+        checked = expected = 0
+        for order in range(2, 65):
+            for g in abelian_groups_of_order(order):
+                for p in _prime_factors(order):
+                    type_of = {}
+                    for sub in prime_order_subgroups(g, p):
+                        gen = min(a for a in sub.elements if a != g.identity())
+                        q_factors = quotient(g, sub)[0].factors
+                        height = element_height(g, gen, p)
+                        assert type_of.setdefault(height, q_factors) == q_factors, (g, gen, p)
+                        checked += 1
+                    rank = sum(1 for d in g.factors if d % p == 0)  # the p-rank
+                    expected += (p**rank - 1) // (p - 1)
+        assert checked == expected == 548
+
 
 def _prime_factors(n: int) -> list[int]:
     out = []
