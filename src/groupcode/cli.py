@@ -68,8 +68,11 @@ def _emit(lines: Iterable[str], path: str | None = None) -> None:
 
 
 def _parse_coords(text: str) -> list[int]:
+    """Comma-separated integers; the empty string is no coordinates, an empty field exits 2."""
+    if text == "":
+        return []
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise SystemExit(_fail(f"cannot parse coordinates {text!r}: {exc}", 2))
 
@@ -118,15 +121,17 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         else:
             pad_states, pad_outputs = encode_forward(enc, final, padding)
             rows.extend(zip(padding, pad_states, pad_outputs))
-    # each distinct element is rendered once, on first sight
-    u_name = functools.cache(functools.partial(format_element, enc.input_group))
-    s_name = functools.cache(functools.partial(format_element, enc.state_group))
-    y_name = functools.cache(functools.partial(format_element, enc.output_group))
+    # each distinct (u, s, y) row tail is rendered once, on first sight
+    @functools.cache
+    def tail(u, s, y) -> str:
+        return (
+            f"  {format_element(enc.input_group, u):<8} "
+            f"{format_element(enc.state_group, s):<10} "
+            f"{format_element(enc.output_group, y):<10}\n"
+        )
+
     lines.append(f"{'i':>4}  {'u':<8} {'s':<10} {'y':<10}\n")
-    lines.extend(
-        f"{i:>4}  {u_name(u):<8} {s_name(s):<10} {y_name(y):<10}\n"
-        for i, (u, s, y) in enumerate(rows, start=1)
-    )
+    lines.extend(f"{i:>4}{tail(*row)}" for i, row in enumerate(rows, start=1))
     _emit(lines)
     return 0
 

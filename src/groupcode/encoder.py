@@ -180,17 +180,20 @@ def encode_forward(
     """Drive the recurrence forward from ``s0``; returns (states, outputs).
 
     ``states[i]`` is the state after consuming ``inputs[i]`` and
-    ``outputs[i]`` the symbol emitted while consuming it.
+    ``outputs[i]`` the symbol emitted while consuming it.  Each step is one
+    lookup in the encoder's table, whose keys are exactly the input/state
+    pairs: from a checked state, a missing key means a foreign input symbol.
     """
-    enc.state_group.check(s0)
+    s = enc.state_group.check(tuple(s0))
+    table = enc._table
     states: list[Element] = []
     outputs: list[Element] = []
-    s = s0
     for u in inputs:
         u = tuple(u)
-        if not enc.input_group.contains(u):
-            raise WrongGroup(f"input symbol {u} is not in the input group")
-        s, y = enc.step(u, s)
+        try:
+            s, y = table[(u, s)]
+        except KeyError:
+            raise WrongGroup(f"input symbol {u} is not in the input group") from None
         states.append(s)
         outputs.append(y)
     return states, outputs
@@ -287,7 +290,9 @@ class Window:
     """A bi-infinite sequence with identity tails, stored as a finite window.
 
     ``symbols[i]`` is the symbol at time ``start + i``; every symbol outside
-    the stored window is the identity of ``group``.
+    the stored window is the identity of ``group``.  Each distinct symbol is
+    checked once, in order of first appearance, so the first foreign symbol
+    is the one named.
     """
 
     group: FiniteAbelianGroup
@@ -295,8 +300,9 @@ class Window:
     symbols: tuple[Element, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(tuple(a) for a in self.symbols))
-        for a in self.symbols:
+        symbols = tuple(tuple(a) for a in self.symbols)
+        object.__setattr__(self, "symbols", symbols)
+        for a in dict.fromkeys(symbols):
             self.group.check(a)
 
     @property

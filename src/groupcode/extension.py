@@ -26,6 +26,7 @@ from .groups import (
     Element,
     FiniteAbelianGroup,
     Subgroup,
+    _add,
     direct_sum,
     is_prime,
     quotient,
@@ -86,11 +87,13 @@ class ExtensionDecomposition:
         """Every pair in ``pairs()`` order with the ambient index of its element.
 
         Computed once per decomposition and shared by every encoder built on
-        it, so tabulating an encoder costs no pair-map arithmetic.
+        it, so tabulating an encoder costs no pair-map arithmetic.  Lifts and
+        embedded inputs are ambient members, so their sum is unchecked.
         """
-        index_of = self.ambient.index_of
+        index, moduli = self.ambient._index, self.ambient.factors
+        lifting, u_to_n = self.lifting, self.u_to_n
         return tuple(
-            ((u, s), index_of(self.pair_to_element(u, s))) for u, s in self.pairs()
+            ((u, s), index[_add(moduli, lifting[s], u_to_n[u])]) for u, s in self.pairs()
         )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 from .encoder import Encoder, Window, _image, _lowest, _union_table
@@ -94,9 +95,13 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
     backward = {y: _union_table(pred[y]) for y in labels}
     full = (1 << len(states)) - 1
 
+    # a window revisits few state sets: each (set, symbol) image is taken once
+    forward_image = cache(lambda mask, y: _image(mask, forward[y]))
+    backward_image = cache(lambda mask, y: _image(mask, backward[y]))
+
     feasible = [_identity_core(forward[e_y], full)]
     for symbol in symbols:
-        nxt = _image(feasible[-1], forward[symbol])
+        nxt = forward_image(feasible[-1], symbol)
         if not nxt:
             return None
         feasible.append(nxt)
@@ -104,7 +109,7 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
     if not feasible[-1]:
         return None
     for i in range(len(symbols) - 1, -1, -1):
-        feasible[i] &= _image(feasible[i + 1], backward[symbols[i]])
+        feasible[i] &= backward_image(feasible[i + 1], symbols[i])
         if not feasible[i]:
             return None
 
@@ -130,32 +135,36 @@ def export_dot(enc: Encoder, unrolled_sections: int) -> str:
 
 
 def _dot_lines(enc: Encoder, unrolled_sections: int) -> Iterator[str]:
-    """The lines of :func:`export_dot`, each ending in a newline, one at a time."""
+    """The text of :func:`export_dot`, one chunk per time step.
+
+    The node block and the edge block are each built once as a format
+    template; every time step's nodes and every section's edges are then one
+    ``str.format`` call that substitutes only the times.
+    """
     if unrolled_sections < 0:
         raise ValueError("unrolled_sections must be >= 0")
     s_group = enc.state_group
-    nodes = [
-        (s_group.index_of(s), format_element(s_group, s)) for s in s_group.elements()
-    ]
-    edges = [
-        (
-            s_group.index_of(b.source),
-            s_group.index_of(b.target),
-            f"{format_element(enc.input_group, b.input)}/"
-            f"{format_element(enc.output_group, b.label)}",
-        )
+    index = s_group.index_of
+
+    def label(group, a) -> str:  # braces doubled: the label is literal template text
+        return format_element(group, a).replace("{", "{{").replace("}", "}}")
+
+    node_block = "".join(
+        f'  "t{{0}}_s{index(s)}" [label="{label(s_group, s)}"];\n' for s in s_group.elements()
+    )
+    edge_block = "".join(
+        f'  "t{{0}}_s{index(b.source)}" -> "t{{1}}_s{index(b.target)}" '
+        f'[label="{label(enc.input_group, b.input)}/{label(enc.output_group, b.label)}"];\n'
         for b in branches(enc)
-    ]
+    )
     yield "digraph trellis {\n"
     yield "  rankdir=LR;\n"
     yield "  node [shape=circle];\n"
-    times = max(unrolled_sections + 1, 1)
-    for t in range(times):
-        for i, name in nodes:
-            yield f'  "t{t}_s{i}" [label="{name}"];\n'
-    sections = unrolled_sections if unrolled_sections > 0 else 1
-    for t in range(sections):
-        dst_t = t + 1 if unrolled_sections > 0 else t
-        for src, dst, label in edges:
-            yield f'  "t{t}_s{src}" -> "t{dst_t}_s{dst}" [label="{label}"];\n'
+    for t in range(unrolled_sections + 1):
+        yield node_block.format(t)
+    if unrolled_sections == 0:
+        yield edge_block.format(0, 0)  # the state diagram: every edge stays at time 0
+    for t in range(unrolled_sections):
+        yield edge_block.format(t, t + 1)
     yield "}\n"
+

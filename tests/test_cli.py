@@ -209,6 +209,40 @@ class TestEncode:
     def test_bad_state_exits_2(self, spec_path):
         assert main(["encode", spec_path, "--state", "5,0", "--inputs", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--inputs", "1,,0"),
+            ("--inputs", ",1"),
+            ("--inputs", "1,"),
+            ("--state", "0,0,"),
+            ("--state", ",0,0"),
+        ],
+    )
+    def test_empty_coordinate_field_exits_2(self, spec_path, capsys, flag, value):
+        argv = ["encode", spec_path, "--state", "0,0", "--inputs", "0,1"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot parse coordinates {value!r}" in captured.err
+
+    def test_empty_strings_mean_no_coordinates(self, tmp_path, capsys):
+        # a trivial state group has the empty coordinate tuple as its one state
+        path = tmp_path / "stateless.json"
+        path.write_text(json.dumps({
+            "U": {"factors": [2]},
+            "S": {"factors": []},
+            "Y": {"factors": [2]},
+            "nu": {"gen_images": [[]]},
+            "omega": {"gen_images": [[1]]},
+        }))
+        assert main(["encode", str(path), "--state", "", "--inputs", ""]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == []
+        assert main(["encode", str(path), "--state", "", "--inputs", "1,0"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [["1", "1", "()", "1"], ["2", "0", "()", "0"]]
+
 
 class TestTrellis:
     def test_write_state_diagram(self, spec_path, tmp_path, capsys):
@@ -224,7 +258,7 @@ class TestTrellis:
         assert text.count("->") == 24
         assert '"t3_s3"' in text
 
-    @pytest.mark.parametrize("sections", [0, 1, 7])
+    @pytest.mark.parametrize("sections", [0, 1, 2, 3, 7])
     def test_streamed_bytes_equal_export_dot(
         self, spec_path, tmp_path, capsys, systematic_encoder, sections
     ):

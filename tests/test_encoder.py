@@ -134,6 +134,26 @@ class TestEncodeForward:
     def test_empty_input_word(self, systematic_encoder):
         assert encode_forward(systematic_encoder, (1, 0), []) == ([], [])
 
+    def test_empty_input_word_still_checks_the_start_state(self, systematic_encoder):
+        with pytest.raises(WrongGroup):
+            encode_forward(systematic_encoder, (2, 0), [])
+
+    @pytest.mark.parametrize("foreign", [[2], [1, 0], []])
+    def test_foreign_symbol_mid_word_is_named(self, systematic_encoder, foreign):
+        word = [[0], [1], foreign, [1], [3]]  # list-typed symbols
+        message = f"input symbol {tuple(foreign)} is not in the input group"
+        with pytest.raises(WrongGroup) as info:
+            encode_forward(systematic_encoder, (0, 0), word)
+        assert str(info.value) == message
+
+    def test_list_typed_inputs(self, systematic_encoder):
+        as_lists = encode_forward(systematic_encoder, (1, 0), [[1], [0], [1]])
+        assert as_lists == encode_forward(systematic_encoder, (1, 0), [(1,), (0,), (1,)])
+
+    def test_list_typed_start_state(self, systematic_encoder):
+        as_list = encode_forward(systematic_encoder, [0, 1], [(1,), (0,)])
+        assert as_list == encode_forward(systematic_encoder, (0, 1), [(1,), (0,)])
+
     def test_linearity_of_the_encoding_map(self, systematic_encoder):
         # on a split extension the (initial state, input word) -> run map is
         # a homomorphism of direct products
@@ -337,6 +357,17 @@ class TestWindow:
         y = systematic_encoder.output_group
         w = Window(y, 0, ((0, 0), (1, 1), (0, 0), (0, 0)))
         assert w.trimmed() == Window(y, 1, ((1, 1),))
+
+    def test_first_foreign_symbol_is_named(self, systematic_encoder):
+        y = systematic_encoder.output_group
+        symbols = [[1, 0], [0, 1]] * 40 + [[0, 3], [2, 0], [0, 3]]
+        with pytest.raises(WrongGroup) as info:
+            Window(y, 0, symbols)
+        assert str(info.value).startswith("(0, 3) is not an element")
+
+    def test_list_typed_symbols_are_stored_as_tuples(self, systematic_encoder):
+        w = Window(systematic_encoder.output_group, 0, [[1, 0], [1, 0], [0, 1]])
+        assert w.symbols == ((1, 0), (1, 0), (0, 1))
 
     def test_same_sequence_ignores_padding(self, systematic_encoder):
         y = systematic_encoder.output_group

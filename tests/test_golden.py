@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -191,6 +192,28 @@ def test_stream_output_bytes(tmp_path, capsys, p, m):
     assert main(["trellis", str(spec), "--sections", "32", "--out", str(dot)]) == 0
     digests = {"encode": _sha256(table), "trellis": _sha256(dot.read_text())}
     assert digests == STREAM_CASES[(p, m)]
+
+
+# Z_12 coordinates: moduli above 10 print comma-joined, so this pins the
+# second branch of format_element in every label of the stream outputs
+WIDE_STREAM_DIGESTS = {
+    "encode": "6a3d14d6b44b4652af8b6e6e25a00b743bb425a656d5bdddc7f6a03e9729e2e5",
+    "trellis-k0": "2fa8108ed5317dbd14c7a1cf747eab95851aed815f049ce9545ae3ba690604c3",
+    "trellis-k3": "167c4a7386380eadeda4cb3f836d5ee0c248b678faedf66c51f004607e99c7b6",
+}
+
+
+def test_stream_output_bytes_with_comma_joined_labels(tmp_path, capsys):
+    spec = tmp_path / "encoder.json"
+    spec.write_text(json.dumps(_observed_shift_register(12, 2)))
+    word = ",".join(str((i * i + 3 * i + 1) % 12) for i in range(64))
+    argv = ["encode", str(spec), "--state", "5,11", "--inputs", word, "--zero-tail"]
+    assert main(argv) == 0
+    digests = {"encode": _sha256(capsys.readouterr().out)}
+    for k in (0, 3):
+        assert main(["trellis", str(spec), "--sections", str(k)]) == 0
+        digests[f"trellis-k{k}"] = _sha256(capsys.readouterr().out)
+    assert digests == WIDE_STREAM_DIGESTS
 
 
 def test_sweep_decides_each_encoder_once(monkeypatch):
@@ -391,6 +414,21 @@ def test_export_dot_builds_the_diagram_once(monkeypatch, systematic_encoder, sec
     built = _count_calls(monkeypatch, [trellis], "branches")
     export_dot(systematic_encoder, sections)
     assert len(built) == 1
+
+
+def test_codeword_witness_images_each_state_set_once_per_symbol(monkeypatch):
+    # a window revisits few state sets, so images are memoised per (set, symbol)
+    enc = encoder_from_spec(_observed_shift_register(2, 6))
+    start = (1, 0, 1, 1, 0, 1)
+    rng = random.Random(6)
+    word = [(rng.randrange(2),) for _ in range(2048)]
+    states, outputs = encode_forward(enc, start, word)
+    tail = zero_tail(enc, states[-1], max_len=65)
+    outputs += encode_forward(enc, states[-1], tail)[1]
+    images = _count_calls(monkeypatch, [trellis], "_image")
+    witness = codeword_witness(enc, Window(enc.output_group, 0, outputs))
+    assert witness is not None and witness[0] == start
+    assert len(images) <= 300  # one call per symbol and direction is over 4,000
 
 
 def test_codeword_witness_builds_the_diagram_once(monkeypatch, systematic_encoder):
