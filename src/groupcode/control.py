@@ -184,15 +184,6 @@ def _subgroup_is_cyclic(sub: Subgroup) -> bool:
     return any(_order(sub.parent.factors, a) == sub.order for a in sub.elements)
 
 
-def _escape(enc: Encoder, sources: int, allowed: int):
-    """The first step ``(s, u, image)`` from a state in ``sources`` to one outside ``allowed``."""
-    for s in _members(enc, sources):
-        for u in enc.input_group.elements():
-            image = enc.next_state_pair(u, s)
-            if not allowed >> enc.state_group.index_of(image) & 1:
-                return s, u, image
-
-
 def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     """Check the reachability-chain structure theory on a concrete encoder.
 
@@ -278,7 +269,7 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     check(
         "past_kernel_images_absorbed",
         absorbed is None,
-        lambda: (absorbed, *_escape(enc, kmask, masks[absorbed])),
+        lambda: (absorbed, list(_members(enc, escaped & ~masks[absorbed]))),
     )
 
     trap = next((i for i, m in enumerate(masks) if m != full and kmask & m & ~1), None)
@@ -294,13 +285,13 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     for k in range(2, len(masks)):
         if chain.levels[k].order == p * chain.levels[k - 1].order:
             layer, above = masks[k - 1] & ~masks[k - 2], masks[k] & ~masks[k - 1]
-            if _image(layer, table) & ~above:
-                fresh = (k, layer, above)
+            if stray := _image(layer, table) & ~above:
+                fresh = (k, stray)
                 break
     check(
         "fresh_level_inputs_escape",
         fresh is None,
-        lambda: (fresh[0], *_escape(enc, fresh[1], fresh[2])),
+        lambda: (fresh[0], list(_members(enc, fresh[1]))),
     )
 
     if verdict.controllable:

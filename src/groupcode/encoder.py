@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InvalidHom, NuNotSurjective, OmegaNotHom, PsiNotInjective, WrongGroup
 from .extension import ExtensionDecomposition, direct_sum_decomposition
@@ -42,8 +42,7 @@ class Encoder:
             raise WrongGroup("next-state map is not defined from the ambient group onto states")
         if self.output.source != dec.ambient or self.output.target != self.output_group:
             raise WrongGroup("output map is not defined from the ambient group onto outputs")
-        nu, omega = self.next_state._table, self.output._table
-        table = {pair: (nu[i], omega[i]) for pair, i in dec.pair_indices}
+        table = dict(zip(dec.pair_of, zip(self.next_state._table, self.output._table)))
         object.__setattr__(self, "_table", table)
 
     @property
@@ -199,20 +198,22 @@ def encode_forward(
     return states, outputs
 
 
+def _preimages(enc: Encoder, s: Element) -> Iterator[tuple[Element, Element]]:
+    """Pairs (u, r) stepping onto ``s``, u-major and r-minor: lexicographic pair order."""
+    table, states = enc._table, list(enc.state_group.elements())
+    for u in enc.input_group.elements():
+        for r in states:
+            if table[(u, r)][0] == s:
+                yield u, r
+
+
 def state_preimages(enc: Encoder, s: Element) -> list[tuple[Element, Element]]:
     """All pairs (u, r) stepping onto ``s``, in lexicographic pair order.
 
     There are always exactly ``|ambient| / |S|`` of them: the preimage of a
     state under a surjective homomorphism is a kernel coset.
     """
-    enc.state_group.check(s)
-    found = [
-        (u, r)
-        for u in enc.input_group.elements()
-        for r in enc.state_group.elements()
-        if enc.next_state_pair(u, r) == s
-    ]
-    return sorted(found, key=lambda pair: pair[0] + pair[1])
+    return list(_preimages(enc, enc.state_group.check(s)))
 
 
 def extend_past(
@@ -233,7 +234,7 @@ def extend_past(
     past_outputs: list[Element] = []
     target = enc.state_group.check(s0)
     for _ in range(depth):
-        u, prev = state_preimages(enc, target)[0]
+        u, prev = next(_preimages(enc, target))
         past_states.append(prev)
         past_inputs.append(u)
         past_outputs.append(enc.output_pair(u, prev))
@@ -350,7 +351,7 @@ def encoder_to_spec(enc: Encoder) -> dict:
     """
     dec = enc.decomposition
     expected = direct_sum_decomposition(dec.u_part, dec.s_part)
-    if dec.ambient.factors != expected.ambient.factors or dec.lifting != expected.lifting:
+    if dec.ambient != expected.ambient or dec.pair_of != expected.pair_of:
         raise ValueError("only split pair-coordinate encoders have a wire format")
     return {
         "U": {"factors": list(dec.u_part.factors)},

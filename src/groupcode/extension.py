@@ -1,12 +1,13 @@
 """Decompose a group with a chosen normal subgroup into pair coordinates.
 
-Given an ambient abelian group ``G`` and a subgroup ``N``, the decomposition
-carries an isomorphism of ``N`` onto a canonical group ``U``, an isomorphism
-of ``G/N`` onto a canonical group ``S``, a lifting that picks the
-lexicographically minimal representative of every coset, and the factor set
-measuring how far the lifting is from a homomorphism (computed from the
-lifting on first read).  Conjugation is trivial in an abelian group, so
-pairs ``(u, s)`` multiply by
+Given an ambient abelian group ``G`` and a subgroup ``N``, a decomposition
+stores one map: the pair ``(u, s)`` of every element of ``G``.  ``s`` names
+the element's coset in a canonical group ``S`` isomorphic to ``G/N``, and
+``u`` its residue over the coset's lift, the lexicographically minimal
+member, in a canonical group ``U`` isomorphic to ``N``.  The projection, the
+embedding of ``N``, the lifting and ``N`` are read from that map, and the
+factor set measures how far the lifting is from a homomorphism.
+Conjugation is trivial in an abelian group, so pairs multiply by
 
     (u1, s1) * (u2, s2) = (u1 + u2 + factor_set(s1, s2), s1 + s2)
 
@@ -43,26 +44,47 @@ class ExtensionKind(enum.Enum):
 class ExtensionDecomposition:
     """Pair-coordinate presentation of an ambient group over a normal subgroup.
 
-    The factor set is computed from the lifting the first time it is read:
-    tabulating an encoder never reads it, and it has ``|S|^2`` entries.
+    ``pair_of[i]`` is the pair ``(u, s)`` of the ambient element with index
+    ``i`` in ``ambient.elements()`` order.  Every other map is read from it
+    the first time it is used; tabulating an encoder reads only ``pair_of``.
     """
 
     ambient: FiniteAbelianGroup
-    normal: Subgroup
     u_part: FiniteAbelianGroup
     s_part: FiniteAbelianGroup
-    n_to_u: dict[Element, Element]
-    u_to_n: dict[Element, Element]
-    lifting: dict[Element, Element]
-    to_quotient: dict[Element, Element]
+    pair_of: tuple[tuple[Element, Element], ...]
+
+    @cached_property
+    def to_quotient(self) -> dict[Element, Element]:
+        """The projection ``G -> S``, in ``ambient.elements()`` order."""
+        return {g: s for g, (_, s) in zip(self.ambient.elements(), self.pair_of)}
+
+    @cached_property
+    def n_to_u(self) -> dict[Element, Element]:
+        """The isomorphism ``N -> U``: the elements whose pair has the identity state."""
+        e_s = self.s_part.identity()
+        return {g: u for g, (u, s) in zip(self.ambient.elements(), self.pair_of) if s == e_s}
+
+    @cached_property
+    def u_to_n(self) -> dict[Element, Element]:
+        return {u: n for n, u in self.n_to_u.items()}
+
+    @cached_property
+    def lifting(self) -> dict[Element, Element]:
+        """Each state's lift, the element with pair ``(e_U, s)``, in order of the coset minima."""
+        e_u = self.u_part.identity()
+        return {s: g for g, (u, s) in zip(self.ambient.elements(), self.pair_of) if u == e_u}
+
+    @cached_property
+    def normal(self) -> Subgroup:
+        return Subgroup(self.ambient, tuple(self.n_to_u))
 
     def pair_to_element(self, u: Element, s: Element) -> Element:
-        return self.ambient.add(self.lifting[s], self.u_to_n[u])
+        lift = self.lifting[self.s_part.check(s)]
+        return self.ambient.add(lift, self.u_to_n[self.u_part.check(u)])
 
     def element_to_pair(self, g: Element) -> tuple[Element, Element]:
-        s = self.to_quotient[g]
-        residue = self.ambient.sub(g, self.lifting[s])
-        return self.n_to_u[residue], s
+        return self.pair_of[self.ambient.index_of(self.ambient.check(g))]
 
     def pairs(self):
         for u in self.u_part.elements():
@@ -82,48 +104,29 @@ class ExtensionDecomposition:
                 table[(s1, s2)] = self.n_to_u[drift]
         return table
 
-    @cached_property
-    def pair_indices(self) -> tuple[tuple[tuple[Element, Element], int], ...]:
-        """Every pair in ``pairs()`` order with the ambient index of its element.
-
-        Computed once per decomposition and shared by every encoder built on
-        it, so tabulating an encoder costs no pair-map arithmetic.  Lifts and
-        embedded inputs are ambient members, so their sum is unchecked.
-        """
-        index, moduli = self.ambient._index, self.ambient.factors
-        lifting, u_to_n = self.lifting, self.u_to_n
-        return tuple(
-            ((u, s), index[_add(moduli, lifting[s], u_to_n[u])]) for u, s in self.pairs()
-        )
-
 
 def decompose(ambient: FiniteAbelianGroup, normal: Subgroup) -> ExtensionDecomposition:
     """Decompose ``ambient`` over ``normal`` with deterministic labeling.
 
     The subgroup and quotient are recognized into canonical coordinate
-    groups; the lifting sends each quotient element to the lexicographically
-    minimal member of its coset, which in particular lifts the identity coset
-    to the identity.  :func:`quotient` lists the projection in ``elements()``
-    order, so that minimum is the first element projecting onto it.
+    groups.  :func:`quotient` lists the projection in ``elements()`` order,
+    so the first element met in each coset is its minimum, which becomes the
+    coset's lift (the identity coset lifts to the identity).  Every other
+    element ``g`` of the coset gets the pair ``(n_to_u[g - lift], s)``.
     """
     s_part, to_quotient = quotient(ambient, normal)  # checks that normal is a subgroup
     u_part, n_to_u = recognize_with_iso(list(normal.elements), ambient.add)
-    u_to_n = {u: n for n, u in n_to_u.items()}
+    moduli, e_u = ambient.factors, u_part.identity()
 
-    lifting: dict[Element, Element] = {}
-    for g, s in to_quotient.items():  # elements() order: each coset's minimum comes first
-        lifting.setdefault(s, g)
-
-    return ExtensionDecomposition(
-        ambient=ambient,
-        normal=normal,
-        u_part=u_part,
-        s_part=s_part,
-        n_to_u=n_to_u,
-        u_to_n=u_to_n,
-        lifting=lifting,
-        to_quotient=to_quotient,
-    )
+    neg_lift: dict[Element, Element] = {}
+    pair_of = []
+    for g, s in to_quotient.items():
+        if s in neg_lift:
+            pair_of.append((n_to_u[_add(moduli, g, neg_lift[s])], s))
+        else:
+            neg_lift[s] = tuple(-c % d for c, d in zip(g, moduli))
+            pair_of.append((e_u, s))
+    return ExtensionDecomposition(ambient, u_part, s_part, tuple(pair_of))
 
 
 def direct_sum_decomposition(
@@ -133,26 +136,13 @@ def direct_sum_decomposition(
 
     Unlike :func:`decompose`, the components keep the caller's coordinates
     verbatim (no recognition step), so states and inputs print exactly as
-    supplied.  The factor set is identically zero.
+    supplied: the pair of an element is its coordinate split.  The factor
+    set is identically zero.
     """
     ambient = direct_sum(u_part, s_part)
-    zero_s = s_part.identity()
-    zero_u = u_part.identity()
-    members = tuple(u + zero_s for u in u_part.elements())
-    normal = Subgroup(ambient, members)
-    n_to_u = {u + zero_s: u for u in u_part.elements()}
-    u_to_n = {u: u + zero_s for u in u_part.elements()}
-    lifting = {s: zero_u + s for s in s_part.elements()}
-    to_quotient = {g: g[len(u_part.factors):] for g in ambient.elements()}
+    k = u_part.rank
     return ExtensionDecomposition(
-        ambient=ambient,
-        normal=normal,
-        u_part=u_part,
-        s_part=s_part,
-        n_to_u=n_to_u,
-        u_to_n=u_to_n,
-        lifting=lifting,
-        to_quotient=to_quotient,
+        ambient, u_part, s_part, tuple((g[:k], g[k:]) for g in ambient.elements())
     )
 
 
@@ -162,23 +152,29 @@ def extension_product(
     pair2: tuple[Element, Element],
 ) -> tuple[Element, Element]:
     """Multiply two pairs; the second coordinate is always the state sum."""
-    u1, s1 = pair1
-    u2, s2 = pair2
-    u = dec.u_part.add(dec.u_part.add(u1, u2), dec.factor_set[(s1, s2)])
-    return u, dec.s_part.add(s1, s2)
+    for u, s in (pair1, pair2):
+        dec.u_part.check(u)
+        dec.s_part.check(s)
+    return _product(dec, pair1, pair2)
+
+
+def _product(dec: ExtensionDecomposition, pair1, pair2) -> tuple[Element, Element]:
+    """Unchecked product of two pairs known to lie in ``U x S``."""
+    (u1, s1), (u2, s2) = pair1, pair2
+    u_moduli = dec.u_part.factors
+    u = _add(u_moduli, _add(u_moduli, u1, u2), dec.factor_set[(s1, s2)])
+    return u, _add(dec.s_part.factors, s1, s2)
 
 
 def verify_decomposition(dec: ExtensionDecomposition) -> bool:
-    """Check the pair map transports the ambient operation onto the pair product."""
+    """Check the pair map is a bijection onto ``U x S`` carrying sums to pair products."""
     ambient = dec.ambient
-    pair_of = {dec.pair_to_element(u, s): (u, s) for u, s in dec.pairs()}
-    if len(pair_of) != ambient.order:
+    if len(dec.pair_of) != ambient.order or set(dec.pair_of) != set(dec.pairs()):
         return False
-    elements = list(ambient.elements())
-    for g1 in elements:
-        p1 = pair_of[g1]
-        for g2 in elements:
-            if extension_product(dec, p1, pair_of[g2]) != pair_of[ambient.add(g1, g2)]:
+    pair_of = dict(zip(ambient.elements(), dec.pair_of))
+    for g1, p1 in pair_of.items():
+        for g2, p2 in pair_of.items():
+            if _product(dec, p1, p2) != pair_of[_add(ambient.factors, g1, g2)]:
                 return False
     return True
 

@@ -160,6 +160,33 @@ class TestOracleDisagreement:
         assert "chain_levels_are_subgroups" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_absorbed_kernel_witness_is_the_stray_states(self, tmp_path, capsys, monkeypatch):
+        # next state (s1, s2, s3) -> (s3, s2, u): the past kernel is {000, 100}
+        # (mask 0b10001) inside the stable level {000, 001, 100, 101}; adding
+        # state 010 (bit 2) to the kernel's image, which no single step
+        # reaches, fails the predicate with the stray states as counterexample
+        path = tmp_path / "forgetful.json"
+        path.write_text(json.dumps({
+            "U": {"factors": [2]},
+            "S": {"factors": [2, 2, 2]},
+            "Y": {"factors": [2, 2, 2, 2]},
+            "nu": {"gen_images": [[0, 0, 1], [0, 0, 0], [0, 1, 0], [1, 0, 0]]},
+            "omega": {"gen_images": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+        }))
+        original = control._image
+        monkeypatch.setattr(
+            control,
+            "_image",
+            lambda mask, table: original(mask, table) | (1 << 2 if mask == 0b10001 else 0),
+        )
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "groupcode: structural predicate violated: predicate "
+            "'past_kernel_images_absorbed' violated, counterexample: (2, [(0, 1, 0)])\n"
+        )
+
     def test_violation_survives_pickling(self):
         # sweep workers return exceptions to the parent process by pickling
         exc = pickle.loads(pickle.dumps(PredicateViolation("index_is_minimal", (1, (1, 1)))))
@@ -208,6 +235,34 @@ class TestEncode:
 
     def test_bad_state_exits_2(self, spec_path):
         assert main(["encode", spec_path, "--state", "5,0", "--inputs", "0"]) == 2
+
+    def test_input_list_must_fill_the_input_rank(self, tmp_path, capsys):
+        path = tmp_path / "rank2.json"
+        path.write_text(json.dumps({
+            "U": {"factors": [2, 2]},
+            "S": {"factors": [2]},
+            "Y": {"factors": [2, 2]},
+            "nu": {"gen_images": [[1], [0], [1]]},
+            "omega": {"gen_images": [[1, 0], [0, 1], [0, 0]]},
+        }))
+        assert main(["encode", str(path), "--inputs", "1,0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "groupcode: input list length 3 is not a multiple of the input rank 2\n"
+        )
+
+    def test_start_state_defaults_to_identity(self, spec_path, capsys):
+        assert main(["encode", spec_path, "--inputs", "0,1,1"]) == 0
+        default = capsys.readouterr().out
+        assert main(["encode", spec_path, "--state", "0,0", "--inputs", "0,1,1"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_zero_tail_reports_an_unreachable_identity(self, frozen_path, capsys):
+        assert main(["encode", frozen_path, "--state", "1", "--zero-tail"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "zero tail: identity state unreachable within 5 steps"
+        assert len(lines) == 2  # the header follows, with no rows
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -326,6 +381,20 @@ class TestSweep:
         main(["sweep", "--p", "2,3", "--max-s-order", "3", "--out", str(out2)])
         assert capsys.readouterr().out == first_stdout
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "primes, max_s_order, message",
+        [
+            (",", "2", "no primes given"),
+            ("2,x", "2", "cannot parse prime list '2,x'"),
+            ("2", "0", "max_s_order must be at least 1"),
+        ],
+    )
+    def test_bad_grid_exits_2(self, capsys, primes, max_s_order, message):
+        assert main(["sweep", "--p", primes, "--max-s-order", max_s_order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"groupcode: {message}\n"
 
     def test_not_prime_exits_2(self, capsys):
         assert main(["sweep", "--p", "4", "--max-s-order", "2"]) == 2

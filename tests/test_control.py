@@ -6,6 +6,8 @@ import pytest
 
 from groupcode import (
     NotApplicable,
+    PredicateViolation,
+    control,
     decide_controllability,
     forward_chain,
     make_encoder,
@@ -260,6 +262,20 @@ class TestStructureReport:
     def test_prime_cyclic_boundary_note(self, one_step_encoder):
         report = structure_report(one_step_encoder, decide_controllability(one_step_encoder))
         assert "prime_cyclic_boundary" in report.notes
+
+    def test_fresh_level_witness_is_the_stray_states(self, systematic_encoder, monkeypatch):
+        # the level-1 layer is {01} (mask 0b10); once the chain is decided its
+        # image gains the identity state, which no single step reaches, so the
+        # counterexample lists the stray states instead of a step
+        verdict = decide_controllability(systematic_encoder)
+        original = control._image
+        monkeypatch.setattr(
+            control, "_image", lambda mask, table: original(mask, table) | (1 if mask == 0b10 else 0)
+        )
+        with pytest.raises(PredicateViolation) as caught:
+            structure_report(systematic_encoder, verdict)
+        assert caught.value.name == "fresh_level_inputs_escape"
+        assert caught.value.counterexample == (2, [(0, 0)])
 
     def test_composite_input_group_rejected(self):
         u, s = make_group([4]), make_group([4])

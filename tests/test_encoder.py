@@ -340,6 +340,19 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             encoder_to_spec(enc)
 
+    def test_non_coordinate_normal_subgroup_has_no_wire_form(self):
+        # Z2^3 over <(1, 1, 0)> has the split group's ambient and lifting, but
+        # (1, 0, 0) is the pair (1, 10), not the coordinate split (1, 00)
+        g = make_group([2, 2, 2])
+        dec = decompose(g, subgroup_generated(g, [(1, 1, 0)]))
+        split = direct_sum_decomposition(dec.u_part, dec.s_part)
+        assert dec.ambient == split.ambient and dec.lifting == split.lifting
+        assert dec.element_to_pair((1, 0, 0)) == ((1,), (1, 0))
+        nu = enumerate_homs(g, dec.s_part, surjective_only=True)[0]
+        enc = encoder_from_extension(dec, g, nu, identity_hom(g))
+        with pytest.raises(ValueError):
+            encoder_to_spec(enc)
+
     def test_malformed_spec_rejected(self):
         with pytest.raises(WrongGroup):
             encoder_from_spec({"U": {"factors": [2]}})

@@ -7,6 +7,7 @@ import pytest
 from groupcode import (
     ExtensionKind,
     NotApplicable,
+    WrongGroup,
     abelian_groups_of_order,
     all_subgroups,
     classify_prime_by_cyclic,
@@ -86,6 +87,24 @@ class TestDecompose:
             assert dec.factor_set[(s, e_s)] == zero
 
 
+class TestPairApi:
+    def test_foreign_element_raises_wrong_group(self, z4_halved):
+        with pytest.raises(WrongGroup):
+            z4_halved.element_to_pair((5,))
+
+    def test_foreign_input_raises_wrong_group(self, z4_halved):
+        with pytest.raises(WrongGroup):
+            z4_halved.pair_to_element((3,), (0,))
+
+    def test_foreign_state_in_product_raises_wrong_group(self, z4_halved):
+        with pytest.raises(WrongGroup):
+            extension_product(z4_halved, ((0,), (0,)), ((0,), (9,)))
+
+    def test_pair_of_is_indexed_by_ambient_order(self, z4_halved):
+        # cosets {0, 2} and {1, 3}; 2 and 3 sit one embedded 2 above their lifts
+        assert z4_halved.pair_of == (((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,)))
+
+
 class TestExtensionProduct:
     def test_identity_pair_is_neutral(self, klein_cube_split):
         dec = klein_cube_split
@@ -131,12 +150,28 @@ class TestVerifyDecomposition:
         assert not verify_decomposition(tampered)
 
     def test_exhaustive_small_orders(self):
-        # every (group, subgroup) pair up to order 32 decomposes correctly
+        # every (group, subgroup) pair up to order 32 decomposes correctly, and
+        # the maps read from the pair map are the quotient's projection, N and
+        # the coset minima; the split decomposition of each (U, S) pair is the
+        # coordinate split
+        split_checked = set()
         for order in range(1, 33):
             for g in abelian_groups_of_order(order):
                 for n in all_subgroups(g):
                     dec = decompose(g, n)
                     assert verify_decomposition(dec)
+                    assert dec.to_quotient == quotient(g, n)[1]
+                    assert dec.normal == n
+                    for lift in dec.lifting.values():
+                        assert lift == min(g.add(lift, x) for x in n.elements)
+                    assert list(dec.lifting.values()) == sorted(dec.lifting.values())
+                    if (dec.u_part, dec.s_part) not in split_checked:
+                        split_checked.add((dec.u_part, dec.s_part))
+                        split = direct_sum_decomposition(dec.u_part, dec.s_part)
+                        assert verify_decomposition(split)
+                        k = dec.u_part.rank
+                        for a, pair in zip(split.ambient.elements(), split.pair_of):
+                            assert pair == (a[:k], a[k:])
                     zero = dec.u_part.identity()
                     e_s = dec.s_part.identity()
                     for s1 in dec.s_part.elements():

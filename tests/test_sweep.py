@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 
 import pytest
@@ -23,7 +24,15 @@ from groupcode import (
 from groupcode import sweep as sweep_module
 from groupcode.control import forward_chain
 from groupcode.encoder import encoder_from_extension
-from groupcode.groups import enumerate_homs, identity_hom
+from groupcode.groups import (
+    all_subgroups,
+    enumerate_homs,
+    identity_hom,
+    invariant_factors,
+    is_prime,
+    quotient,
+    recognize,
+)
 from groupcode.sweep import _evaluate_instance, _move, _moved_image, _symmetries
 
 
@@ -299,6 +308,42 @@ def test_rows_equal_full_enumeration(p, max_s_order):
     assert instances
     for instance in instances:
         assert _evaluate_instance(instance) == _reference_row(instance)
+
+
+def _surjection_count(g_factors, s_factors) -> int:
+    """|Surj(G, S)| by Moebius inversion over the subgroups H of S.
+
+    |Hom(G, H)| is the product of gcd(d, e) over the cyclic factors d of G
+    and e of H.  mu(H, S) is 0 unless S/H has squarefree invariant factors;
+    then it is the product over the primes q of (-1)^k q^(k(k-1)/2), with k
+    the q-rank of S/H (P. Hall, The Eulerian functions of a group, 1936).
+    """
+    s = make_group(s_factors)
+    total = 0
+    for h in all_subgroups(s):
+        q_factors = invariant_factors(quotient(s, h)[0])
+        top = q_factors[-1] if q_factors else 1  # every prime of S/H divides it
+        primes = [q for q in range(2, top + 1) if top % q == 0 and is_prime(q)]
+        if any(top % (q * q) == 0 for q in primes):
+            continue
+        ranks = [sum(d % q == 0 for d in q_factors) for q in primes]
+        mu = math.prod((-1) ** k * q ** (k * (k - 1) // 2) for q, k in zip(primes, ranks))
+        h_factors = recognize(list(h.elements), s.add).factors
+        total += mu * math.prod(math.gcd(d, e) for d in g_factors for e in h_factors)
+    return total
+
+
+@pytest.mark.parametrize(
+    "primes, max_s_order, dedup, rows",
+    [([2, 3], 9, True, 38), ([2, 3], 9, False, 91), ([5], 5, True, 7)],
+)
+def test_encoder_counts_match_moebius_inversion(primes, max_s_order, dedup, rows):
+    # counted independently of the orbit search: no hom is enumerated
+    report = sweep_theorems(primes, max_s_order, dedup=dedup, jobs=1)
+    assert len(report.rows) == rows
+    for row in report.rows:
+        expected = _surjection_count(row["ambient_factors"], row["state_factors"])
+        assert row["encoder_count"] == expected
 
 
 def test_violating_orbits_are_checked_member_by_member(monkeypatch):
