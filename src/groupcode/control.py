@@ -9,16 +9,20 @@ whole family of structural facts this package is built to verify on a
 concrete encoder and raises on any violation.
 
 State sets are bitmasks over ``state_group.index_of`` (the identity state is
-bit 0), and one-step images read the encoder's successor union table.  Masks
-and states convert through the state group's one element index.  Chain
-levels, the past kernel and counterexamples are element tuples; the
-``exact_reach`` oracle returns masks.
+bit 0), and the chain's one-step images read the encoder's successor union
+table.  The brute-force ``exact_reach`` oracle shares no code with the
+chain: it reads one next-state index column per input from the tabulated
+machine and pulls every start state's masks level by level.  Masks and
+states convert through the state group's one element index.  Chain levels,
+the past kernel and counterexamples are element tuples; the oracle returns
+masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import or_
 
 from .encoder import Encoder, _image, _lowest
 from .errors import NotApplicable, PredicateViolation
@@ -108,13 +112,23 @@ def exact_reach(enc: Encoder, max_len: int) -> list[list[int]]:
     """``result[L][i]`` is the mask of states reachable from state ``i`` in exactly L steps.
 
     A brute-force oracle over every start state, on bitmasks over
-    ``state_group.index_of``: a start state's level L + 1 is the one-step
-    image of its level L.
+    ``state_group.index_of``.  It pulls each level from the one before over
+    the transition graph, ``result[L + 1][i] = OR over u of
+    result[L][next(u, i)]``, reading one next-state index column per input
+    from the tabulated machine; it shares no code with the chain.
     """
-    table = enc._successors
-    result = [[1 << i for i in range(enc.state_group.order)]]
+    index = enc.state_group._index
+    columns = {u: [0] * len(index) for u in enc.input_group.elements()}
+    for (u, s), (nxt, _) in enc._table.items():
+        columns[u][index[s]] = index[nxt]
+    first, *rest = columns.values()
+    result = [[1 << i for i in range(len(index))]]
     for _ in range(max_len):
-        result.append([_image(mask, table) for mask in result[-1]])
+        prev = result[-1]
+        level = list(map(prev.__getitem__, first))
+        for column in rest:
+            level = list(map(or_, level, map(prev.__getitem__, column)))
+        result.append(level)
     return result
 
 
@@ -122,9 +136,10 @@ def decide_controllability(enc: Encoder) -> ControlVerdict:
     """Controllability verdict, cross-validated against brute-force reachability.
 
     The chain criterion (reaching the full state group) is checked against
-    exact L-step reachability from every state: at the claimed index every
+    exact L-step reachability from every state: the identity state's reach
+    follows the chain one step past its stop, at the claimed index every
     state reaches everything, one step earlier none does.  A disagreement
-    raises ``PredicateViolation`` with the step count and a witness state.
+    raises ``PredicateViolation`` with the step count and a witness.
     """
     chain = forward_chain(enc)
     controllable = chain.reaches_all
@@ -133,8 +148,8 @@ def decide_controllability(enc: Encoder) -> ControlVerdict:
     reach = exact_reach(enc, chain.stabilized_at + 1)
     s_group = enc.state_group
     full = (1 << s_group.order) - 1
-    for L in range(chain.stabilized_at + 1):
-        if reach[L][0] != chain._masks[L]:
+    for L in range(chain.stabilized_at + 2):
+        if reach[L][0] != chain._masks[min(L, chain.stabilized_at)]:
             raise PredicateViolation(
                 "chain_matches_exact_reach", (L, list(_members(enc, reach[L][0])))
             )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import NotApplicable
 from .groups import (
@@ -115,8 +115,9 @@ def decompose(ambient: FiniteAbelianGroup, normal: Subgroup) -> ExtensionDecompo
     element ``g`` of the coset gets the pair ``(n_to_u[g - lift], s)``.
     """
     s_part, to_quotient = quotient(ambient, normal)  # checks that normal is a subgroup
-    u_part, n_to_u = recognize_with_iso(list(normal.elements), ambient.add)
-    moduli, e_u = ambient.factors, u_part.identity()
+    moduli = ambient.factors
+    u_part, n_to_u = recognize_with_iso(list(normal.elements), partial(_add, moduli))
+    e_u = u_part.identity()
 
     neg_lift: dict[Element, Element] = {}
     pair_of = []

@@ -101,9 +101,7 @@ class FiniteAbelianGroup:
         return idx
 
     def add(self, a: Element, b: Element) -> Element:
-        if len(a) != len(self.factors) or len(b) != len(self.factors):
-            raise WrongGroup(f"coordinate length mismatch in group {self.factors}")
-        return _add(self.factors, a, b)
+        return _add(self.factors, self.check(a), self.check(b))
 
     def neg(self, a: Element) -> Element:
         self.check(a)

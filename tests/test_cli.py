@@ -119,6 +119,15 @@ def _corrupt_reach(monkeypatch, level, state, value):
     monkeypatch.setattr(control, "exact_reach", corrupted)
 
 
+def _image_based_reach(enc, max_len):
+    """An oracle that pushes every start state's mask through ``control._image``."""
+    table = enc._successors
+    result = [[1 << i for i in range(enc.state_group.order)]]
+    for _ in range(max_len):
+        result.append([control._image(mask, table) for mask in result[-1]])
+    return result
+
+
 class TestOracleDisagreement:
     @pytest.mark.parametrize(
         "level, state, value, name",
@@ -131,6 +140,8 @@ class TestOracleDisagreement:
                 lambda enc: (1 << enc.state_group.order) - 1,
                 "index_is_minimal",
             ),
+            # one step past the chain's stop at level 2
+            (3, (0, 0), lambda enc: 1, "chain_matches_exact_reach"),
         ],
     )
     def test_analyze_exits_1(self, spec_path, capsys, monkeypatch, level, state, value, name):
@@ -148,8 +159,22 @@ class TestOracleDisagreement:
 
     def test_level_that_is_not_a_subgroup_exits_1(self, spec_path, capsys, monkeypatch):
         # dropping state 11 (bit 3) from every image leaves the level
-        # {00, 01, 10}, which the oracle (built from the same one-step images)
-        # agrees with
+        # {00, 01, 10}; an oracle built from the same corrupted one-step
+        # images agrees with it, so the closure predicate is what fails
+        original = control._image
+        monkeypatch.setattr(
+            control, "_image", lambda mask, table: original(mask, table) & ~(1 << 3)
+        )
+        monkeypatch.setattr(control, "exact_reach", _image_based_reach)
+        assert main(["analyze", spec_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "chain_levels_are_subgroups" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_corrupted_image_alone_is_caught_by_the_oracle(self, spec_path, capsys, monkeypatch):
+        # the oracle pulls levels over the transition graph without ``_image``,
+        # so the level {00, 01, 10} disagrees with its exact two-step reach
         original = control._image
         monkeypatch.setattr(
             control, "_image", lambda mask, table: original(mask, table) & ~(1 << 3)
@@ -157,8 +182,11 @@ class TestOracleDisagreement:
         assert main(["analyze", spec_path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "chain_levels_are_subgroups" in captured.err
-        assert "Traceback" not in captured.err
+        assert captured.err == (
+            "groupcode: structural predicate violated: predicate "
+            "'chain_matches_exact_reach' violated, counterexample: "
+            "(2, [(0, 0), (0, 1), (1, 0), (1, 1)])\n"
+        )
 
     def test_absorbed_kernel_witness_is_the_stray_states(self, tmp_path, capsys, monkeypatch):
         # next state (s1, s2, s3) -> (s3, s2, u): the past kernel is {000, 100}

@@ -9,14 +9,20 @@ from groupcode import (
     PredicateViolation,
     control,
     decide_controllability,
+    decompose,
+    direct_sum,
+    encoder,
+    enumerate_homs,
     forward_chain,
     make_encoder,
     make_group,
     past_kernel,
     structure_report,
+    subgroup_generated,
 )
 from groupcode.control import _subgroup_is_cyclic, analysis_json, exact_reach
-from groupcode.groups import abelian_groups_of_order, all_subgroups, recognize
+from groupcode.encoder import encoder_from_extension
+from groupcode.groups import abelian_groups_of_order, all_subgroups, identity_hom, recognize
 from groupcode.sweep import enumerate_encoders, enumerate_extensions
 
 
@@ -243,6 +249,60 @@ class TestBitmasksAgainstTupleSets:
             assert chain.reaches_all == (len(levels[-1]) == enc.state_group.order)
             assert set(past_kernel(enc).elements) == _ref_past_kernel(enc)
             length = chain.stabilized_at + 1
+            assert reach_sets(enc, exact_reach(enc, length)) == _ref_exact_reach(enc, length)
+
+
+def _split_encoders(u_factors, s_factors):
+    """Every encoder on U + S whose next-state map is onto S, with the identity output."""
+    u, s = make_group(u_factors), make_group(s_factors)
+    ambient = direct_sum(u, s)
+    omega = identity_hom(ambient)
+    return [
+        make_encoder(u, s, ambient, nu, omega)
+        for nu in enumerate_homs(ambient, s, surjective_only=True)
+    ]
+
+
+def _nonsplit_encoders(factors, generator):
+    """Every encoder over the ambient group's decomposition by ``<generator>``."""
+    g = make_group(factors)
+    dec = decompose(g, subgroup_generated(g, [generator]))
+    return [
+        encoder_from_extension(dec, g, nu, identity_hom(g))
+        for nu in enumerate_homs(g, dec.s_part, surjective_only=True)
+    ]
+
+
+class TestOracleBeyondPrimeInputs:
+    @pytest.mark.parametrize(
+        "encoders",
+        [
+            pytest.param(lambda: _split_encoders([2, 2], [2, 2]), id="U=Z2xZ2"),
+            pytest.param(lambda: _split_encoders([4], [4]), id="U=Z4,S=Z4"),
+            pytest.param(lambda: _split_encoders([4], [2, 2]), id="U=Z4,S=Z2xZ2"),
+            pytest.param(lambda: _split_encoders([], [2, 2]), id="trivial-U"),
+            pytest.param(lambda: _split_encoders([], [3]), id="trivial-U,S=Z3"),
+            pytest.param(lambda: _split_encoders([3], []), id="trivial-S"),
+            pytest.param(lambda: _split_encoders([], []), id="trivial-U-and-S"),
+            pytest.param(lambda: _nonsplit_encoders([8], (4,)), id="Z8-over-4"),
+            pytest.param(lambda: _nonsplit_encoders([2, 2, 2], (1, 1, 0)), id="Z2^3-over-110"),
+        ],
+    )
+    def test_matches_tuple_set_reference(self, encoders):
+        encs = encoders()
+        assert encs
+        for enc in encs:
+            length = enc.state_group.order + 1
+            assert reach_sets(enc, exact_reach(enc, length)) == _ref_exact_reach(enc, length)
+
+    def test_never_reads_the_chain_images(self, systematic_encoder, monkeypatch):
+        def refuse(mask, table):
+            raise AssertionError("exact_reach read _image")
+
+        monkeypatch.setattr(control, "_image", refuse)
+        monkeypatch.setattr(encoder, "_image", refuse)
+        for enc in [systematic_encoder, *_split_encoders([4], [2, 2])]:
+            length = enc.state_group.order + 1
             assert reach_sets(enc, exact_reach(enc, length)) == _ref_exact_reach(enc, length)
 
 

@@ -7,6 +7,8 @@ import json
 import math
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -165,6 +167,28 @@ def test_analysis_bytes_at_scale(spec, chain_sizes, digest):
     payload = analysis_json(encoder_from_spec(spec))
     assert payload["chain_sizes"] == chain_sizes
     assert _sha256(_canonical(payload)) == digest
+
+
+def test_analyze_rate_half_shift_register_with_4096_states(tmp_path):
+    # (s1..s12) -> (s2..s12, u + s1) with output (u, s12): the brute-force
+    # oracle over all 4,096 start states has to finish well inside the timeout
+    m = 12
+    spec = _observed_shift_register(2, m)
+    spec["Y"] = {"factors": [2, 2]}
+    spec["omega"] = {"gen_images": [[1, 0]] + [[0, 0]] * (m - 1) + [[0, 1]]}
+    path = tmp_path / "shift-2^12.json"
+    path.write_text(json.dumps(spec))
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupcode", "analyze", str(path)],
+        capture_output=True,
+        timeout=60,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["controllable"]
+    assert payload["index"] == m
+    assert payload["chain_sizes"] == [2**i for i in range(m + 1)]
 
 
 STREAM_CASES = {

@@ -143,6 +143,15 @@ class TestArithmetic:
         with pytest.raises(WrongGroup):
             g.check((0, 5))
 
+    @pytest.mark.parametrize(
+        "op, a, b",
+        [("add", (5,), (0,)), ("add", (0,), (5,)), ("sub", (7,), (1,)), ("sub", (1,), (7,))],
+    )
+    def test_wrong_group_on_out_of_range_operand(self, op, a, b):
+        # out-of-range coordinates raise instead of wrapping modulo 4
+        with pytest.raises(WrongGroup):
+            getattr(make_group([4]), op)(a, b)
+
     def test_element_indexing_roundtrip(self):
         g = make_group([2, 3, 4])
         for i, a in enumerate(g.elements()):
