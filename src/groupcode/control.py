@@ -10,17 +10,17 @@ concrete encoder and raises on any violation.
 
 State sets are bitmasks over ``state_group.index_of`` (the identity state is
 bit 0), and the chain's one-step images read the encoder's successor union
-table.  The brute-force ``exact_reach`` oracle shares no code with the
-chain: it reads one next-state index column per input from the tabulated
-machine and pulls every start state's masks level by level.  Masks and
-states convert through the state group's one element index.  Chain levels,
-the past kernel and counterexamples are element tuples; the oracle returns
-masks.
+table.  The brute-force ``exact_reach`` oracle shares no code with the chain:
+it pulls every start state's masks level by level over the encoder's
+next-state columns ``enc._next``, which the past kernel and the report's
+kernel counts read too.  Chain levels, the past kernel and counterexamples
+are element tuples, converted through the state group's one element index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import compress
 from operator import or_
 
@@ -103,26 +103,20 @@ def past_kernel(enc: Encoder) -> Subgroup:
     identity state lead to distinct states.  Closure is not checked here:
     ``structure_report`` checks it once, as ``past_kernel_is_subgroup``.
     """
-    identity = enc.state_group.identity()
-    members = [s for (_, s), (nxt, _) in enc._table.items() if nxt == identity]
+    members = {enc.state_group.element_at(i) for c in enc._next for i, t in enumerate(c) if t == 0}
     return Subgroup(enc.state_group, tuple(members))
 
 
 def exact_reach(enc: Encoder, max_len: int) -> list[list[int]]:
     """``result[L][i]`` is the mask of states reachable from state ``i`` in exactly L steps.
 
-    A brute-force oracle over every start state, on bitmasks over
-    ``state_group.index_of``.  It pulls each level from the one before over
-    the transition graph, ``result[L + 1][i] = OR over u of
-    result[L][next(u, i)]``, reading one next-state index column per input
-    from the tabulated machine; it shares no code with the chain.
+    A brute-force oracle over every start state, on bitmasks over state
+    indices.  It pulls each level from the one before over the encoder's
+    next-state columns, ``result[L + 1][i] = OR over u of result[L][next(u, i)]``;
+    it shares no code with the chain.
     """
-    index = enc.state_group._index
-    columns = {u: [0] * len(index) for u in enc.input_group.elements()}
-    for (u, s), (nxt, _) in enc._table.items():
-        columns[u][index[s]] = index[nxt]
-    first, *rest = columns.values()
-    result = [[1 << i for i in range(len(index))]]
+    first, *rest = enc._next
+    result = [[1 << i for i in range(len(first))]]
     for _ in range(max_len):
         prev = result[-1]
         level = list(map(prev.__getitem__, first))
@@ -215,7 +209,6 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     chain = verdict.chain
     kernel = past_kernel(enc)
     s_group = enc.state_group
-    e_s = s_group.identity()
 
     masks = chain._masks
     table = enc._successors
@@ -251,11 +244,11 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     )
 
     # the pair map is a bijection onto the ambient group, and the pair (u, e_S)
-    # is the embedded input u, so both counts read the tabulated machine
-    kernel_in_ambient = sum(nxt == e_s for nxt, _ in enc._table.values())
+    # is the embedded input u, so both counts read the next-state columns
+    kernel_in_ambient = sum(c.count(0) for c in enc._next)
     check("ambient_kernel_size_is_input_order", kernel_in_ambient == p, lambda: kernel_in_ambient)
 
-    collapsing = sum(1 for u in enc.input_group.elements() if enc.next_state_pair(u, e_s) == e_s)
+    collapsing = sum(c[0] == 0 for c in enc._next)
     degenerate = collapsing == p
     one_step = chain.level(1)
     check(
@@ -309,41 +302,40 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
         lambda: (fresh[0], list(_members(enc, fresh[1]))),
     )
 
-    if verdict.controllable:
-        sizes_ok = all(
-            chain.levels[i].order == p ** i for i in range(verdict.index + 1)
-        )
-        check("controllable_level_sizes_are_p_powers", sizes_ok, chain.sizes)
-    else:
-        predicates["controllable_level_sizes_are_p_powers"] = True
+    check(
+        "controllable_level_sizes_are_p_powers",
+        not verdict.controllable
+        or all(chain.levels[i].order == p ** i for i in range(verdict.index + 1)),
+        chain.sizes,
+    )
 
-    cyclic_ok = True
-    cyclic_witness = None
-    for i in range(2, len(chain.levels) - 1):
-        if _subgroup_is_cyclic(chain.levels[i]) and not _subgroup_is_cyclic(chain.levels[i + 1]):
-            cyclic_ok = False
-            cyclic_witness = (i, chain.levels[i].elements, chain.levels[i + 1].elements)
-    check("cyclic_levels_stay_cyclic", cyclic_ok, lambda: cyclic_witness)
+    cyclic = cache(lambda i: _subgroup_is_cyclic(chain.levels[i]))  # each level at most once
+    uncyclic = next(
+        (i for i in range(2, chain.stabilized_at) if cyclic(i) and not cyclic(i + 1)), None
+    )
+    check(
+        "cyclic_levels_stay_cyclic",
+        uncyclic is None,
+        lambda: (uncyclic, chain.levels[uncyclic].elements, chain.levels[uncyclic + 1].elements),
+    )
 
     s_factors = invariant_factors(s_group)
-    s_cyclic = len(s_factors) <= 1
-    if s_cyclic and s_group.order > 1 and s_factors != (p,):
-        check("cyclic_state_group_blocks_control", not verdict.controllable, lambda: s_factors)
-    else:
-        predicates["cyclic_state_group_blocks_control"] = True
+    long_cyclic = len(s_factors) == 1 and s_factors != (p,)
+    check(
+        "cyclic_state_group_blocks_control",
+        not (long_cyclic and verdict.controllable),
+        lambda: s_factors,
+    )
     if s_factors == (p,):
         notes["prime_cyclic_boundary"] = (
             f"state group of prime order {p}: controllable={verdict.controllable}"
         )
 
-    if verdict.controllable:
-        check(
-            "controllable_state_group_is_elementary",
-            all(d == p for d in s_factors),
-            lambda: s_factors,
-        )
-    else:
-        predicates["controllable_state_group_is_elementary"] = True
+    check(
+        "controllable_state_group_is_elementary",
+        not verdict.controllable or all(d == p for d in s_factors),
+        lambda: s_factors,
+    )
 
     return StructureReport(
         prime=p,
@@ -367,15 +359,14 @@ def analysis_json(enc: Encoder) -> dict:
     """JSON-ready analysis payload: verdict, chain, past kernel, predicates."""
     verdict = decide_controllability(enc)
     report = structure_report(enc, verdict)
+    name = cache(_element_str)  # nested levels repeat states: format each one once
     return {
         "controllable": verdict.controllable,
         "index": verdict.index,
         "window_below_two": verdict.window_below_two,
-        "chain": [
-            [_element_str(s) for s in level.elements] for level in verdict.chain.levels
-        ],
+        "chain": [[name(s) for s in level.elements] for level in verdict.chain.levels],
         "chain_sizes": list(verdict.chain.sizes()),
-        "past_kernel": [_element_str(s) for s in report.past_kernel.elements],
+        "past_kernel": [name(s) for s in report.past_kernel.elements],
         "predicates": dict(sorted(report.predicates.items())),
         "degenerate_inputs": report.degenerate_inputs,
         "input_factors": list(enc.input_group.factors),

@@ -6,8 +6,10 @@ pair coordinates ``(u, s)``.  Construction validates the three defining
 conditions: the next-state map is surjective, the output map is a
 homomorphism, and the branch map ``(u, s) -> (s, output, next state)`` is
 injective.  Encoded sequences are bi-infinite with identity tails and are
-represented as finite windows.  Encoders read each hom's cached table and
-the state group's one element index.
+represented as finite windows.  Each encoder is tabulated once as columns
+``_next[j][i]`` (next-state index) and ``_out[j][i]`` (output) over input
+index ``j`` and state index ``i``, which every reader walks; elements become
+indices only at the API boundary, where a foreign one raises ``WrongGroup``.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .groups import Element, FiniteAbelianGroup, GroupHom
 class Encoder:
     """A validated homomorphic encoder over an extension decomposition.
 
-    ``next_state`` and ``output`` are homomorphisms on the ambient group;
-    their pair-coordinate views are read at construction from each hom's
-    table, built once per hom object (see :func:`hom_table`).
+    ``next_state`` and ``output`` are homomorphisms on the ambient group,
+    tabulated at construction into the columns ``_next`` and ``_out`` in one
+    pass over the pair map and each hom's cached table (see :func:`hom_table`).
     """
 
     decomposition: ExtensionDecomposition
@@ -42,8 +44,13 @@ class Encoder:
             raise WrongGroup("next-state map is not defined from the ambient group onto states")
         if self.output.source != dec.ambient or self.output.target != self.output_group:
             raise WrongGroup("output map is not defined from the ambient group onto outputs")
-        table = dict(zip(dec.pair_of, zip(self.next_state._table, self.output._table)))
-        object.__setattr__(self, "_table", table)
+        u_index, s_index = dec.u_part._index, dec.s_part._index
+        nxt = [[0] * len(s_index) for _ in u_index]
+        out = [[None] * len(s_index) for _ in u_index]
+        for (u, s), t, y in zip(dec.pair_of, self.next_state._table, self.output._table):
+            j, i = u_index[u], s_index[s]
+            nxt[j][i], out[j][i] = s_index[t], y
+        vars(self).update(_next=nxt, _out=out)
 
     @property
     def input_group(self) -> FiniteAbelianGroup:
@@ -59,10 +66,8 @@ class Encoder:
 
     def step(self, u: Element, s: Element) -> tuple[Element, Element]:
         """Next state and output symbol for input ``u`` at state ``s``."""
-        try:
-            return self._table[(u, s)]
-        except KeyError:
-            raise WrongGroup(f"({u}, {s}) is not an input/state pair of this encoder")
+        j, i = _position(self.input_group, u), _position(self.state_group, s)
+        return self.state_group.element_at(self._next[j][i]), self._out[j][i]
 
     def next_state_pair(self, u: Element, s: Element) -> Element:
         return self.step(u, s)[0]
@@ -73,11 +78,20 @@ class Encoder:
     @cached_property
     def _successors(self) -> list[int]:
         """Union table of each state's one-step successor mask, built on first read."""
-        index = self.state_group._index
-        rows = [0] * len(index)
-        for (_, s), (nxt, _) in self._table.items():
-            rows[index[s]] |= 1 << index[nxt]
+        rows = [0] * self.state_group.order
+        for column in self._next:
+            for i, nxt in enumerate(column):
+                rows[i] |= 1 << nxt
         return _union_table(rows)
+
+
+def _position(group: FiniteAbelianGroup, a: Sequence[int]) -> int:
+    """Index of the coordinate sequence ``a`` in ``group.elements()``; WrongGroup if foreign."""
+    try:
+        return group._index[tuple(a)]
+    except (KeyError, TypeError):
+        pass
+    raise WrongGroup(f"{a} is not an element of the group with moduli {group.factors}")
 
 
 def _union_table(rows: list[int]) -> list[int]:
@@ -115,20 +129,18 @@ def _lowest(mask: int) -> int:
 def validate_encoder(enc: Encoder) -> Encoder:
     """Check the defining encoder conditions, raising a named error per clause.
 
-    Both conditions are read off the tabulated machine: surjectivity from the
-    set of next states, injectivity from the step of every nonzero input at
-    the identity state (the pair ``(u, e_S)`` is the embedded input ``u``).
+    Both conditions are read off the columns: surjectivity from their union,
+    injectivity from every nonzero input at the identity state (the pair
+    ``(u, e_S)`` is the embedded input ``u``; both identities have index 0).
     """
     dec = enc.decomposition
-    reached = {next_state for next_state, _ in enc._table.values()}
-    if len(reached) != dec.s_part.order:
-        missing = min(s for s in dec.s_part.elements() if s not in reached)
-        raise NuNotSurjective(missing)
-    e_s = dec.s_part.identity()
-    silent = (e_s, enc.output_group.identity())
-    for u in dec.u_part.elements():
-        if u != dec.u_part.identity() and enc.step(u, e_s) == silent:
-            raise PsiNotInjective((u, e_s))
+    missing = set(range(dec.s_part.order)).difference(*enc._next)
+    if missing:
+        raise NuNotSurjective(dec.s_part.element_at(min(missing)))
+    e_y = enc.output_group.identity()
+    for j in range(1, dec.u_part.order):
+        if enc._next[j][0] == 0 and enc._out[j][0] == e_y:
+            raise PsiNotInjective((dec.u_part.element_at(j), dec.s_part.identity()))
     return enc
 
 
@@ -179,32 +191,31 @@ def encode_forward(
     """Drive the recurrence forward from ``s0``; returns (states, outputs).
 
     ``states[i]`` is the state after consuming ``inputs[i]`` and
-    ``outputs[i]`` the symbol emitted while consuming it.  Each step is one
-    lookup in the encoder's table, whose keys are exactly the input/state
-    pairs: from a checked state, a missing key means a foreign input symbol.
+    ``outputs[i]`` the symbol emitted while consuming it.  Each step reads
+    the columns of the symbol's input index at the current state index.
     """
-    s = enc.state_group.check(tuple(s0))
-    table = enc._table
-    states: list[Element] = []
-    outputs: list[Element] = []
+    i = _position(enc.state_group, s0)
+    u_index, all_states = enc.input_group._index, list(enc.state_group._index)
+    next_cols, out_cols = enc._next, enc._out
+    states, outputs = [], []
     for u in inputs:
         u = tuple(u)
         try:
-            s, y = table[(u, s)]
+            j = u_index[u]
         except KeyError:
             raise WrongGroup(f"input symbol {u} is not in the input group") from None
-        states.append(s)
-        outputs.append(y)
+        outputs.append(out_cols[j][i])
+        i = next_cols[j][i]
+        states.append(all_states[i])
     return states, outputs
 
 
-def _preimages(enc: Encoder, s: Element) -> Iterator[tuple[Element, Element]]:
-    """Pairs (u, r) stepping onto ``s``, u-major and r-minor: lexicographic pair order."""
-    table, states = enc._table, list(enc.state_group.elements())
-    for u in enc.input_group.elements():
-        for r in states:
-            if table[(u, r)][0] == s:
-                yield u, r
+def _preimages(enc: Encoder, i: int) -> Iterator[tuple[int, int]]:
+    """Index pairs (j, r) stepping onto state index ``i``, j-major: lexicographic pair order."""
+    for j, column in enumerate(enc._next):
+        for r, nxt in enumerate(column):
+            if nxt == i:
+                yield j, r
 
 
 def state_preimages(enc: Encoder, s: Element) -> list[tuple[Element, Element]]:
@@ -213,7 +224,8 @@ def state_preimages(enc: Encoder, s: Element) -> list[tuple[Element, Element]]:
     There are always exactly ``|ambient| / |S|`` of them: the preimage of a
     state under a surjective homomorphism is a kernel coset.
     """
-    return list(_preimages(enc, enc.state_group.check(s)))
+    inputs, states = list(enc.input_group._index), list(enc.state_group._index)
+    return [(inputs[j], states[r]) for j, r in _preimages(enc, _position(enc.state_group, s))]
 
 
 def extend_past(
@@ -229,16 +241,14 @@ def extend_past(
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    past_states: list[Element] = []
-    past_inputs: list[Element] = []
-    past_outputs: list[Element] = []
-    target = enc.state_group.check(s0)
+    inputs, states = list(enc.input_group._index), list(enc.state_group._index)
+    past_states, past_inputs, past_outputs = [], [], []
+    target = _position(enc.state_group, s0)
     for _ in range(depth):
-        u, prev = next(_preimages(enc, target))
-        past_states.append(prev)
-        past_inputs.append(u)
-        past_outputs.append(enc.output_pair(u, prev))
-        target = prev
+        j, target = next(_preimages(enc, target))
+        past_states.append(states[target])
+        past_inputs.append(inputs[j])
+        past_outputs.append(enc._out[j][target])
     return past_states, past_inputs, past_outputs
 
 
@@ -250,24 +260,22 @@ def connected(enc: Encoder, s: Element, r: Element, max_len: int) -> list[Elemen
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    enc.state_group.check(s)
-    enc.state_group.check(r)
-    if s == r:
+    start, goal = _position(enc.state_group, s), _position(enc.state_group, r)
+    if start == goal:
         return []
-    inputs = list(enc.input_group.elements())
-    queue: deque[tuple[Element, tuple[Element, ...]]] = deque([(s, ())])
-    visited = {s}
+    queue: deque[tuple[int, tuple[int, ...]]] = deque([(start, ())])
+    visited = {start}
     while queue:
         state, word = queue.popleft()
         if len(word) >= max_len:
             continue
-        for u in inputs:
-            nxt = enc.next_state_pair(u, state)
+        for j, column in enumerate(enc._next):
+            nxt = column[state]
             if nxt in visited:
                 continue
-            extended = word + (u,)
-            if nxt == r:
-                return list(extended)
+            extended = word + (j,)
+            if nxt == goal:
+                return [enc.input_group.element_at(k) for k in extended]
             visited.add(nxt)
             queue.append((nxt, extended))
     return None
@@ -330,11 +338,8 @@ class Window:
         return Window(self.group, self.start + offset, self.symbols)
 
     def same_sequence(self, other: "Window") -> bool:
-        return (
-            self.group == other.group
-            and self.trimmed().start == other.trimmed().start
-            and self.trimmed().symbols == other.trimmed().symbols
-        )
+        a, b = self.trimmed(), other.trimmed()
+        return self.group == other.group and (a.start, a.symbols) == (b.start, b.symbols)
 
 
 # ---------------------------------------------------------------------------

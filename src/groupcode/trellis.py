@@ -1,4 +1,6 @@
-"""State diagrams, trellis paths, splices, and codeword membership."""
+"""State diagrams, trellis paths, splices, and codeword membership; diagrams
+and membership read the encoder's columns ``enc._next`` and ``enc._out``.
+"""
 
 from __future__ import annotations
 
@@ -23,12 +25,12 @@ class Branch:
 
 def branches(enc: Encoder) -> list[Branch]:
     """All transitions of the state diagram, state-major then input-minor."""
-    out = []
-    for s in enc.state_group.elements():
-        for u in enc.input_group.elements():
-            nxt, y = enc.step(u, s)
-            out.append(Branch(source=s, label=y, target=nxt, input=u))
-    return out
+    inputs, states = list(enc.input_group._index), list(enc.state_group._index)
+    return [
+        Branch(source=s, label=enc._out[j][i], target=states[enc._next[j][i]], input=u)
+        for i, s in enumerate(states)
+        for j, u in enumerate(inputs)
+    ]
 
 
 def concatenate(y1: Window, y2: Window, j: int) -> Window:
@@ -69,22 +71,21 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
     infinite identity-labeled past or future.  Among all witnesses the
     lexicographically smallest state sequence is returned.
 
-    State sets are bitmasks over ``state_group.index_of``, which is
-    lexicographic, so the lowest set bit is the least state.
+    State sets are bitmasks over state indices, which are lexicographic, so
+    the lowest set bit is the least state.
     """
     if window.group != enc.output_group:
         raise ValueError("window symbols are not in the encoder output group")
-    s_group = enc.state_group
-    states = list(s_group.elements())
+    states = list(enc.state_group._index)
     succ: dict[Element, list[int]] = {}
     pred: dict[Element, list[int]] = {}
-    for b in branches(enc):
-        if b.label not in succ:
-            succ[b.label] = [0] * len(states)
-            pred[b.label] = [0] * len(states)
-        source, target = s_group.index_of(b.source), s_group.index_of(b.target)
-        succ[b.label][source] |= 1 << target
-        pred[b.label][target] |= 1 << source
+    for column, outs in zip(enc._next, enc._out):
+        for source, (target, y) in enumerate(zip(column, outs)):
+            if y not in succ:
+                succ[y] = [0] * len(states)
+                pred[y] = [0] * len(states)
+            succ[y][source] |= 1 << target
+            pred[y][target] |= 1 << source
 
     symbols = window.symbols
     e_y = enc.output_group.identity()  # labels the branch (e_U, e_S) -> e_S
@@ -144,18 +145,20 @@ def _dot_lines(enc: Encoder, unrolled_sections: int) -> Iterator[str]:
     if unrolled_sections < 0:
         raise ValueError("unrolled_sections must be >= 0")
     s_group = enc.state_group
-    index = s_group.index_of
 
     def label(group, a) -> str:  # braces doubled: the label is literal template text
         return format_element(group, a).replace("{", "{{").replace("}", "}}")
 
     node_block = "".join(
-        f'  "t{{0}}_s{index(s)}" [label="{label(s_group, s)}"];\n' for s in s_group.elements()
+        f'  "t{{0}}_s{i}" [label="{label(s_group, s)}"];\n'
+        for i, s in enumerate(s_group.elements())
     )
+    input_labels = [label(enc.input_group, u) for u in enc.input_group.elements()]
     edge_block = "".join(
-        f'  "t{{0}}_s{index(b.source)}" -> "t{{1}}_s{index(b.target)}" '
-        f'[label="{label(enc.input_group, b.input)}/{label(enc.output_group, b.label)}"];\n'
-        for b in branches(enc)
+        f'  "t{{0}}_s{i}" -> "t{{1}}_s{enc._next[j][i]}" '
+        f'[label="{u}/{label(enc.output_group, enc._out[j][i])}"];\n'
+        for i in range(s_group.order)
+        for j, u in enumerate(input_labels)
     )
     yield "digraph trellis {\n"
     yield "  rankdir=LR;\n"

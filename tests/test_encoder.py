@@ -12,6 +12,7 @@ from groupcode import (
     PsiNotInjective,
     Window,
     WrongGroup,
+    connected,
     decompose,
     direct_sum,
     direct_sum_decomposition,
@@ -107,6 +108,49 @@ class TestMakeEncoder:
     def test_step_rejects_foreign_pairs(self, systematic_encoder):
         with pytest.raises(WrongGroup):
             systematic_encoder.step((1,), (2, 0))
+
+
+# each call takes a converter for its element arguments: list or tuple
+BOUNDARY_CALLS = {
+    "state_preimages": lambda enc, a: state_preimages(enc, a([0, 1])),
+    "extend_past": lambda enc, a: extend_past(enc, a([0, 1]), 1),
+    "zero_tail": lambda enc, a: zero_tail(enc, a([1, 0]), 5),
+    "connected": lambda enc, a: connected(enc, a([0, 0]), a([0, 1]), 5),
+    "step": lambda enc, a: enc.step(a([1]), (0, 0)),
+}
+
+
+@pytest.mark.parametrize("call", BOUNDARY_CALLS.values(), ids=BOUNDARY_CALLS.keys())
+def test_list_typed_elements_at_the_boundary(systematic_encoder, call):
+    assert call(systematic_encoder, list) == call(systematic_encoder, tuple)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda enc: state_preimages(enc, [2, 0]),
+        lambda enc: extend_past(enc, [0, 2], 1),
+        lambda enc: zero_tail(enc, (1,), 5),
+        lambda enc: connected(enc, [0, 0], [0, 0, 0], 5),
+        lambda enc: enc.step([2], (0, 0)),
+        lambda enc: enc.step((1,), [0, 5]),
+        lambda enc: enc.step(1, (0, 0)),
+        lambda enc: encode_forward(enc, [3, 0], []),
+    ],
+    ids=[
+        "state_preimages",
+        "extend_past",
+        "zero_tail",
+        "connected",
+        "step-input",
+        "step-state",
+        "step-scalar",
+        "encode_forward",
+    ],
+)
+def test_foreign_elements_at_the_boundary(systematic_encoder, call):
+    with pytest.raises(WrongGroup):
+        call(systematic_encoder)
 
 
 class TestEncodeForward:

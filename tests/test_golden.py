@@ -24,7 +24,7 @@ from groupcode import (
     trellis,
     zero_tail,
 )
-from groupcode.control import analysis_json, decide_controllability, structure_report
+from groupcode.control import analysis_json, decide_controllability, exact_reach, structure_report
 from groupcode.groups import (
     GroupHom,
     Subgroup,
@@ -38,7 +38,7 @@ from groupcode.groups import (
     recognize_with_iso,
 )
 from groupcode.cli import main
-from groupcode.encoder import encoder_from_spec, encoder_to_spec
+from groupcode.encoder import Encoder, encoder_from_spec, encoder_to_spec
 from groupcode.sweep import enumerate_encoders, enumerate_extensions, sweep_theorems
 from groupcode.trellis import codeword_witness, export_dot
 
@@ -433,11 +433,23 @@ def test_sweep_never_evaluates_a_hom_element_by_element(monkeypatch):
     assert evaluated == []
 
 
+def _refuse(monkeypatch, *targets) -> None:
+    """Make every ``(owner, name)`` raise when called: the columns must be read instead."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read the encoder's state-index columns instead")
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, refuse)
+
+
 @pytest.mark.parametrize("sections", [0, 1, 7])
 def test_export_dot_builds_the_diagram_once(monkeypatch, systematic_encoder, sections):
-    built = _count_calls(monkeypatch, [trellis], "branches")
-    export_dot(systematic_encoder, sections)
-    assert len(built) == 1
+    # the diagram is the encoder's columns, built at construction: the export
+    # builds no branch list and steps no element pair
+    expected = export_dot(systematic_encoder, sections)
+    _refuse(monkeypatch, (trellis, "branches"), (Encoder, "step"))
+    assert export_dot(systematic_encoder, sections) == expected
 
 
 def test_codeword_witness_images_each_state_set_once_per_symbol(monkeypatch):
@@ -461,6 +473,31 @@ def test_codeword_witness_builds_the_diagram_once(monkeypatch, systematic_encode
     states, outputs = encode_forward(enc, (0, 0), word)
     tail = zero_tail(enc, states[-1], max_len=8)
     outputs += encode_forward(enc, states[-1], tail)[1]
-    built = _count_calls(monkeypatch, [trellis], "branches")
-    assert codeword_witness(enc, Window(enc.output_group, 0, outputs)) is not None
-    assert len(built) == 1
+    window = Window(enc.output_group, 0, outputs)
+    expected = codeword_witness(enc, window)
+    _refuse(monkeypatch, (trellis, "branches"), (Encoder, "step"))
+    assert expected is not None
+    assert codeword_witness(enc, window) == expected
+
+
+@pytest.mark.parametrize("spec", [None, _observed_shift_register(2, 4)], ids=["README", "obs-2^4"])
+def test_control_reads_the_columns(monkeypatch, systematic_encoder, spec):
+    enc = systematic_encoder if spec is None else encoder_from_spec(spec)
+    verdict = decide_controllability(enc)
+    length = enc.state_group.order + 1
+    reach, payload = exact_reach(enc, length), analysis_json(enc)
+    report = structure_report(enc, verdict)
+    _refuse(monkeypatch, (trellis, "branches"), (Encoder, "step"))
+    assert exact_reach(enc, length) == reach
+    assert structure_report(enc, verdict).predicates == report.predicates
+    assert analysis_json(enc) == payload
+
+
+def test_analysis_json_formats_each_state_once(monkeypatch):
+    # the chain is nested, so the m = 6 levels list 127 states, 64 distinct
+    enc = encoder_from_spec(_observed_shift_register(2, 6))
+    formatted = _count_calls(monkeypatch, [control], "_element_str")
+    payload = analysis_json(enc)
+    listed = [s for level in payload["chain"] for s in level] + payload["past_kernel"]
+    assert len(listed) == 129
+    assert len(formatted) == len(set(listed)) == 64

@@ -1,23 +1,30 @@
 from __future__ import annotations
 
 import itertools
+import random
+
+import pytest
 
 from groupcode import (
+    Branch,
     Window,
     branches,
     codeword_witness,
     concatenate,
     connected,
+    decompose,
     encode_forward,
     export_dot,
     is_codeword,
     make_encoder,
     make_group,
+    state_preimages,
+    subgroup_generated,
     zero_tail,
 )
 from groupcode.encoder import encoder_from_extension
 from groupcode.errors import PsiNotInjective
-from groupcode.groups import abelian_groups_of_order, enumerate_homs
+from groupcode.groups import abelian_groups_of_order, enumerate_homs, format_element, identity_hom
 from groupcode.sweep import enumerate_extensions
 
 
@@ -307,3 +314,87 @@ class TestExportDot:
 
     def test_deterministic(self, systematic_encoder):
         assert export_dot(systematic_encoder, 2) == export_dot(systematic_encoder, 2)
+
+
+def _nonsplit_encoders(factors, generator):
+    """Every encoder over the ambient group's decomposition by ``<generator>``, with output G."""
+    g = make_group(factors)
+    dec = decompose(g, subgroup_generated(g, [generator]))
+    return [
+        encoder_from_extension(dec, g, nu, identity_hom(g))
+        for nu in enumerate_homs(g, dec.s_part, surjective_only=True)
+    ]
+
+
+def _checked_step(enc, u, s):
+    """Next state and output by checked hom evaluation at the pair's ambient element."""
+    g = enc.decomposition.pair_to_element(u, s)
+    return enc.next_state(g), enc.output(g)
+
+
+def _checked_run(enc, s, word):
+    states, outputs = [], []
+    for u in word:
+        s, y = _checked_step(enc, u, s)
+        states.append(s)
+        outputs.append(y)
+    return states, outputs
+
+
+@pytest.mark.parametrize(
+    "factors, generator", [([8], (4,)), ([2, 2, 2], (1, 1, 0))], ids=["Z8-over-4", "Z2^3-over-110"]
+)
+class TestNonsplitColumnsAgainstCheckedEvaluation:
+    def test_encode_forward(self, factors, generator):
+        rng = random.Random(15)
+        for enc in _nonsplit_encoders(factors, generator):
+            inputs = list(enc.input_group.elements())
+            word = [rng.choice(inputs) for _ in range(12)]
+            for s in enc.state_group.elements():
+                assert encode_forward(enc, s, word) == _checked_run(enc, s, word)
+
+    def test_state_preimages(self, factors, generator):
+        for enc in _nonsplit_encoders(factors, generator):
+            pairs = list(enc.decomposition.pairs())
+            for s in enc.state_group.elements():
+                expected = [(u, r) for u, r in pairs if _checked_step(enc, u, r)[0] == s]
+                assert state_preimages(enc, s) == expected
+
+    def test_dot_edge_lines(self, factors, generator):
+        for enc in _nonsplit_encoders(factors, generator):
+            s_group = enc.state_group
+            expected = []
+            for s in s_group.elements():
+                for u in enc.input_group.elements():
+                    nxt, y = _checked_step(enc, u, s)
+                    u_label = format_element(enc.input_group, u)
+                    y_label = format_element(enc.output_group, y)
+                    expected.append(
+                        f'  "t0_s{s_group.index_of(s)}" -> "t0_s{s_group.index_of(nxt)}" '
+                        f'[label="{u_label}/{y_label}"];'
+                    )
+            assert edge_lines(export_dot(enc, 0)) == expected
+
+    def test_codeword_witness_on_a_zero_tailed_word(self, factors, generator):
+        rng = random.Random(15)
+        checked = 0
+        for enc in _nonsplit_encoders(factors, generator):
+            diagram = []
+            for s in enc.state_group.elements():
+                for u in enc.input_group.elements():
+                    nxt, y = _checked_step(enc, u, s)
+                    diagram.append(Branch(source=s, label=y, target=nxt, input=u))
+            assert branches(enc) == diagram  # the reference witness reads branches()
+            inputs = list(enc.input_group.elements())
+            e_s = enc.state_group.identity()
+            states, outputs = _checked_run(enc, e_s, [rng.choice(inputs) for _ in range(10)])
+            tail = zero_tail(enc, states[-1], max_len=enc.state_group.order + 1)
+            if tail is None:
+                continue
+            outputs += _checked_run(enc, states[-1], tail)[1]
+            window = Window(enc.output_group, 0, tuple(outputs))
+            witness = codeword_witness(enc, window)
+            assert witness is not None
+            assert witness == reference_witness(enc, window)
+            checked += 1
+        assert checked
