@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from typing import Iterable
@@ -21,7 +22,7 @@ from .control import analysis_json
 from .encoder import encode_forward, encoder_from_spec, zero_tail
 from .errors import GroupCodeError, NotPrime, PredicateViolation, TooLarge
 from .groups import format_element
-from .sweep import sweep_theorems
+from .sweep import _json_pieces, sweep_theorems
 from .trellis import _dot_lines
 
 _EPILOG = (
@@ -162,8 +163,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except PredicateViolation as exc:
         return _fail(f"structural predicate violated: {exc}", 1)
     _emit([report.summary_table(), "\n"])
-    payload = _json_text(report.to_json_dict())
-    _emit(["\n", payload] if args.out is None else [payload], args.out)
+    pieces = _json_pieces(report)
+    _emit(itertools.chain(["\n"], pieces) if args.out is None else pieces, args.out)
     print(f"sweep time: {report.elapsed_seconds:.2f}s", file=sys.stderr)
     return 1 if report.violations else 0
 

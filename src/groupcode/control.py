@@ -25,7 +25,7 @@ from itertools import compress
 from operator import or_
 
 from .encoder import Encoder, _image, _lowest
-from .errors import NotApplicable, PredicateViolation
+from .errors import NotApplicable, PredicateViolation, TooLarge
 from .groups import (
     Element,
     Subgroup,
@@ -34,6 +34,8 @@ from .groups import (
     is_p_power,
     is_prime,
 )
+
+STATE_GUARD = 2**14  # bound on |S|: the union table and each oracle level hold |S|^2 bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +135,13 @@ def decide_controllability(enc: Encoder) -> ControlVerdict:
     exact L-step reachability from every state: the identity state's reach
     follows the chain one step past its stop, at the claimed index every
     state reaches everything, one step earlier none does.  A disagreement
-    raises ``PredicateViolation`` with the step count and a witness.
+    raises ``PredicateViolation`` with the step count and a witness.  More
+    than ``STATE_GUARD`` states raise ``TooLarge`` before either is built.
     """
+    if enc.state_group.order > STATE_GUARD:
+        raise TooLarge(
+            f"|S| = {enc.state_group.order} exceeds the controllability guard {STATE_GUARD}"
+        )
     chain = forward_chain(enc)
     controllable = chain.reaches_all
     index = chain.stabilized_at if controllable else None

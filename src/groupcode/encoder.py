@@ -19,9 +19,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .errors import InvalidHom, NuNotSurjective, OmegaNotHom, PsiNotInjective, WrongGroup
+from .errors import (
+    InvalidHom,
+    NuNotSurjective,
+    OmegaNotHom,
+    PsiNotInjective,
+    TooLarge,
+    WrongGroup,
+)
 from .extension import ExtensionDecomposition, direct_sum_decomposition
 from .groups import Element, FiniteAbelianGroup, GroupHom
+
+PAIR_GUARD = 2**20  # bound on |U| * |S|: every table is built over all (u, s) pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +173,13 @@ def make_encoder(
 
     The maps may be given as ``GroupHom`` objects on
     ``direct_sum(u_part, s_part)`` or as raw generator-image tables
-    (input-group coordinates first, then states).
+    (input-group coordinates first, then states).  ``TooLarge`` is raised
+    before any table is built when ``|U| * |S|`` exceeds ``PAIR_GUARD``.
     """
+    if u_part.order * s_part.order > PAIR_GUARD:
+        raise TooLarge(
+            f"|U| * |S| = {u_part.order * s_part.order} exceeds the encoder guard {PAIR_GUARD}"
+        )
     dec = direct_sum_decomposition(u_part, s_part)
     ambient = dec.ambient
     if not isinstance(next_state, GroupHom):

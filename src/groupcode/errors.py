@@ -81,4 +81,9 @@ class NotPrime(GroupCodeError):
 
 
 class TooLarge(GroupCodeError):
-    """A sweep was requested beyond the exhaustive-search guard."""
+    """A request exceeds a size guard: its tables would not fit in memory or time.
+
+    A sweep grid beyond ``EXHAUSTIVE_GUARD`` or ``HOM_GUARD``, an encoder on
+    more than ``PAIR_GUARD`` (u, s) pairs, or a controllability decision on
+    more than ``STATE_GUARD`` states.
+    """

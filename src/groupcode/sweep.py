@@ -26,6 +26,8 @@ Rhea, Amer. Math. Monthly 2007); any subset of the stabiliser is sound.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 import operator
 import os
@@ -131,21 +133,37 @@ def enumerate_encoders(instance: ExtensionInstance) -> list[Encoder]:
 
 @dataclass(frozen=True, eq=False)
 class SweepReport:
-    """Aggregated verdicts and theorem tallies for a whole sweep."""
+    """Aggregated verdicts and theorem tallies for a whole sweep.
+
+    ``witnesses[k]`` lists the controllable encoders of ``rows[k]`` as
+    (next-state generator images, index) pairs.
+    """
 
     parameters: dict
     rows: list[dict]
-    controllable_encoders: list[dict]
+    witnesses: list[list[tuple[tuple[Element, ...], int]]]
     checks: dict
     totals: dict
     elapsed_seconds: float
 
+    @property
+    def controllable_encoders(self) -> list[dict]:
+        """Every controllable encoder as a dict: its row's head, images and index."""
+        return [
+            {**_head(row), "next_state_images": list(map(list, images)), "index": index}
+            for row, witnesses in zip(self.rows, self.witnesses)
+            for images, index in witnesses
+        ]
+
     def to_json_dict(self) -> dict:
         """Canonical JSON payload; excludes timing so reruns are byte-identical."""
+        return self._payload(self.controllable_encoders)
+
+    def _payload(self, controllable_encoders) -> dict:
         return {
             "parameters": self.parameters,
             "instances": self.rows,
-            "controllable_encoders": self.controllable_encoders,
+            "controllable_encoders": controllable_encoders,
             "checks": self.checks,
             "totals": self.totals,
         }
@@ -175,6 +193,72 @@ class SweepReport:
             min_index = str(min(indices)) if indices else "-"
             lines.append(f"{p:>3}  {s_text:<14} {enc:>6} {ctrl:>6} {min_index:>9} {bad:>10}")
         return "\n".join(lines)
+
+
+_HEAD = ("p", "state_factors", "ambient_factors", "normal_generator")
+_HOLE = "\0"  # a placeholder: no rendered value holds a raw NUL, and json escapes it
+
+
+def _head(row: dict) -> dict:
+    return {key: row[key] for key in _HEAD}
+
+
+def _nested(text: str, depth: int) -> str:
+    """Standalone ``indent=2`` JSON ``text`` as a value ``depth`` levels deep.
+
+    JSON text holds no raw newline, so every newline in it is layout.
+    """
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _list_glue(depth: int) -> list[str]:
+    """Opening, separator and closing of a non-empty list ``depth`` levels deep."""
+    two = json.dumps([_HOLE, _HOLE], indent=2)
+    return [_nested(glue, depth) for glue in two.split(json.dumps(_HOLE))]
+
+
+def _json_pieces(report: SweepReport) -> Iterator[str]:
+    """The text of ``json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\\n"``.
+
+    ``json`` renders every piece; this only puts them together, so the
+    listed encoders are never built as dicts and the text is never held
+    whole.  Each row's entries come from one template, the entry rendered
+    with placeholders for its index and next-state images, and each distinct
+    generator image is rendered once.
+    """
+    image_text = functools.cache(lambda image: _nested(json.dumps(image, indent=2), 4))
+    index_text = functools.cache(json.dumps)
+    # one image per ambient generator, so no next-state images list is empty
+    images_open, images_sep, images_close = _list_glue(3)
+
+    def entries() -> Iterator[str]:
+        for row, witnesses in zip(report.rows, report.witnesses):
+            entry = {**_head(row), "index": _HOLE + "i", "next_state_images": _HOLE + "n"}
+            template = (
+                _nested(json.dumps(entry, indent=2, sort_keys=True), 2)
+                .replace("{", "{{")
+                .replace("}", "}}")
+                .replace(json.dumps(_HOLE + "i"), "{0}")
+                .replace(json.dumps(_HOLE + "n"), "{1}")
+            )
+            for images, index in witnesses:
+                images_text = images_open + images_sep.join(map(image_text, images)) + images_close
+                yield template.format(index_text(index), images_text)
+
+    before, after = json.dumps(report._payload(_HOLE), indent=2, sort_keys=True).split(
+        json.dumps(_HOLE)
+    )
+    texts = entries()
+    first = next(texts, None)
+    yield before
+    if first is None:
+        yield json.dumps([])
+    else:
+        opening, separator, closing = _list_glue(1)
+        yield opening + first
+        yield from map(separator.__add__, texts)
+        yield closing
+    yield after + "\n"
 
 
 # beta: e_m -> a e_m + b e_i for (a, b) = forward, the other generators fixed; inverse is
@@ -268,17 +352,12 @@ def _evaluate_instance(instance: ExtensionInstance) -> dict:
     """Verdict row for one instance, from one decided encoder per symmetry orbit.
 
     Counts are orbit sizes; controllable encoders are listed member by member
-    with their orbit's index.  An orbit whose first encoder fails a predicate
-    has every member evaluated alone, as evaluating every encoder would.
+    as (next-state images, index) pairs, with their orbit's index.  An orbit
+    whose first encoder fails a predicate has every member evaluated alone, as
+    evaluating every encoder would.
     """
     ambient, s_group, dec = instance.ambient, instance.state_group, instance.decomposition
     omega = identity_hom(ambient)
-    head = {
-        "p": instance.prime,
-        "state_factors": list(s_group.factors),
-        "ambient_factors": list(ambient.factors),
-        "normal_generator": list(instance.normal_generator),
-    }
 
     def evaluate(images):
         enc = encoder_from_extension(dec, ambient, GroupHom(ambient, s_group, images), omega)
@@ -308,12 +387,15 @@ def _evaluate_instance(instance: ExtensionInstance) -> dict:
             violations += [violation] if violation else []
             index = verdict.index
         if index is not None:
-            controllable.append({**head, "next_state_images": list(map(list, images)), "index": index})
+            controllable.append((images, index))
     return {
-        **head,
+        "p": instance.prime,
+        "state_factors": list(s_group.factors),
+        "ambient_factors": list(ambient.factors),
+        "normal_generator": list(instance.normal_generator),
         "encoder_count": encoder_count,
         "controllable_count": len(controllable),
-        "min_index": min((c["index"] for c in controllable), default=None),
+        "min_index": min((index for _, index in controllable), default=None),
         "predicate_violations": len(violations),
         "violation_details": violations,
         "controllable": controllable,
@@ -412,7 +494,7 @@ def sweep_theorems(
             "deduplicated": dedup,
         },
         rows=[{key: value for key, value in row.items() if key != "controllable"} for row in rows],
-        controllable_encoders=[entry for row in rows for entry in row["controllable"]],
+        witnesses=[row["controllable"] for row in rows],
         checks=checks,
         totals={
             "instances": len(rows),

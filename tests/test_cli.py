@@ -107,6 +107,46 @@ class TestAnalyze:
         assert "Traceback" not in err
 
 
+def _rate_half_shift_register(m: int) -> dict:
+    """``(s1..sm) -> (s2..sm, u + s1)`` over Z2^m with output ``(u, sm)``."""
+    unit = [[int(i == j) for j in range(m)] for i in range(m)]
+    return {
+        "U": {"factors": [2]},
+        "S": {"factors": [2] * m},
+        "Y": {"factors": [2, 2]},
+        "nu": {"gen_images": [unit[m - 1]] + [unit[(i - 1) % m] for i in range(m)]},
+        "omega": {"gen_images": [[1, 0]] + [[0, 0]] * (m - 1) + [[0, 1]]},
+    }
+
+
+def _limit_address_space() -> None:
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["encode", "--inputs", "1"]], ids=["analyze", "encode"]
+)
+def test_oversized_spec_exits_2_at_once(tmp_path, argv):
+    # 2^25 (u, s) pairs: refused before any table is built; under a 1 GB
+    # address-space limit a build would die of MemoryError and exit 1
+    path = tmp_path / "shift-2^24.json"
+    path.write_text(json.dumps(_rate_half_shift_register(24)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupcode", argv[0], str(path), *argv[1:]],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"groupcode: invalid encoder spec {str(path)!r}: "
+        "|U| * |S| = 33554432 exceeds the encoder guard 1048576\n"
+    )
+
+
 def _corrupt_reach(monkeypatch, level, state, value):
     """Make the brute-force oracle report the mask ``value`` for ``state`` at ``level``."""
     original = control.exact_reach
@@ -445,6 +485,20 @@ class TestSweep:
         assert proc.stderr == (
             "groupcode: p * max_s_order = 1000000000000000003 exceeds the exhaustive guard 256\n"
         )
+
+    def test_unwritable_out_exits_3(self, capsys):
+        out = "/nonexistent-dir-for-test/r.json"
+        assert main(["sweep", "--p", "2", "--max-s-order", "2", "--out", out]) == 3
+        assert "groupcode: cannot write" in capsys.readouterr().err
+
+    def test_report_bytes_do_not_depend_on_jobs(self, tmp_path, monkeypatch):
+        reports = []
+        for jobs in ("1", "2"):
+            monkeypatch.setenv("GROUPCODE_JOBS", jobs)
+            out = tmp_path / f"jobs-{jobs}.json"
+            assert main(["sweep", "--p", "2,3", "--max-s-order", "6", "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_hom_count_guard_exits_2(self, capsys):
         # p * |S| = 64 passes the ambient guard; Z2^6 -> Z2^5 has 2^30 homs

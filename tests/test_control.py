@@ -7,6 +7,7 @@ import pytest
 from groupcode import (
     NotApplicable,
     PredicateViolation,
+    TooLarge,
     control,
     decide_controllability,
     decompose,
@@ -156,6 +157,15 @@ class TestDecide:
         assert verdict.controllable
         assert verdict.index == 0
         assert verdict.window_below_two
+
+    def test_oversized_state_group_refused(self, monkeypatch):
+        # 2^15 states: the union table and each oracle level would hold 2^30 bits
+        u, s, y = make_group([]), make_group([2] * 15), make_group([2])
+        unit = [[int(i == j) for j in range(15)] for i in range(15)]
+        enc = make_encoder(u, s, y, unit, [[0]] * 15)
+        monkeypatch.setattr(control, "forward_chain", None)
+        with pytest.raises(TooLarge, match="exceeds the controllability guard"):
+            decide_controllability(enc)
 
 
 class TestExactReach:

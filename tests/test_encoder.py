@@ -10,6 +10,7 @@ from groupcode import (
     NuNotSurjective,
     OmegaNotHom,
     PsiNotInjective,
+    TooLarge,
     Window,
     WrongGroup,
     connected,
@@ -99,6 +100,13 @@ class TestMakeEncoder:
         nu = [[0, 1], [0, 1], [1, 0]]
         with pytest.raises(OmegaNotHom):
             make_encoder(u, s, y, nu, [[1], [0], [0]])  # order-4 image of order-2 generator
+
+    def test_oversized_pair_set_refused_before_tabulation(self, monkeypatch):
+        # 2^21 (u, s) pairs: refused before the decomposition lists them
+        monkeypatch.setattr("groupcode.encoder.direct_sum_decomposition", None)
+        u, s, y = make_group([2]), make_group([2] * 20), make_group([2])
+        with pytest.raises(TooLarge, match="exceeds the encoder guard"):
+            make_encoder(u, s, y, [[0] * 20] * 21, [[0]] * 21)
 
     def test_bad_next_state_images_raise(self):
         u, s, y = make_group([2]), make_group([4]), make_group([4])

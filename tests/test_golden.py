@@ -39,7 +39,7 @@ from groupcode.groups import (
 )
 from groupcode.cli import main
 from groupcode.encoder import Encoder, encoder_from_spec, encoder_to_spec
-from groupcode.sweep import enumerate_encoders, enumerate_extensions, sweep_theorems
+from groupcode.sweep import _json_pieces, enumerate_encoders, enumerate_extensions, sweep_theorems
 from groupcode.trellis import codeword_witness, export_dot
 
 
@@ -117,6 +117,20 @@ def _readme_block(language: str) -> str:
 def test_readme_quick_start_runs(capsys):
     exec(compile(_readme_block("python"), str(README), "exec"), {})
     assert capsys.readouterr().out == "True 2\n"
+
+
+@pytest.mark.parametrize(
+    "max_s_order, dedup, digest",
+    [
+        (6, True, "33a78e4962662e8bf32570067a726e7be3dae9569241290efa23f918dbb4aaa8"),
+        (9, True, "f62d30b989cfdcdd782e083c6a4a4498af3b212b8c9d3f78971e0f50be7e1766"),
+        (9, False, "ddb82189b918d1277c62c2809dbe773fbc5c66e3ba276ac6830fd95244a7927d"),
+    ],
+)
+def test_streamed_sweep_report_bytes(max_s_order, dedup, digest):
+    # the pieces the CLI writes hash to the pinned digests of the indented dump
+    report = sweep_theorems([2, 3], max_s_order, dedup=dedup, jobs=1)
+    assert _sha256("".join(_json_pieces(report))) == digest
 
 
 def test_readme_wire_format_round_trips():

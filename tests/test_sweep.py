@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -33,7 +34,13 @@ from groupcode.groups import (
     quotient,
     recognize,
 )
-from groupcode.sweep import _evaluate_instance, _move, _moved_image, _symmetries
+from groupcode.sweep import (
+    _evaluate_instance,
+    _json_pieces,
+    _move,
+    _moved_image,
+    _symmetries,
+)
 
 
 class TestEnumerateExtensions:
@@ -275,18 +282,12 @@ def _reference_row(instance, report=structure_report) -> dict:
         except PredicateViolation as exc:
             violations.append({"predicate": exc.name, "counterexample": repr(exc.counterexample)})
         if verdict.controllable:
-            controllable.append(
-                {
-                    **head,
-                    "next_state_images": [list(img) for img in enc.next_state.gen_images],
-                    "index": verdict.index,
-                }
-            )
+            controllable.append((enc.next_state.gen_images, verdict.index))
     return {
         **head,
         "encoder_count": len(encoders),
         "controllable_count": len(controllable),
-        "min_index": min((c["index"] for c in controllable), default=None),
+        "min_index": min((index for _, index in controllable), default=None),
         "predicate_violations": len(violations),
         "violation_details": violations,
         "controllable": controllable,
@@ -361,6 +362,40 @@ def test_violating_orbits_are_checked_member_by_member(monkeypatch):
         assert row == _reference_row(instance, report)
         failing += row["predicate_violations"]
     assert failing > 100
+
+
+def _indented_dump(report) -> str:
+    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "primes, max_s_order, dedup", [([2, 3], 9, True), ([2, 3], 9, False), ([5], 9, True)]
+)
+def test_streamed_report_equals_the_indented_dump(primes, max_s_order, dedup):
+    report = sweep_theorems(primes, max_s_order, dedup=dedup, jobs=1)
+    assert report.controllable_encoders
+    assert "".join(_json_pieces(report)) == _indented_dump(report)
+
+
+def test_streamed_report_without_controllable_encoders():
+    full = sweep_theorems([2, 3], 6, jobs=1)
+    report = dataclasses.replace(full, witnesses=[[] for _ in full.rows])
+    assert report.to_json_dict()["controllable_encoders"] == []
+    assert "".join(_json_pieces(report)) == _indented_dump(report)
+
+
+def test_streamed_report_carries_violation_details(monkeypatch):
+    # the stand-in predicate of the member-by-member test: its counterexample
+    # reprs reach the report as strings with quotes, parentheses and commas
+    def report(enc, verdict):
+        if len(verdict.chain.levels) == 2:
+            raise PredicateViolation("two_levels", enc.next_state.gen_images)
+        return structure_report(enc, verdict)
+
+    monkeypatch.setattr(sweep_module, "structure_report", report)
+    swept = sweep_theorems([3], 9, jobs=1)
+    assert swept.checks["predicate_violations"] > 100
+    assert "".join(_json_pieces(swept)) == _indented_dump(swept)
 
 
 def _act(sym, s_group, images: tuple) -> tuple:
