@@ -38,8 +38,9 @@ class Encoder:
     """A validated homomorphic encoder over an extension decomposition.
 
     ``next_state`` and ``output`` are homomorphisms on the ambient group,
-    tabulated at construction into the columns ``_next`` and ``_out`` in one
-    pass over the pair map and each hom's cached table (see :func:`hom_table`).
+    tabulated at construction into the columns ``_next`` and ``_out``: each
+    hom's cached table (see :func:`hom_table`) is read in the decomposition's
+    shared pair-position order and cut into one slice per input.
     """
 
     decomposition: ExtensionDecomposition
@@ -53,13 +54,15 @@ class Encoder:
             raise WrongGroup("next-state map is not defined from the ambient group onto states")
         if self.output.source != dec.ambient or self.output.target != self.output_group:
             raise WrongGroup("output map is not defined from the ambient group onto outputs")
-        u_index, s_index = dec.u_part._index, dec.s_part._index
-        nxt = [[0] * len(s_index) for _ in u_index]
-        out = [[None] * len(s_index) for _ in u_index]
-        for (u, s), t, y in zip(dec.pair_of, self.next_state._table, self.output._table):
-            j, i = u_index[u], s_index[s]
-            nxt[j][i], out[j][i] = s_index[t], y
-        vars(self).update(_next=nxt, _out=out)
+        order, n_states = dec._by_position, dec.s_part.order
+        targets = map(self.next_state._table.__getitem__, order)
+        nxt = list(map(dec.s_part._index.__getitem__, targets))
+        out = list(map(self.output._table.__getitem__, order))
+        cuts = range(0, len(order), n_states)
+        vars(self).update(
+            _next=[nxt[k : k + n_states] for k in cuts],
+            _out=[out[k : k + n_states] for k in cuts],
+        )
 
     @property
     def input_group(self) -> FiniteAbelianGroup:

@@ -19,8 +19,10 @@ its value is the identity whenever either argument is the identity.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import Sequence
 
 from .errors import NotApplicable
 from .groups import (
@@ -46,13 +48,28 @@ class ExtensionDecomposition:
 
     ``pair_of[i]`` is the pair ``(u, s)`` of the ambient element with index
     ``i`` in ``ambient.elements()`` order.  Every other map is read from it
-    the first time it is used; tabulating an encoder reads only ``pair_of``.
+    the first time it is used; tabulating an encoder reads only
+    :attr:`_by_position`, which every encoder on the decomposition shares.
     """
 
     ambient: FiniteAbelianGroup
     u_part: FiniteAbelianGroup
     s_part: FiniteAbelianGroup
     pair_of: tuple[tuple[Element, Element], ...]
+
+    @cached_property
+    def _by_position(self) -> Sequence[int]:
+        """Ambient indices in pair-position order.
+
+        Entry ``index(u) * |S| + index(s)`` is the index of the ambient
+        element whose pair is ``(u, s)``, indices in ``elements()`` order.
+        """
+        u_index, s_index = self.u_part._index, self.s_part._index
+        n_states = len(s_index)
+        order = [0] * len(self.pair_of)
+        for g, (u, s) in enumerate(self.pair_of):
+            order[u_index[u] * n_states + s_index[s]] = g
+        return order
 
     @cached_property
     def to_quotient(self) -> dict[Element, Element]:
@@ -137,14 +154,15 @@ def direct_sum_decomposition(
 
     Unlike :func:`decompose`, the components keep the caller's coordinates
     verbatim (no recognition step), so states and inputs print exactly as
-    supplied: the pair of an element is its coordinate split.  The factor
-    set is identically zero.
+    supplied: the pair of an element is its coordinate split, so the pairs
+    in ``elements()`` order are the product of the components' elements and
+    the pair-position order is the identity.  The factor set is identically
+    zero.
     """
-    ambient = direct_sum(u_part, s_part)
-    k = u_part.rank
-    return ExtensionDecomposition(
-        ambient, u_part, s_part, tuple((g[:k], g[k:]) for g in ambient.elements())
-    )
+    pair_of = tuple(itertools.product(u_part.elements(), s_part.elements()))
+    dec = ExtensionDecomposition(direct_sum(u_part, s_part), u_part, s_part, pair_of)
+    vars(dec)["_by_position"] = range(len(pair_of))
+    return dec
 
 
 def extension_product(

@@ -8,11 +8,12 @@ moduli verbatim so pair coordinates survive (used by the encoder layer).
 Every subgroup closure (generated subgroups, the closure test, subgroup
 enumeration, heights) is one coset-growing span, :func:`_span`.  Every search
 for generator images (surjective homs, automorphisms, basis extraction in
-recognition) is one prefix-span search, :func:`_image_tuples`.  Every table
-of sums of generator multiples (hom tables, recognition coordinates) is one
-linear table, :func:`_linear_table`.  A hom is tabulated once and a group
-keeps one element index, both on first read.  Everything is immutable and
-safe to share across workers.
+recognition) is one prefix-span search, :func:`_image_tuples`.  A hom table
+is built one target coordinate at a time from the generator images (see
+:attr:`GroupHom._table`); recognition coordinates, which sum basis elements
+under an abstract operation, are one linear table, :func:`_linear_table`.  A
+hom is tabulated once and a group keeps one element index, both on first
+read.  Everything is immutable and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -589,17 +590,36 @@ class GroupHom:
 
     @cached_property
     def _table(self) -> tuple[Element, ...]:
-        """The :func:`hom_table`, built on first read."""
-        op, gens = partial(_add, self.target.factors), zip(self.source.factors, self.gen_images)
-        return tuple(_linear_table(op, self.target.identity(), gens))
+        """The :func:`hom_table`, built on first read.
+
+        Each target coordinate is one int column over the source elements,
+        grown from the last source generator to the first: an order-``n``
+        generator with coefficient ``a`` in a ``Z_d`` coordinate puts the
+        ``n`` multiples ``c * a mod d`` in front of the column built so far,
+        so a zero coefficient repeats the column ``n`` times.  The columns are
+        zipped into element tuples at the end.
+        """
+        columns = [[0] for _ in self.target.factors]
+        for n, img in zip(reversed(self.source.factors), reversed(self.gen_images)):
+            for k, (a, d) in enumerate(zip(img, self.target.factors)):
+                column = columns[k]
+                if a == 0:
+                    columns[k] = column * n
+                else:
+                    multiples = [c * a % d for c in range(n)]
+                    columns[k] = [(m + v) % d for m in multiples for v in column]
+        if not columns:  # the trivial target: every element maps to ()
+            return ((),) * self.source.order
+        return tuple(zip(*columns))
 
 
 def hom_table(h: GroupHom) -> list[Element]:
     """The image of every source element, in ``h.source.elements()`` order.
 
-    Built once per hom object, by one :func:`_linear_table` of unchecked adds
-    instead of ``|G| * rank`` checked ``scalar_mul``/``add`` calls through
-    ``h(a)``, which stays the checked evaluation.  Each call returns a new list.
+    Built once per hom object from the generator images, one target
+    coordinate at a time, instead of ``|G| * rank`` checked
+    ``scalar_mul``/``add`` calls through ``h(a)``, which stays the checked
+    evaluation.  Each call returns a new list.
     """
     return list(h._table)
 

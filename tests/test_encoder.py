@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from groupcode import (
+    FiniteAbelianGroup,
     GroupHom,
     InvalidHom,
     NuNotSurjective,
@@ -374,6 +375,70 @@ class TestLinearTabulation:
                                 assert enc.step(u, s) == (enc.next_state(g), enc.output(g))
         assert encoders == 3829
         assert nonsplit > 0
+
+
+def _assert_columns_match_checked_maps(enc) -> None:
+    """``_next`` and ``_out`` against the pair map and the checked homs, element by element."""
+    dec = enc.decomposition
+    u_part, s_part = dec.u_part, dec.s_part
+    assert [len(c) for c in enc._next] == [len(c) for c in enc._out] == [s_part.order] * u_part.order
+    positions = set()
+    for g, (u, s) in zip(dec.ambient.elements(), dec.pair_of):
+        j, i = u_part.index_of(u), s_part.index_of(s)
+        positions.add((j, i))
+        assert enc._next[j][i] == s_part.index_of(enc.next_state(g))
+        assert enc._out[j][i] == enc.output(g)
+    assert len(positions) == dec.ambient.order
+
+
+def _unit(m: int, i: int) -> list[int]:
+    return [int(k == i) for k in range(m)]
+
+
+def _shift_maps(m: int) -> list[list[int]]:
+    """``(s1..sm) -> (s2..sm, u + s1)``, input coordinate first."""
+    return [_unit(m, m - 1)] + [_unit(m, (i - 1) % m) for i in range(m)]
+
+
+def _split_registers():
+    """The split registers of the benchmark's analyze and stream decks."""
+    for p, ms in ((2, range(4, 9)), (3, range(3, 6))):
+        z_p = make_group([p])
+        for m in ms:
+            omega = [[1, 0]] + [[0, 0]] * (m - 1) + [[0, 1]]
+            shift = make_encoder(z_p, make_group([p] * m), make_group([p, p]), _shift_maps(m), omega)
+            yield f"shift-{p}^{m}", shift
+            # s -> s + u * p^(m-1) on Z_(p^m), output (u, s)
+            q = p**m
+            cyclic = FiniteAbelianGroup((q,))
+            y = FiniteAbelianGroup((p, q))
+            yield f"cyclic-{p}^{m}", make_encoder(z_p, cyclic, y, [[q // p], [1]], [[1, 0], [0, 1]])
+    for p, m in ((2, 4), (2, 5), (2, 6), (3, 3), (5, 2)):
+        z_p = make_group([p])
+        omega = [[0], [1]] + [[0]] * (m - 1)
+        yield f"obs-{p}^{m}", make_encoder(z_p, make_group([p] * m), z_p, _shift_maps(m), omega)
+
+
+class TestColumns:
+    def test_columns_on_the_undeduplicated_sweep_family(self):
+        # every encoder of every instance without dedup, p in {2, 3}, |S| <= 6
+        encoders = nonsplit = 0
+        for p in (2, 3):
+            for order in range(1, 7):
+                for state_group in abelian_groups_of_order(order):
+                    for instance in enumerate_extensions(p, state_group, dedup=False):
+                        dec = instance.decomposition
+                        zero = dec.u_part.identity()
+                        nonsplit += any(v != zero for v in dec.factor_set.values())
+                        for enc in enumerate_encoders(instance):
+                            _assert_columns_match_checked_maps(enc)
+                            encoders += 1
+        assert encoders == 429
+        assert nonsplit > 0
+
+    @pytest.mark.parametrize("enc", [pytest.param(enc, id=name) for name, enc in _split_registers()])
+    def test_columns_on_the_split_registers(self, enc):
+        _assert_columns_match_checked_maps(enc)
 
 
 class TestWireFormat:

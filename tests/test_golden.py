@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -63,6 +64,21 @@ def _count_calls(monkeypatch, modules, name: str) -> list:
     for module in modules:
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _count_builds(monkeypatch, cls, name: str) -> list:
+    """Wrap the cached property ``cls.name``; returns the log of instances it was built for."""
+    built = []
+    original = vars(cls)[name].func
+
+    def counted(self):
+        built.append(self)
+        return original(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return built
 
 
 def test_sweep_report_bytes():
@@ -307,10 +323,20 @@ def _instance(p, state_factors, ambient_factors):
 def test_enumerate_encoders_tabulates_each_map_once(monkeypatch, ambient_factors, count):
     # one table per next-state map, plus one for the identity output map they share
     instance = _instance(2, [2, 2], ambient_factors)
-    tabulated = _count_calls(monkeypatch, [groups], "_linear_table")
+    tabulated = _count_builds(monkeypatch, GroupHom, "_table")
     encoders = enumerate_encoders(instance)
     assert len(encoders) == count
     assert len(tabulated) == count + 1
+
+
+@pytest.mark.parametrize("ambient_factors", [(2, 2, 2), (2, 4)], ids=["Z2^3", "Z2xZ4"])
+def test_position_order_is_built_once_per_instance(monkeypatch, ambient_factors):
+    # every encoder of an instance reads its columns in the one shared order
+    instance = _instance(2, [2, 2], ambient_factors)
+    built = _count_builds(monkeypatch, extension.ExtensionDecomposition, "_by_position")
+    encoders = enumerate_encoders(instance)
+    assert len(encoders) > 1
+    assert built == [instance.decomposition]
 
 
 def test_state_index_is_built_once_per_instance(monkeypatch):

@@ -456,6 +456,24 @@ class TestHoms:
         for h in homs:
             assert hom_table(h) == [h(a) for a in src.elements()]
 
+    def test_hom_table_matches_checked_evaluation_exhaustively(self):
+        # every hom between every ordered pair: the trivial group, the
+        # non-canonical presentations Z4 + Z2 and Z2 + Z3, and Z3 x Z9,
+        # where the multiples of a coefficient wrap past the modulus
+        z2, z3, z4 = make_group([2]), make_group([3]), make_group([4])
+        groups = [
+            FiniteAbelianGroup(()),
+            z2,
+            make_group([6]),
+            direct_sum(z4, z2),
+            direct_sum(z2, z3),
+            FiniteAbelianGroup((3, 9)),
+            make_group([2, 2, 2]),
+        ]
+        for src, dst in itertools.product(groups, repeat=2):
+            for h in enumerate_homs(src, dst):  # never empty: the zero hom is one
+                assert hom_table(h) == [h(a) for a in src.elements()]
+
     def test_hom_table_returns_a_fresh_list(self):
         h = identity_hom(make_group([2, 4]))
         table = hom_table(h)
