@@ -219,19 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` reads, built once per process.
-
-    Parsing leaves a parser unchanged, so one serves every call; building it
-    costs more than parsing a command line.  :func:`build_parser` still
-    returns a fresh parser on each call.
-    """
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:

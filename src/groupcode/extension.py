@@ -154,13 +154,16 @@ def direct_sum_decomposition(
 
     Unlike :func:`decompose`, the components keep the caller's coordinates
     verbatim (no recognition step), so states and inputs print exactly as
-    supplied: the pair of an element is its coordinate split, so the pairs
-    in ``elements()`` order are the product of the components' elements and
-    the pair-position order is the identity.  The factor set is identically
-    zero.
+    supplied: the pair of an element is its coordinate split.  The factor
+    set is identically zero.
     """
     pair_of = tuple(itertools.product(u_part.elements(), s_part.elements()))
     dec = ExtensionDecomposition(direct_sum(u_part, s_part), u_part, s_part, pair_of)
+    # The ambient elements are the product of the components' elements, so
+    # the element at position index(u) * |S| + index(s) has that same index:
+    # seed the cached order with the identity instead of inverting pair_of
+    # (inverting it costs about 150 us, a fifth of an encoder build, at
+    # |U| * |S| = 729).
     vars(dec)["_by_position"] = range(len(pair_of))
     return dec
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from groupcode import PredicateViolation, cli, control
+from groupcode import PredicateViolation, control
 from groupcode.cli import main
 from groupcode.control import analysis_json
 from groupcode.trellis import export_dot
@@ -548,41 +548,3 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["controllable"] is True
-
-    def test_one_parser_serves_every_call(self, monkeypatch, capsys, spec_path):
-        # an argparse error, a command, help twice and a command-level error:
-        # the cached parser answers each exactly as a fresh parser does
-        sequence = [
-            ["encode"],
-            ["analyze", spec_path],
-            ["--help"],
-            ["--help"],
-            ["trellis", spec_path, "--sections", "-1"],
-        ]
-
-        def run_all() -> list:
-            results = []
-            for argv in sequence:
-                try:
-                    code = main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-                results.append((code, *capsys.readouterr()))
-            return results
-
-        built = []
-        original = cli.build_parser
-
-        def counted():
-            built.append(1)
-            return original()
-
-        monkeypatch.setattr(cli, "build_parser", counted)
-        cli._parser.cache_clear()
-        reused = run_all()
-        assert len(built) == 1
-        monkeypatch.setattr(cli, "_parser", cli.build_parser)
-        fresh = run_all()
-        assert len(built) == 1 + len(sequence)
-        assert reused == fresh
-        assert [code for code, _, _ in reused] == [2, 0, 0, 0, 2]

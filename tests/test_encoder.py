@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from groupcode import (
+    ExtensionDecomposition,
     FiniteAbelianGroup,
     GroupHom,
     InvalidHom,
@@ -439,6 +440,12 @@ class TestColumns:
     @pytest.mark.parametrize("enc", [pytest.param(enc, id=name) for name, enc in _split_registers()])
     def test_columns_on_the_split_registers(self, enc):
         _assert_columns_match_checked_maps(enc)
+
+    @pytest.mark.parametrize("enc", [pytest.param(enc, id=name) for name, enc in _split_registers()])
+    def test_split_position_order_is_the_inverted_pair_map(self, enc):
+        # direct_sum_decomposition seeds the identity order instead of inverting pair_of
+        dec = enc.decomposition
+        assert list(dec._by_position) == ExtensionDecomposition._by_position.func(dec)
 
 
 class TestWireFormat:
