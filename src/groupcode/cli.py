@@ -7,19 +7,24 @@ or invalid encoder spec), 3 output I/O error.  All outputs are
 byte-deterministic for identical inputs; sweep parallelism is bounded by the
 GROUPCODE_JOBS environment variable (default 1, at most the CPU count) and
 does not affect the output bytes.
+
+``encode`` runs on indices: the parsed input symbols become input indices,
+the encoder's shared forward walk turns them into pair positions
+``j * |S| + i``, and each distinct position's row tail is rendered once;
+elements appear only in that rendering.  ``trellis`` streams the chunks of
+:func:`groupcode.trellis._dot_lines`.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import sys
 from typing import Iterable
 
 from .control import analysis_json
-from .encoder import encode_forward, encoder_from_spec, zero_tail
+from .encoder import _input_indices, _walk, encoder_from_spec, zero_tail
 from .errors import GroupCodeError, NotPrime, PredicateViolation, TooLarge
 from .groups import format_element
 from .sweep import _json_pieces, sweep_theorems
@@ -90,16 +95,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.spec)
-    u_rank = len(enc.input_group.factors)
+    u_group, s_group = enc.input_group, enc.state_group
+    u_rank, n_states = len(u_group.factors), s_group.order
     if args.state is None:
-        s0_coords = enc.state_group.identity()
+        s0_coords = s_group.identity()
     else:
         s0_coords = tuple(_parse_coords(args.state))
-    if not enc.state_group.contains(s0_coords):
+    if not s_group.contains(s0_coords):
         return _fail(f"state {args.state!r} is not in the state group", 2)
     flat = _parse_coords(args.inputs) if args.inputs else []
     if u_rank == 0:
-        inputs = [() for _ in flat]
+        symbols = [()] * len(flat)
     else:
         if len(flat) % u_rank != 0:
             return _fail(
@@ -107,32 +113,36 @@ def _cmd_encode(args: argparse.Namespace) -> int:
                 f"input rank {u_rank}",
                 2,
             )
-        inputs = [tuple(flat[i : i + u_rank]) for i in range(0, len(flat), u_rank)]
-    states, outputs = encode_forward(enc, s0_coords, inputs)
-    rows = list(zip(inputs, states, outputs))
+        symbols = zip(*[iter(flat)] * u_rank)
+    # the frame stays in pair positions j * |S| + i until each row is rendered
+    next_pairs = list(itertools.chain.from_iterable(enc._next))
+    final = s_group._index[s0_coords]
+    positions = _walk(next_pairs, n_states, final, _input_indices(enc, symbols))
     lines = []
     if args.zero_tail:
-        final = states[-1] if states else s0_coords
-        padding = zero_tail(enc, final, max_len=enc.state_group.order + 1)
+        if positions:
+            final = next_pairs[positions[-1]]
+        padding = zero_tail(enc, s_group.element_at(final), max_len=n_states + 1)
         if padding is None:
             lines.append(
                 "zero tail: identity state unreachable "
-                f"within {enc.state_group.order + 1} steps\n"
+                f"within {n_states + 1} steps\n"
             )
         else:
-            pad_states, pad_outputs = encode_forward(enc, final, padding)
-            rows.extend(zip(padding, pad_states, pad_outputs))
-    # each distinct (u, s, y) row tail is rendered once, on first sight
-    @functools.cache
-    def tail(u, s, y) -> str:
+            positions += _walk(next_pairs, n_states, final, _input_indices(enc, padding))
+
+    def tail(p: int) -> str:  # the row after its number: input, next state, output
+        j, i = divmod(p, n_states)
         return (
-            f"  {format_element(enc.input_group, u):<8} "
-            f"{format_element(enc.state_group, s):<10} "
-            f"{format_element(enc.output_group, y):<10}\n"
+            f"  {format_element(u_group, u_group.element_at(j)):<8} "
+            f"{format_element(s_group, s_group.element_at(next_pairs[p])):<10} "
+            f"{format_element(enc.output_group, enc._out[j][i]):<10}\n"
         )
 
+    tails = {p: tail(p) for p in set(positions)}
     lines.append(f"{'i':>4}  {'u':<8} {'s':<10} {'y':<10}\n")
-    lines.extend(f"{i:>4}{tail(*row)}" for i, row in enumerate(rows, start=1))
+    numbers = map("{:>4}".format, range(1, len(positions) + 1))
+    lines.append("".join(map(str.__add__, numbers, map(tails.__getitem__, positions))))
     _emit(lines)
     return 0
 

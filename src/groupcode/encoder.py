@@ -17,7 +17,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     InvalidHom,
@@ -203,28 +204,42 @@ def make_encoder(
 # ---------------------------------------------------------------------------
 
 def encode_forward(
-    enc: Encoder, s0: Element, inputs: Sequence[Element]
+    enc: Encoder, s0: Element, inputs: Iterable[Element]
 ) -> tuple[list[Element], list[Element]]:
     """Drive the recurrence forward from ``s0``; returns (states, outputs).
 
     ``states[i]`` is the state after consuming ``inputs[i]`` and
-    ``outputs[i]`` the symbol emitted while consuming it.  Each step reads
-    the columns of the symbol's input index at the current state index.
+    ``outputs[i]`` the symbol emitted while consuming it.  The symbols become
+    input indices first; :func:`_walk` then visits one pair per symbol.
     """
     i = _position(enc.state_group, s0)
-    u_index, all_states = enc.input_group._index, list(enc.state_group._index)
-    next_cols, out_cols = enc._next, enc._out
-    states, outputs = [], []
-    for u in inputs:
-        u = tuple(u)
-        try:
-            j = u_index[u]
-        except KeyError:
-            raise WrongGroup(f"input symbol {u} is not in the input group") from None
-        outputs.append(out_cols[j][i])
-        i = next_cols[j][i]
-        states.append(all_states[i])
-    return states, outputs
+    next_pairs = list(chain.from_iterable(enc._next))
+    positions = _walk(next_pairs, enc.state_group.order, i, _input_indices(enc, inputs))
+    all_states, out_pairs = list(enc.state_group._index), list(chain.from_iterable(enc._out))
+    states = [all_states[next_pairs[p]] for p in positions]
+    return states, list(map(out_pairs.__getitem__, positions))
+
+
+def _input_indices(enc: Encoder, inputs: Iterable[Element]) -> list[int]:
+    """Input index of each symbol; the first foreign symbol raises ``WrongGroup``."""
+    try:
+        return list(map(enc.input_group._index.__getitem__, map(tuple, inputs)))
+    except KeyError as exc:
+        raise WrongGroup(f"input symbol {exc.args[0]} is not in the input group") from None
+
+
+def _walk(next_pairs: list[int], n_states: int, i: int, inputs: Iterable[int]) -> list[int]:
+    """Pair positions ``j * n_states + i`` visited from state index ``i`` by input indices.
+
+    ``next_pairs`` is the next-state column flattened input-major, so the
+    state index after position ``p`` is ``next_pairs[p]``.
+    """
+    positions = []
+    for j in inputs:
+        p = j * n_states + i
+        positions.append(p)
+        i = next_pairs[p]
+    return positions
 
 
 def _preimages(enc: Encoder, i: int) -> Iterator[tuple[int, int]]:
@@ -326,7 +341,7 @@ class Window:
     symbols: tuple[Element, ...]
 
     def __post_init__(self) -> None:
-        symbols = tuple(tuple(a) for a in self.symbols)
+        symbols = tuple(map(tuple, self.symbols))
         object.__setattr__(self, "symbols", symbols)
         for a in dict.fromkeys(symbols):
             self.group.check(a)

@@ -1,14 +1,19 @@
 """State diagrams, trellis paths, splices, and codeword membership; diagrams
 and membership read the encoder's columns ``enc._next`` and ``enc._out``.
+
+Membership runs on indices: states are bits of a mask and the window's
+symbols are output-label ids, so a witness becomes elements only when it is
+returned.  DOT export renders each label once and fills every time step of
+the pre-cut node and edge blocks with ``str.join``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterator
 
-from .encoder import Encoder, Window, _image, _lowest, _union_table
+from .encoder import Encoder, Window, _image, _union_table
 from .encoder import connected  # noqa: F401 - re-exported
 from .groups import Element, format_element
 
@@ -72,58 +77,77 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
     lexicographically smallest state sequence is returned.
 
     State sets are bitmasks over state indices, which are lexicographic, so
-    the lowest set bit is the least state.
+    the lowest set bit is the least state.  Output labels are numbered in
+    order of first appearance in the columns, and the window is read as label
+    ids: every table below is a list indexed by label id.
     """
     if window.group != enc.output_group:
         raise ValueError("window symbols are not in the encoder output group")
-    states = list(enc.state_group._index)
-    succ: dict[Element, list[int]] = {}
-    pred: dict[Element, list[int]] = {}
+    n_states = enc.state_group.order
+    label_id: dict[Element, int] = {}
+    succ: list[list[int]] = []
+    pred: list[list[int]] = []
     for column, outs in zip(enc._next, enc._out):
         for source, (target, y) in enumerate(zip(column, outs)):
-            if y not in succ:
-                succ[y] = [0] * len(states)
-                pred[y] = [0] * len(states)
-            succ[y][source] |= 1 << target
-            pred[y][target] |= 1 << source
+            k = label_id.get(y)
+            if k is None:
+                k = label_id[y] = len(succ)
+                succ.append([0] * n_states)
+                pred.append([0] * n_states)
+            succ[k][source] |= 1 << target
+            pred[k][target] |= 1 << source
 
-    symbols = window.symbols
-    e_y = enc.output_group.identity()  # labels the branch (e_U, e_S) -> e_S
-    labels = set(symbols) | {e_y}
-    if not labels <= succ.keys():
+    ids = list(map(label_id.get, window.symbols))
+    if None in ids:
         return None
-    forward = {y: _union_table(succ[y]) for y in labels}
-    backward = {y: _union_table(pred[y]) for y in labels}
-    full = (1 << len(states)) - 1
+    e_y = label_id[enc.output_group.identity()]  # labels the branch (e_U, e_S) -> e_S
+    forward: list[list[int]] = [[] for _ in succ]
+    backward: list[list[int]] = [[] for _ in succ]
+    for k in {e_y, *ids}:
+        forward[k], backward[k] = _union_table(succ[k]), _union_table(pred[k])
+    full = (1 << n_states) - 1
 
-    # a window revisits few state sets: each (set, symbol) image is taken once
-    forward_image = cache(lambda mask, y: _image(mask, forward[y]))
-    backward_image = cache(lambda mask, y: _image(mask, backward[y]))
-
+    # a window revisits few state sets: each label keeps its images by mask
+    images: list[dict[int, int]] = [{} for _ in succ]
     feasible = [_identity_core(forward[e_y], full)]
-    for symbol in symbols:
-        nxt = forward_image(feasible[-1], symbol)
-        if not nxt:
+    for k in ids:
+        mask = feasible[-1]
+        seen = images[k]
+        image = seen.get(mask)
+        if image is None:
+            image = seen[mask] = _image(mask, forward[k])
+        if not image:
             return None
-        feasible.append(nxt)
+        feasible.append(image)
     feasible[-1] &= _identity_core(backward[e_y], full)
     if not feasible[-1]:
         return None
-    for i in range(len(symbols) - 1, -1, -1):
-        feasible[i] &= backward_image(feasible[i + 1], symbols[i])
-        if not feasible[i]:
+    images = [{} for _ in succ]
+    for t in range(len(ids) - 1, -1, -1):
+        k, mask = ids[t], feasible[t + 1]
+        seen = images[k]
+        image = seen.get(mask)
+        if image is None:
+            image = seen[mask] = _image(mask, backward[k])
+        feasible[t] &= image
+        if not feasible[t]:
             return None
 
-    current = _lowest(feasible[0])
-    witness = [states[current]]
-    for i, symbol in enumerate(symbols):
-        current = _lowest(succ[symbol][current] & feasible[i + 1])
-        witness.append(states[current])
-    return witness
+    mask = feasible[0]
+    current = (mask & -mask).bit_length() - 1
+    path = [current]
+    for k, allowed in zip(ids, itertools.islice(feasible, 1, None)):
+        mask = succ[k][current] & allowed
+        current = (mask & -mask).bit_length() - 1
+        path.append(current)
+    return list(map(list(enc.state_group._index).__getitem__, path))
 
 
 def is_codeword(enc: Encoder, window: Window) -> bool:
     return codeword_witness(enc, window) is not None
+
+
+_SLOT = "\0"  # marks a time slot while a DOT block is cut into pieces
 
 
 def export_dot(enc: Encoder, unrolled_sections: int) -> str:
@@ -138,36 +162,41 @@ def export_dot(enc: Encoder, unrolled_sections: int) -> str:
 def _dot_lines(enc: Encoder, unrolled_sections: int) -> Iterator[str]:
     """The text of :func:`export_dot`, one chunk per time step.
 
-    The node block and the edge block are each built once as a format
-    template; every time step's nodes and every section's edges are then one
-    ``str.format`` call that substitutes only the times.
+    The node block and the edge block are each built once and cut at their
+    time slots.  A time step's nodes are the node pieces joined by the time;
+    a section's edges are one ``str.join`` of the edge pieces, with their
+    slots, which alternate ``t`` and ``t + 1``, filled by slice assignment.
     """
     if unrolled_sections < 0:
         raise ValueError("unrolled_sections must be >= 0")
     s_group = enc.state_group
-
-    def label(group, a) -> str:  # braces doubled: the label is literal template text
-        return format_element(group, a).replace("{", "{{").replace("}", "}}")
-
-    node_block = "".join(
-        f'  "t{{0}}_s{i}" [label="{label(s_group, s)}"];\n'
+    node_pieces = "".join(
+        f'  "t{_SLOT}_s{i}" [label="{format_element(s_group, s)}"];\n'
         for i, s in enumerate(s_group.elements())
-    )
-    input_labels = [label(enc.input_group, u) for u in enc.input_group.elements()]
-    edge_block = "".join(
-        f'  "t{{0}}_s{i}" -> "t{{1}}_s{enc._next[j][i]}" '
-        f'[label="{u}/{label(enc.output_group, enc._out[j][i])}"];\n'
+    ).split(_SLOT)
+    input_labels = [format_element(enc.input_group, u) for u in enc.input_group.elements()]
+    edge_pieces = "".join(
+        f'  "t{_SLOT}_s{i}" -> "t{_SLOT}_s{enc._next[j][i]}" '
+        f'[label="{u}/{format_element(enc.output_group, enc._out[j][i])}"];\n'
         for i in range(s_group.order)
         for j, u in enumerate(input_labels)
-    )
+    ).split(_SLOT)
+    edges = len(edge_pieces) // 2
+    edge_parts = [""] * (2 * len(edge_pieces) - 1)
+    edge_parts[::2] = edge_pieces
+
+    def section(t: int, t_next: int) -> str:
+        edge_parts[1::4] = [str(t)] * edges
+        edge_parts[3::4] = [str(t_next)] * edges
+        return "".join(edge_parts)
+
     yield "digraph trellis {\n"
     yield "  rankdir=LR;\n"
     yield "  node [shape=circle];\n"
     for t in range(unrolled_sections + 1):
-        yield node_block.format(t)
+        yield str(t).join(node_pieces)
     if unrolled_sections == 0:
-        yield edge_block.format(0, 0)  # the state diagram: every edge stays at time 0
+        yield section(0, 0)  # the state diagram: every edge stays at time 0
     for t in range(unrolled_sections):
-        yield edge_block.format(t, t + 1)
+        yield section(t, t + 1)
     yield "}\n"
-

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,11 @@ import pytest
 from groupcode import PredicateViolation, control
 from groupcode.cli import main
 from groupcode.control import analysis_json
+from groupcode.encoder import encode_forward, encoder_from_spec, zero_tail
+from groupcode.errors import WrongGroup
+from groupcode.groups import format_element
 from groupcode.trellis import export_dot
+from specs import INPUTLESS, RANK2_ACCUMULATOR, STATELESS, observed_shift_register
 
 EX_SPEC = {
     "U": {"factors": [2]},
@@ -353,18 +358,93 @@ class TestEncode:
     def test_empty_strings_mean_no_coordinates(self, tmp_path, capsys):
         # a trivial state group has the empty coordinate tuple as its one state
         path = tmp_path / "stateless.json"
-        path.write_text(json.dumps({
-            "U": {"factors": [2]},
-            "S": {"factors": []},
-            "Y": {"factors": [2]},
-            "nu": {"gen_images": [[]]},
-            "omega": {"gen_images": [[1]]},
-        }))
+        path.write_text(json.dumps(STATELESS))
         assert main(["encode", str(path), "--state", "", "--inputs", ""]) == 0
         assert capsys.readouterr().out.splitlines()[1:] == []
         assert main(["encode", str(path), "--state", "", "--inputs", "1,0"]) == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
         assert rows == [["1", "1", "()", "1"], ["2", "0", "()", "0"]]
+
+
+def reference_encode_table(enc, s0, word, with_zero_tail):
+    """The ``encode`` table on elements: ``encode_forward``, then one format per row."""
+    states, outputs = encode_forward(enc, s0, word)
+    rows = list(zip(word, states, outputs))
+    lines = []
+    if with_zero_tail:
+        final = states[-1] if states else s0
+        limit = enc.state_group.order + 1
+        padding = zero_tail(enc, final, max_len=limit)
+        if padding is None:
+            lines.append(f"zero tail: identity state unreachable within {limit} steps\n")
+        else:
+            rows += zip(padding, *encode_forward(enc, final, padding))
+    lines.append(f"{'i':>4}  {'u':<8} {'s':<10} {'y':<10}\n")
+    u_group, s_group, y_group = enc.input_group, enc.state_group, enc.output_group
+    for i, (u, s, y) in enumerate(rows, start=1):
+        lines.append(
+            f"{i:>4}  {format_element(u_group, u):<8} {format_element(s_group, s):<10} "
+            f"{format_element(y_group, y):<10}\n"
+        )
+    return "".join(lines)
+
+
+def _random_word(group, length, seed):
+    elements = list(group.elements())
+    rng = random.Random(seed)
+    return [rng.choice(elements) for _ in range(length)]
+
+
+class TestEncodeMatchesElementReference:
+    """``encode`` runs on pair indices; its bytes equal the element-path renderer."""
+
+    @pytest.mark.parametrize(
+        "spec, s0, length, with_zero_tail",
+        [
+            (RANK2_ACCUMULATOR, (1, 2), 40, True),
+            (RANK2_ACCUMULATOR, (0, 1), 40, False),
+            (INPUTLESS, (1,), 5, True),  # 1 -> 2 -> 1 never reaches 0
+            (INPUTLESS, (0,), 5, True),  # already at 0: the padding is empty
+            (STATELESS, (), 12, True),
+            (observed_shift_register(12, 2), (5, 11), 64, True),
+            (observed_shift_register(2, 4), (1, 0, 1, 1), 10_050, True),
+            (FROZEN_SPEC, (1,), 7, True),  # unreachable identity after a word
+        ],
+        ids=[
+            "rank2-zero-tail",
+            "rank2",
+            "inputless-unreachable",
+            "inputless-reachable",
+            "stateless",
+            "Z12-comma-joined",
+            "row-numbers-past-four-digits",
+            "frozen-unreachable",
+        ],
+    )
+    def test_bytes_equal_reference(self, tmp_path, capsys, spec, s0, length, with_zero_tail):
+        enc = encoder_from_spec(spec)
+        word = _random_word(enc.input_group, length, seed=length)
+        path = tmp_path / "encoder.json"
+        path.write_text(json.dumps(spec))
+        if enc.input_group.factors:
+            inputs = ",".join(str(c) for u in word for c in u)
+        else:  # a trivial input group reads one empty symbol per listed coordinate
+            inputs = ",".join("0" for _ in word)
+        argv = ["encode", str(path), "--state", ",".join(map(str, s0)), "--inputs", inputs]
+        assert main(argv + ["--zero-tail"] * with_zero_tail) == 0
+        assert capsys.readouterr().out == reference_encode_table(enc, s0, word, with_zero_tail)
+
+    def test_foreign_symbol_mid_word(self, tmp_path, capsys):
+        path = tmp_path / "rank2.json"
+        path.write_text(json.dumps(RANK2_ACCUMULATOR))
+        assert main(["encode", str(path), "--inputs", "0,1,1,3,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "groupcode: input symbol (1, 3) is not in the input group\n"
+        enc = encoder_from_spec(RANK2_ACCUMULATOR)
+        with pytest.raises(WrongGroup) as raised:
+            encode_forward(enc, (0, 0), [(0, 1), (1, 3), (0, 0)])
+        assert str(raised.value) == "input symbol (1, 3) is not in the input group"
 
 
 class TestTrellis:

@@ -42,6 +42,7 @@ from groupcode.cli import main
 from groupcode.encoder import Encoder, encoder_from_spec, encoder_to_spec
 from groupcode.sweep import _json_pieces, enumerate_encoders, enumerate_extensions, sweep_theorems
 from groupcode.trellis import codeword_witness, export_dot
+from specs import observed_shift_register
 
 
 def _sha256(text: str) -> str:
@@ -154,18 +155,6 @@ def test_readme_wire_format_round_trips():
     assert encoder_to_spec(encoder_from_spec(spec)) == spec
 
 
-def _observed_shift_register(p: int, m: int) -> dict:
-    """``(s1..sm) -> (s2..sm, u + s1)`` over Z_p^m with output ``s1`` alone."""
-    unit = [[int(i == j) for j in range(m)] for i in range(m)]
-    return {
-        "U": {"factors": [p]},
-        "S": {"factors": [p] * m},
-        "Y": {"factors": [p]},
-        "nu": {"gen_images": [unit[m - 1]] + [unit[(i - 1) % m] for i in range(m)]},
-        "omega": {"gen_images": [[0], [1]] + [[0]] * (m - 1)},
-    }
-
-
 # (s1, s2, s3) -> (s2, s3, s1 + 2u) over Z4^3: the chain stops at the 8 states
 # of order at most 2
 STUCK_Z4_CUBE = {
@@ -181,7 +170,7 @@ STUCK_Z4_CUBE = {
     "spec, chain_sizes, digest",
     [
         (
-            _observed_shift_register(2, 8),
+            observed_shift_register(2, 8),
             [2**i for i in range(9)],
             "3d7937b92a9b4b65a99052283b0685cdb998200bf49604f74b3199630e7657aa",
         ),
@@ -203,7 +192,7 @@ def test_analyze_rate_half_shift_register_with_4096_states(tmp_path):
     # (s1..s12) -> (s2..s12, u + s1) with output (u, s12): the brute-force
     # oracle over all 4,096 start states has to finish well inside the timeout
     m = 12
-    spec = _observed_shift_register(2, m)
+    spec = observed_shift_register(2, m)
     spec["Y"] = {"factors": [2, 2]}
     spec["omega"] = {"gen_images": [[1, 0]] + [[0, 0]] * (m - 1) + [[0, 1]]}
     path = tmp_path / "shift-2^12.json"
@@ -236,7 +225,7 @@ STREAM_CASES = {
 @pytest.mark.parametrize("p, m", sorted(STREAM_CASES))
 def test_stream_output_bytes(tmp_path, capsys, p, m):
     spec = tmp_path / "encoder.json"
-    spec.write_text(json.dumps(_observed_shift_register(p, m)))
+    spec.write_text(json.dumps(observed_shift_register(p, m)))
     state = ",".join(str((i + 1) % p) for i in range(m))
     word = ",".join(str((i * i + 3 * i + 1) % p) for i in range(64))
     argv = ["encode", str(spec), "--state", state, "--inputs", word, "--zero-tail"]
@@ -259,7 +248,7 @@ WIDE_STREAM_DIGESTS = {
 
 def test_stream_output_bytes_with_comma_joined_labels(tmp_path, capsys):
     spec = tmp_path / "encoder.json"
-    spec.write_text(json.dumps(_observed_shift_register(12, 2)))
+    spec.write_text(json.dumps(observed_shift_register(12, 2)))
     word = ",".join(str((i * i + 3 * i + 1) % 12) for i in range(64))
     argv = ["encode", str(spec), "--state", "5,11", "--inputs", word, "--zero-tail"]
     assert main(argv) == 0
@@ -306,7 +295,7 @@ def test_analysis_json_computes_each_fact_once(monkeypatch, systematic_encoder):
 
 def test_analysis_json_builds_the_successor_table_once(monkeypatch):
     # the chain, the oracle, the past kernel and the predicates share one table
-    enc = encoder_from_spec(_observed_shift_register(2, 3))
+    enc = encoder_from_spec(observed_shift_register(2, 3))
     built = _count_calls(monkeypatch, [encoder], "_union_table")
     analysis_json(enc)
     assert len(built) == 1
@@ -494,7 +483,7 @@ def test_export_dot_builds_the_diagram_once(monkeypatch, systematic_encoder, sec
 
 def test_codeword_witness_images_each_state_set_once_per_symbol(monkeypatch):
     # a window revisits few state sets, so images are memoised per (set, symbol)
-    enc = encoder_from_spec(_observed_shift_register(2, 6))
+    enc = encoder_from_spec(observed_shift_register(2, 6))
     start = (1, 0, 1, 1, 0, 1)
     rng = random.Random(6)
     word = [(rng.randrange(2),) for _ in range(2048)]
@@ -520,7 +509,7 @@ def test_codeword_witness_builds_the_diagram_once(monkeypatch, systematic_encode
     assert codeword_witness(enc, window) == expected
 
 
-@pytest.mark.parametrize("spec", [None, _observed_shift_register(2, 4)], ids=["README", "obs-2^4"])
+@pytest.mark.parametrize("spec", [None, observed_shift_register(2, 4)], ids=["README", "obs-2^4"])
 def test_control_reads_the_columns(monkeypatch, systematic_encoder, spec):
     enc = systematic_encoder if spec is None else encoder_from_spec(spec)
     verdict = decide_controllability(enc)
@@ -535,7 +524,7 @@ def test_control_reads_the_columns(monkeypatch, systematic_encoder, spec):
 
 def test_analysis_json_formats_each_state_once(monkeypatch):
     # the chain is nested, so the m = 6 levels list 127 states, 64 distinct
-    enc = encoder_from_spec(_observed_shift_register(2, 6))
+    enc = encoder_from_spec(observed_shift_register(2, 6))
     formatted = _count_calls(monkeypatch, [control], "_element_str")
     payload = analysis_json(enc)
     listed = [s for level in payload["chain"] for s in level] + payload["past_kernel"]

@@ -22,10 +22,11 @@ from groupcode import (
     subgroup_generated,
     zero_tail,
 )
-from groupcode.encoder import encoder_from_extension
+from groupcode.encoder import encoder_from_extension, encoder_from_spec
 from groupcode.errors import PsiNotInjective
 from groupcode.groups import abelian_groups_of_order, enumerate_homs, format_element, identity_hom
 from groupcode.sweep import enumerate_extensions
+from specs import INPUTLESS, STATELESS, STREAM_SHAPES, observed_shift_register
 
 
 def _reference_identity_core(enc, diagram, backwards):
@@ -288,6 +289,55 @@ class TestIsCodeword:
         assert (len(encoders), windows, rejected) == (400, 18340, 2100)
 
 
+def _zero_tailed_outputs(enc, s0, length, seed):
+    """Outputs of a random ``length``-symbol word from ``s0`` and its zero tail."""
+    rng = random.Random(seed)
+    inputs = list(enc.input_group.elements())
+    word = [rng.choice(inputs) for _ in range(length)]
+    states, outputs = encode_forward(enc, s0, word)
+    tail = zero_tail(enc, states[-1], max_len=enc.state_group.order + 1)
+    return outputs + encode_forward(enc, states[-1], tail)[1]
+
+
+class TestWitnessOnStreamShapes:
+    """Label-id witness against the tuple-set reference on the stream workload shapes."""
+
+    @pytest.mark.parametrize("p, m", STREAM_SHAPES)
+    def test_zero_tailed_word_and_its_corruptions(self, p, m):
+        enc = encoder_from_spec(observed_shift_register(p, m))
+        s0 = tuple((i + 1) % p for i in range(m))
+        outputs = _zero_tailed_outputs(enc, s0, 2048, seed=p * 10 + m)
+        window = Window(enc.output_group, 0, outputs)
+        witness = codeword_witness(enc, window)
+        assert witness is not None and witness[0] == s0
+        assert witness == reference_witness(enc, window)
+        # y_t = u_{t-m}, so every finite word over Z_p is a codeword: a
+        # corruption is accepted with another witness, never rejected
+        rng = random.Random(m)
+        for _ in range(4):
+            t = rng.randrange(len(outputs))
+            corrupted = list(outputs)
+            corrupted[t] = ((corrupted[t][0] + rng.randrange(1, p)) % p,)
+            window = Window(enc.output_group, 0, corrupted)
+            expected = reference_witness(enc, window)
+            assert codeword_witness(enc, window) == expected != witness
+
+    def test_symbol_that_labels_no_branch(self):
+        # Y = Z2 x Z2 with output (s1, 0): (0, 1) is in the output group but
+        # is emitted by no branch
+        spec = observed_shift_register(2, 4)
+        spec["Y"] = {"factors": [2, 2]}
+        spec["omega"] = {"gen_images": [[0, 0], [1, 0], [0, 0], [0, 0], [0, 0]]}
+        enc = encoder_from_spec(spec)
+        outputs = _zero_tailed_outputs(enc, (1, 0, 0, 1), 64, seed=5)
+        window = Window(enc.output_group, 0, outputs)
+        assert codeword_witness(enc, window) == reference_witness(enc, window) is not None
+        outputs[30] = (0, 1)
+        window = Window(enc.output_group, 0, outputs)
+        assert reference_witness(enc, window) is None
+        assert codeword_witness(enc, window) is None
+
+
 class TestExportDot:
     def test_state_diagram_shape(self, systematic_encoder):
         dot = export_dot(systematic_encoder, 0)
@@ -314,6 +364,43 @@ class TestExportDot:
 
     def test_deterministic(self, systematic_encoder):
         assert export_dot(systematic_encoder, 2) == export_dot(systematic_encoder, 2)
+
+
+def reference_dot(enc, unrolled_sections):
+    """``export_dot`` as one ``str.format`` template per block, filled per time step."""
+
+    def label(group, a):
+        return format_element(group, a).replace("{", "{{").replace("}", "}}")
+
+    s_group = enc.state_group
+    node_block = "".join(
+        f'  "t{{0}}_s{i}" [label="{label(s_group, s)}"];\n'
+        for i, s in enumerate(s_group.elements())
+    )
+    input_labels = [label(enc.input_group, u) for u in enc.input_group.elements()]
+    edge_block = "".join(
+        f'  "t{{0}}_s{i}" -> "t{{1}}_s{enc._next[j][i]}" '
+        f'[label="{u}/{label(enc.output_group, enc._out[j][i])}"];\n'
+        for i in range(s_group.order)
+        for j, u in enumerate(input_labels)
+    )
+    parts = ["digraph trellis {\n  rankdir=LR;\n  node [shape=circle];\n"]
+    parts += [node_block.format(t) for t in range(unrolled_sections + 1)]
+    if unrolled_sections == 0:
+        parts.append(edge_block.format(0, 0))
+    parts += [edge_block.format(t, t + 1) for t in range(unrolled_sections)]
+    return "".join(parts) + "}\n"
+
+
+@pytest.mark.parametrize("sections", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "spec",
+    [STATELESS, INPUTLESS, observed_shift_register(12, 2)],
+    ids=["stateless", "inputless", "Z12-comma-joined"],
+)
+def test_export_dot_equals_format_reference(spec, sections):
+    enc = encoder_from_spec(spec)
+    assert export_dot(enc, sections) == reference_dot(enc, sections)
 
 
 def _nonsplit_encoders(factors, generator):
