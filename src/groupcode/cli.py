@@ -104,7 +104,12 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     if not s_group.contains(s0_coords):
         return _fail(f"state {args.state!r} is not in the state group", 2)
     flat = _parse_coords(args.inputs) if args.inputs else []
-    if u_rank == 0:
+    if u_rank == 0:  # each listed coordinate is one empty symbol, written 0
+        foreign = next((c for c in flat if c != 0), None)
+        if foreign is not None:
+            return _fail(
+                f"input coordinate {foreign} is not 0, the trivial input group's one symbol", 2
+            )
         symbols = [()] * len(flat)
     else:
         if len(flat) % u_rank != 0:

@@ -9,22 +9,22 @@ whole family of structural facts this package is built to verify on a
 concrete encoder and raises on any violation.
 
 State sets are bitmasks over ``state_group.index_of`` (the identity state is
-bit 0), and the chain's one-step images read the encoder's successor union
-table.  The brute-force ``exact_reach`` oracle shares no code with the chain:
-it pulls every start state's masks level by level over the encoder's
-next-state columns ``enc._next``, which the past kernel and the report's
-kernel counts read too.  Chain levels, the past kernel and counterexamples
-are element tuples, converted through the state group's one element index.
+bit 0), and a set's one-step image is the union of the encoder's successor
+rows at its bits.  The brute-force ``exact_reach`` oracle shares no code with
+the chain: it pulls every start state's masks level by level over the
+encoder's next-state columns ``enc._next``, which the past kernel and the
+report's kernel counts read too.  Chain levels, the past kernel and
+counterexamples are element tuples, converted through the state group's one
+element index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import compress
 from operator import or_
 
-from .encoder import Encoder, _image, _lowest
+from .encoder import Encoder, _image, _lowest, _picked
 from .errors import NotApplicable, PredicateViolation, TooLarge
 from .groups import (
     Element,
@@ -35,7 +35,7 @@ from .groups import (
     is_prime,
 )
 
-STATE_GUARD = 2**14  # bound on |S|: the union table and each oracle level hold |S|^2 bits
+STATE_GUARD = 2**14  # bound on |S|: the successor rows and each oracle level hold |S|^2 bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,21 +67,18 @@ class ControlVerdict:
     window_below_two: bool
 
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits as ``compress`` selectors
-
-
 def _members(enc: Encoder, mask: int) -> tuple[Element, ...]:
-    """The states at the set bits of ``mask``, in index order, picked by one ``compress``."""
-    return tuple(compress(enc.state_group._index, bin(mask)[:1:-1].encode().translate(_BITS)))
+    """The states at the set bits of ``mask``, in index order."""
+    return tuple(_picked(enc.state_group._index, mask))
 
 
 def forward_chain(enc: Encoder) -> ReachabilityChain:
     """Compute the reachability levels until the first repetition."""
     s_group = enc.state_group
-    table = enc._successors
+    rows = enc._successors
     masks = [1]  # the identity state has index 0
     while True:
-        image = _image(masks[-1], table)
+        image = _image(masks[-1], rows)
         if image == masks[-1]:
             break
         masks.append(image)
@@ -218,7 +215,7 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     s_group = enc.state_group
 
     masks = chain._masks
-    table = enc._successors
+    rows = enc._successors
     full = (1 << s_group.order) - 1
     kmask = sum(1 << s_group._index[s] for s in kernel.elements)
 
@@ -238,7 +235,7 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     )
     nested = all(not masks[i - 1] & ~masks[i] for i in range(1, len(masks)))
     check("chain_is_nested", nested, chain.sizes)
-    repeated = _image(masks[-1], table)
+    repeated = _image(masks[-1], rows)
     check(
         "chain_stabilizes_permanently",
         repeated == masks[-1],
@@ -279,7 +276,7 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
         lambda: (overlap, s_group.element_at(_lowest(kmask & masks[overlap] & ~1))),
     )
 
-    escaped = _image(kmask, table)
+    escaped = _image(kmask, rows)
     absorbed = next((i for i, m in enumerate(masks) if not kmask & ~m and escaped & ~m), None)
     check(
         "past_kernel_images_absorbed",
@@ -300,7 +297,7 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     for k in range(2, len(masks)):
         if chain.levels[k].order == p * chain.levels[k - 1].order:
             layer, above = masks[k - 1] & ~masks[k - 2], masks[k] & ~masks[k - 1]
-            if stray := _image(layer, table) & ~above:
+            if stray := _image(layer, rows) & ~above:
                 fresh = (k, stray)
                 break
     check(

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, reduce
+from itertools import chain, compress
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -90,12 +91,12 @@ class Encoder:
 
     @cached_property
     def _successors(self) -> list[int]:
-        """Union table of each state's one-step successor mask, built on first read."""
+        """Each state's one-step successor mask, by state index, built on first read."""
         rows = [0] * self.state_group.order
         for column in self._next:
             for i, nxt in enumerate(column):
                 rows[i] |= 1 << nxt
-        return _union_table(rows)
+        return rows
 
 
 def _position(group: FiniteAbelianGroup, a: Sequence[int]) -> int:
@@ -107,31 +108,17 @@ def _position(group: FiniteAbelianGroup, a: Sequence[int]) -> int:
     raise WrongGroup(f"{a} is not an element of the group with moduli {group.factors}")
 
 
-def _union_table(rows: list[int]) -> list[int]:
-    """Unions of ``rows`` four at a time, for reading one-step images of masks.
-
-    Entry ``16 * c + b`` is the union of the rows ``4 * c + j`` over the bits
-    ``j`` set in the nibble ``b``; the table holds 4 masks per row.
-    """
-    rows = rows + [0] * (-len(rows) % 4)
-    table: list[int] = []
-    for first in range(0, len(rows), 4):
-        entries = [0]
-        for row in rows[first : first + 4]:
-            entries += [e | row for e in entries]
-        table += entries
-    return table
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits as ``compress`` selectors
 
 
-def _image(mask: int, table: list[int]) -> int:
-    """Union of the table's rows at the set bits of ``mask``."""
-    out = 0
-    base = 0
-    while mask:
-        out |= table[base + (mask & 15)]
-        mask >>= 4
-        base += 16
-    return out
+def _picked(items: Iterable, mask: int) -> Iterator:
+    """The items at the set bits of ``mask``, in order, picked by one ``compress``."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_BITS))
+
+
+def _image(mask: int, rows: list[int]) -> int:
+    """Union of ``rows`` at the set bits of ``mask``: with successor rows, its one-step image."""
+    return reduce(or_, _picked(rows, mask), 0)
 
 
 def _lowest(mask: int) -> int:

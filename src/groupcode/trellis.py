@@ -3,8 +3,10 @@ and membership read the encoder's columns ``enc._next`` and ``enc._out``.
 
 Membership runs on indices: states are bits of a mask and the window's
 symbols are output-label ids, so a witness becomes elements only when it is
-returned.  DOT export renders each label once and fills every time step of
-the pre-cut node and edge blocks with ``str.join``.
+returned.  A state set's image under one label is the union of that label's
+successor (or predecessor) rows at the set's bits.  DOT export renders each
+label once and fills every time step of the pre-cut node and edge blocks
+with ``str.join``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .encoder import Encoder, Window, _image, _union_table
+from .encoder import Encoder, Window, _image, _lowest
 from .encoder import connected  # noqa: F401 - re-exported
 from .groups import Element, format_element
 
@@ -54,15 +56,15 @@ def concatenate(y1: Window, y2: Window, j: int) -> Window:
     return Window(y1.group, start, symbols).trimmed()
 
 
-def _identity_core(table: list[int], full: int) -> int:
+def _identity_core(rows: list[int], full: int) -> int:
     """Largest state mask contained in its own one-step identity-labeled image.
 
-    With the successor table these are the states admitting arbitrarily long
-    identity-labeled histories; with the predecessor table, futures.
+    With the successor rows these are the states admitting arbitrarily long
+    identity-labeled histories; with the predecessor rows, futures.
     """
     current = full
     while True:
-        kept = current & _image(current, table)
+        kept = current & _image(current, rows)
         if kept == current:
             return current
         current = kept
@@ -79,7 +81,8 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
     State sets are bitmasks over state indices, which are lexicographic, so
     the lowest set bit is the least state.  Output labels are numbered in
     order of first appearance in the columns, and the window is read as label
-    ids: every table below is a list indexed by label id.
+    ids: ``succ[k][i]`` and ``pred[k][i]`` are the masks of the states one
+    branch labelled ``k`` leads to from, or comes from into, state ``i``.
     """
     if window.group != enc.output_group:
         raise ValueError("window symbols are not in the encoder output group")
@@ -101,25 +104,21 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
     if None in ids:
         return None
     e_y = label_id[enc.output_group.identity()]  # labels the branch (e_U, e_S) -> e_S
-    forward: list[list[int]] = [[] for _ in succ]
-    backward: list[list[int]] = [[] for _ in succ]
-    for k in {e_y, *ids}:
-        forward[k], backward[k] = _union_table(succ[k]), _union_table(pred[k])
     full = (1 << n_states) - 1
 
     # a window revisits few state sets: each label keeps its images by mask
     images: list[dict[int, int]] = [{} for _ in succ]
-    feasible = [_identity_core(forward[e_y], full)]
+    feasible = [_identity_core(succ[e_y], full)]
     for k in ids:
         mask = feasible[-1]
         seen = images[k]
         image = seen.get(mask)
         if image is None:
-            image = seen[mask] = _image(mask, forward[k])
+            image = seen[mask] = _image(mask, succ[k])
         if not image:
             return None
         feasible.append(image)
-    feasible[-1] &= _identity_core(backward[e_y], full)
+    feasible[-1] &= _identity_core(pred[e_y], full)
     if not feasible[-1]:
         return None
     images = [{} for _ in succ]
@@ -128,18 +127,14 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
         seen = images[k]
         image = seen.get(mask)
         if image is None:
-            image = seen[mask] = _image(mask, backward[k])
+            image = seen[mask] = _image(mask, pred[k])
         feasible[t] &= image
         if not feasible[t]:
             return None
 
-    mask = feasible[0]
-    current = (mask & -mask).bit_length() - 1
-    path = [current]
+    path = [_lowest(feasible[0])]
     for k, allowed in zip(ids, itertools.islice(feasible, 1, None)):
-        mask = succ[k][current] & allowed
-        current = (mask & -mask).bit_length() - 1
-        path.append(current)
+        path.append(_lowest(succ[k][path[-1]] & allowed))
     return list(map(list(enc.state_group._index).__getitem__, path))
 
 

@@ -355,6 +355,19 @@ class TestEncode:
         assert captured.out == ""
         assert f"cannot parse coordinates {value!r}" in captured.err
 
+    def test_trivial_input_group_reads_only_zeros(self, tmp_path, capsys):
+        # each listed coordinate is one empty symbol, written 0
+        path = tmp_path / "inputless.json"
+        path.write_text(json.dumps(INPUTLESS))
+        assert main(["encode", str(path), "--state", "1", "--inputs", "0,0,0"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4  # the header and three steps
+        assert main(["encode", str(path), "--state", "1", "--inputs", "5,5,5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "groupcode: input coordinate 5 is not 0, the trivial input group's one symbol\n"
+        )
+
     def test_empty_strings_mean_no_coordinates(self, tmp_path, capsys):
         # a trivial state group has the empty coordinate tuple as its one state
         path = tmp_path / "stateless.json"

@@ -316,6 +316,26 @@ class TestOracleBeyondPrimeInputs:
             assert reach_sets(enc, exact_reach(enc, length)) == _ref_exact_reach(enc, length)
 
 
+class TestImageOfEveryStateSet:
+    """``_image`` on every state set, not only on the chain's levels, which are subgroups."""
+
+    @pytest.mark.parametrize(
+        "u_factors, s_factors",
+        [([2], [2, 2, 2]), ([2], [2, 4]), ([2], [8]), ([3], [3, 3])],
+        ids=["S=Z2^3", "S=Z2xZ4", "S=Z8", "S=Z3^2"],
+    )
+    def test_matches_the_tuple_set_image(self, u_factors, s_factors):
+        for enc in _split_encoders(u_factors, s_factors):
+            states = list(enc.state_group.elements())
+            # a set's one-step image is the union of its states' images
+            after = [_ref_one_step_image(enc, (s,)) for s in states]
+            rows = enc._successors
+            for mask in range(1 << len(states)):
+                image = encoder._image(mask, rows)
+                expected = set().union(*(a for i, a in enumerate(after) if mask >> i & 1))
+                assert {s for i, s in enumerate(states) if image >> i & 1} == expected, mask
+
+
 class TestStructureReport:
     def test_systematic_report_passes(self, systematic_encoder):
         report = structure_report(systematic_encoder, decide_controllability(systematic_encoder))

@@ -18,7 +18,6 @@ from groupcode import (
     Window,
     control,
     encode_forward,
-    encoder,
     extension,
     groups,
     sweep,
@@ -294,11 +293,11 @@ def test_analysis_json_computes_each_fact_once(monkeypatch, systematic_encoder):
 
 
 def test_analysis_json_builds_the_successor_table_once(monkeypatch):
-    # the chain, the oracle, the past kernel and the predicates share one table
+    # the chain and the predicates share one table of successor rows
     enc = encoder_from_spec(observed_shift_register(2, 3))
-    built = _count_calls(monkeypatch, [encoder], "_union_table")
+    built = _count_builds(monkeypatch, Encoder, "_successors")
     analysis_json(enc)
-    assert len(built) == 1
+    assert built == [enc]
 
 
 def _instance(p, state_factors, ambient_factors):

@@ -299,6 +299,14 @@ def _zero_tailed_outputs(enc, s0, length, seed):
     return outputs + encode_forward(enc, states[-1], tail)[1]
 
 
+def _rate_half_shift_register(p: int, m: int) -> dict:
+    """The observed shift register with output ``(u, s_m)``: not every word is a codeword."""
+    spec = observed_shift_register(p, m)
+    spec["Y"] = {"factors": [p, p]}
+    spec["omega"] = {"gen_images": [[1, 0]] + [[0, 0]] * (m - 1) + [[0, 1]]}
+    return spec
+
+
 class TestWitnessOnStreamShapes:
     """Label-id witness against the tuple-set reference on the stream workload shapes."""
 
@@ -321,6 +329,28 @@ class TestWitnessOnStreamShapes:
             window = Window(enc.output_group, 0, corrupted)
             expected = reference_witness(enc, window)
             assert codeword_witness(enc, window) == expected != witness
+
+    @pytest.mark.parametrize("p, m", [(2, 4), (2, 5), (3, 3)])
+    def test_rejected_corruptions_of_the_rate_half_register(self, p, m):
+        # the outputs fix the state sequence (s_m is the last input plus the
+        # state's first coordinate), so a corruption of either coordinate of
+        # any symbol is caught
+        enc = encoder_from_spec(_rate_half_shift_register(p, m))
+        outputs = _zero_tailed_outputs(enc, (0,) * m, 256, seed=p * 10 + m)
+        window = Window(enc.output_group, 0, outputs)
+        assert codeword_witness(enc, window) == reference_witness(enc, window) is not None
+        rng = random.Random(m)
+        rejected = 0
+        for _ in range(8):
+            t, c = rng.randrange(len(outputs)), rng.randrange(2)
+            symbol = list(outputs[t])
+            symbol[c] = (symbol[c] + rng.randrange(1, p)) % p
+            corrupted = outputs[:t] + [tuple(symbol)] + outputs[t + 1 :]
+            window = Window(enc.output_group, 0, corrupted)
+            expected = reference_witness(enc, window)
+            assert codeword_witness(enc, window) == expected
+            rejected += expected is None
+        assert rejected == 8
 
     def test_symbol_that_labels_no_branch(self):
         # Y = Z2 x Z2 with output (s1, 0): (0, 1) is in the output group but
