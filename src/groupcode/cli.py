@@ -4,9 +4,7 @@ Exit codes: 0 success, 1 structural-predicate violation or a disagreement
 between the reachability chain and the brute-force oracle in ``analyze`` or
 ``sweep`` (an implementation bug signal), 2 user error (bad flags, malformed
 or invalid encoder spec), 3 output I/O error.  All outputs are
-byte-deterministic for identical inputs; sweep parallelism is bounded by the
-GROUPCODE_JOBS environment variable (default 1, at most the CPU count) and
-does not affect the output bytes.
+byte-deterministic for identical inputs; the sweep runs in one process.
 
 ``encode`` runs on indices: the parsed input symbols become input indices,
 the encoder's shared forward walk turns them into pair positions

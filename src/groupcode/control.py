@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from operator import or_
 
-from .encoder import Encoder, _image, _lowest, _picked
+from .encoder import Encoder, _image, _lowest, _picked, _preimages
 from .errors import NotApplicable, PredicateViolation, TooLarge
 from .groups import (
     Element,
@@ -102,8 +102,8 @@ def past_kernel(enc: Encoder) -> Subgroup:
     identity state lead to distinct states.  Closure is not checked here:
     ``structure_report`` checks it once, as ``past_kernel_is_subgroup``.
     """
-    members = {enc.state_group.element_at(i) for c in enc._next for i, t in enumerate(c) if t == 0}
-    return Subgroup(enc.state_group, tuple(members))
+    states = {r for _, r in _preimages(enc, 0)}
+    return Subgroup(enc.state_group, tuple(map(enc.state_group.element_at, states)))
 
 
 def exact_reach(enc: Encoder, max_len: int) -> list[list[int]]:

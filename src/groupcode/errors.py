@@ -72,7 +72,7 @@ class PredicateViolation(GroupCodeError):
         super().__init__(f"predicate {name!r} violated, counterexample: {counterexample!r}")
 
     def __reduce__(self):
-        # sweep workers send violations back to the parent process by pickling
+        # a caller's own process pool sends violations back to its parent by pickling
         return type(self), (self.name, self.counterexample)
 
 

@@ -13,7 +13,7 @@ is built one target coordinate at a time from the generator images (see
 :attr:`GroupHom._table`); recognition coordinates, which sum basis elements
 under an abstract operation, are one linear table, :func:`_linear_table`.  A
 hom is tabulated once and a group keeps one element index, both on first
-read.  Everything is immutable and safe to share across workers.
+read.  Everything is immutable.
 """
 
 from __future__ import annotations

@@ -30,9 +30,8 @@ import functools
 import json
 import math
 import operator
-import os
+import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator
@@ -402,22 +401,7 @@ def _evaluate_instance(instance: ExtensionInstance) -> dict:
     }
 
 
-def default_jobs() -> int:
-    """Worker count from ``GROUPCODE_JOBS``, clamped to 1..``os.cpu_count()``."""
-    raw = os.environ.get("GROUPCODE_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(jobs, os.cpu_count() or 1))
-
-
-def sweep_theorems(
-    p_list: list[int],
-    max_s_order: int,
-    dedup: bool = True,
-    jobs: int | None = None,
-) -> SweepReport:
+def sweep_theorems(p_list: list[int], max_s_order: int, dedup: bool = True) -> SweepReport:
     """Analyze every encoder over every instance with ``|S| <= max_s_order``.
 
     Asserts, across the whole family: every controllable encoder has a state
@@ -426,8 +410,6 @@ def sweep_theorems(
     predicate holds on every encoder.  The tallies in ``checks`` report the
     number of cases inspected and must show zero violations.
     """
-    import time
-
     start = time.perf_counter()
     if max_s_order < 1:
         raise TooLarge("max_s_order must be at least 1")
@@ -450,16 +432,11 @@ def sweep_theorems(
                     f"G -> S exceed the exhaustive guard {HOM_GUARD}"
                 )
 
-    instances: list[ExtensionInstance] = []
-    for p, state_group in grid:
-        instances.extend(enumerate_extensions(p, state_group, dedup=dedup))
-
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    if jobs > 1 and len(instances) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_evaluate_instance, instances))
-    else:
-        rows = [_evaluate_instance(instance) for instance in instances]
+    rows = [
+        _evaluate_instance(instance)
+        for p, state_group in grid
+        for instance in enumerate_extensions(p, state_group, dedup=dedup)
+    ]
     rows.sort(
         key=lambda r: (r["p"], r["state_factors"], r["ambient_factors"], r["normal_generator"])
     )

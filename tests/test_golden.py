@@ -82,7 +82,7 @@ def _count_builds(monkeypatch, cls, name: str) -> list:
 
 
 def test_sweep_report_bytes():
-    report = sweep_theorems([2, 3], 6, jobs=1)
+    report = sweep_theorems([2, 3], 6)
     assert (
         _sha256(_canonical(report.to_json_dict()))
         == "33a78e4962662e8bf32570067a726e7be3dae9569241290efa23f918dbb4aaa8"
@@ -91,7 +91,7 @@ def test_sweep_report_bytes():
 
 def test_sweep_report_bytes_up_to_order_nine():
     # the grid the benchmark's sweep workload runs
-    report = sweep_theorems([2, 3], 9, jobs=1)
+    report = sweep_theorems([2, 3], 9)
     assert (
         _sha256(_canonical(report.to_json_dict()))
         == "f62d30b989cfdcdd782e083c6a4a4498af3b212b8c9d3f78971e0f50be7e1766"
@@ -100,7 +100,7 @@ def test_sweep_report_bytes_up_to_order_nine():
 
 def test_sweep_report_bytes_without_dedup():
     # every qualifying subgroup N, most of them not a coordinate subgroup
-    report = sweep_theorems([2, 3], 9, dedup=False, jobs=1)
+    report = sweep_theorems([2, 3], 9, dedup=False)
     assert report.totals["instances"] == 91
     assert report.totals["encoders"] == 47251
     assert (
@@ -145,7 +145,7 @@ def test_readme_quick_start_runs(capsys):
 )
 def test_streamed_sweep_report_bytes(max_s_order, dedup, digest):
     # the pieces the CLI writes hash to the pinned digests of the indented dump
-    report = sweep_theorems([2, 3], max_s_order, dedup=dedup, jobs=1)
+    report = sweep_theorems([2, 3], max_s_order, dedup=dedup)
     assert _sha256("".join(_json_pieces(report))) == digest
 
 
@@ -261,7 +261,7 @@ def test_stream_output_bytes_with_comma_joined_labels(tmp_path, capsys):
 def test_sweep_decides_each_encoder_once(monkeypatch):
     decided = _count_calls(monkeypatch, [sweep, control], "decide_controllability")
     oracle = _count_calls(monkeypatch, [control], "exact_reach")
-    report = sweep_theorems([2], 4, jobs=1)
+    report = sweep_theorems([2], 4)
     # one decided encoder per symmetry orbit: 20 orbits of the 61 encoders
     assert report.totals["encoders"] == 61
     assert len(decided) == len(oracle) == 20
@@ -273,7 +273,7 @@ def test_sweep_decides_one_encoder_per_orbit(monkeypatch):
         _count_calls(monkeypatch, [m for m in (groups, sweep) if hasattr(m, name)], name)
         for name in ("enumerate_homs", "enumerate_encoders")
     ]
-    report = sweep_theorems([2, 3], 9, jobs=1)
+    report = sweep_theorems([2, 3], 9)
     assert report.totals["encoders"] == 3829
     assert len(decided) == 186
     assert listed == [[], []]
@@ -384,7 +384,7 @@ def test_sweep_computes_each_quotient_once(monkeypatch):
     # is skipped before its subgroup is decomposed
     modules = [m for m in (groups, extension, sweep) if hasattr(m, "quotient")]
     quotients = _count_calls(monkeypatch, modules, "quotient")
-    sweep_theorems([2, 3], 6, jobs=1)
+    sweep_theorems([2, 3], 6)
     examined = sum(
         len(_heights(ambient, p))
         for p in (2, 3)
@@ -399,7 +399,7 @@ def test_sweep_computes_each_quotient_once(monkeypatch):
 def test_sweep_decomposition_count(monkeypatch, dedup, count):
     # without dedup every order-p subgroup of every ambient group is decomposed
     decomposed = _count_calls(monkeypatch, [sweep], "decompose")
-    report = sweep_theorems([2, 3], 9, dedup=dedup, jobs=1)
+    report = sweep_theorems([2, 3], 9, dedup=dedup)
     assert len(decomposed) == count
     assert report.totals["instances"] == (38 if dedup else 91)
 
@@ -456,7 +456,7 @@ def test_unit_group_coordinates_bytes():
 def test_sweep_never_evaluates_a_hom_element_by_element(monkeypatch):
     # covers encoder_from_extension, decide_controllability and structure_report
     evaluated = _count_calls(monkeypatch, [GroupHom], "__call__")
-    report = sweep_theorems([2], 4, jobs=1)
+    report = sweep_theorems([2], 4)
     assert report.totals["encoders"] > 0
     assert evaluated == []
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +32,13 @@ def test_runtime_is_stdlib_only():
         if name not in sys.stdlib_module_names and name != "groupcode"
     }
     assert foreign == set()
+
+
+def test_cli_import_loads_no_process_pool():
+    # the sweep runs in one process, so no command pays for a pool's imports
+    probe = (
+        "import sys, groupcode.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

@@ -4,7 +4,6 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 
 import pytest
 
@@ -185,11 +184,6 @@ class TestSweepTheorems:
     def test_timing_not_in_canonical_payload(self, small_sweep):
         assert "elapsed" not in json.dumps(small_sweep.to_json_dict())
 
-    def test_parallel_matches_serial(self):
-        serial = sweep_theorems([2], 4, jobs=1)
-        parallel = sweep_theorems([2], 4, jobs=2)
-        assert serial.to_json_dict() == parallel.to_json_dict()
-
     def test_without_dedup_same_conclusions(self):
         deduped = sweep_theorems([2], 4, dedup=True)
         full = sweep_theorems([2], 4, dedup=False)
@@ -235,28 +229,6 @@ class TestSweepTheorems:
         monkeypatch.setattr(sweep_module, "enumerate_extensions", refuse)
         with pytest.raises(Accepted if accepted else TooLarge):
             sweep_theorems(primes, max_s_order)
-
-    def test_jobs_env_variable(self, monkeypatch):
-        from groupcode.sweep import default_jobs
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setenv("GROUPCODE_JOBS", "3")
-        assert default_jobs() == 3
-        monkeypatch.setenv("GROUPCODE_JOBS", "not-a-number")
-        assert default_jobs() == 1
-        monkeypatch.delenv("GROUPCODE_JOBS")
-        assert default_jobs() == 1
-
-    @pytest.mark.parametrize(
-        "cpus, raw, expected",
-        [(2, "3", 2), (2, "2", 2), (8, "64", 8), (1, "0", 1), (None, "4", 1), (4, "-3", 1)],
-    )
-    def test_jobs_clamped_to_cpu_count(self, monkeypatch, cpus, raw, expected):
-        from groupcode.sweep import default_jobs
-
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setenv("GROUPCODE_JOBS", raw)
-        assert default_jobs() == expected
 
     def test_summary_table_shape(self, small_sweep):
         table = small_sweep.summary_table()
@@ -340,7 +312,7 @@ def _surjection_count(g_factors, s_factors) -> int:
 )
 def test_encoder_counts_match_moebius_inversion(primes, max_s_order, dedup, rows):
     # counted independently of the orbit search: no hom is enumerated
-    report = sweep_theorems(primes, max_s_order, dedup=dedup, jobs=1)
+    report = sweep_theorems(primes, max_s_order, dedup=dedup)
     assert len(report.rows) == rows
     for row in report.rows:
         expected = _surjection_count(row["ambient_factors"], row["state_factors"])
@@ -372,13 +344,13 @@ def _indented_dump(report) -> str:
     "primes, max_s_order, dedup", [([2, 3], 9, True), ([2, 3], 9, False), ([5], 9, True)]
 )
 def test_streamed_report_equals_the_indented_dump(primes, max_s_order, dedup):
-    report = sweep_theorems(primes, max_s_order, dedup=dedup, jobs=1)
+    report = sweep_theorems(primes, max_s_order, dedup=dedup)
     assert report.controllable_encoders
     assert "".join(_json_pieces(report)) == _indented_dump(report)
 
 
 def test_streamed_report_without_controllable_encoders():
-    full = sweep_theorems([2, 3], 6, jobs=1)
+    full = sweep_theorems([2, 3], 6)
     report = dataclasses.replace(full, witnesses=[[] for _ in full.rows])
     assert report.to_json_dict()["controllable_encoders"] == []
     assert "".join(_json_pieces(report)) == _indented_dump(report)
@@ -393,7 +365,7 @@ def test_streamed_report_carries_violation_details(monkeypatch):
         return structure_report(enc, verdict)
 
     monkeypatch.setattr(sweep_module, "structure_report", report)
-    swept = sweep_theorems([3], 9, jobs=1)
+    swept = sweep_theorems([3], 9)
     assert swept.checks["predicate_violations"] > 100
     assert "".join(_json_pieces(swept)) == _indented_dump(swept)
 
