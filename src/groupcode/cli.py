@@ -93,7 +93,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     enc = _load_encoder(args.spec)
-    u_group, s_group = enc.input_group, enc.state_group
+    u_group, s_group, y_group = enc.input_group, enc.state_group, enc.output_group
     u_rank, n_states = len(u_group.factors), s_group.order
     if args.state is None:
         s0_coords = s_group.identity()
@@ -139,7 +139,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         return (
             f"  {format_element(u_group, u_group.element_at(j)):<8} "
             f"{format_element(s_group, s_group.element_at(next_pairs[p])):<10} "
-            f"{format_element(enc.output_group, enc._out[j][i]):<10}\n"
+            f"{format_element(y_group, y_group.element_at(enc._out[j][i])):<10}\n"
         )
 
     tails = {p: tail(p) for p in set(positions)}

@@ -6,10 +6,11 @@ pair coordinates ``(u, s)``.  Construction validates the three defining
 conditions: the next-state map is surjective, the output map is a
 homomorphism, and the branch map ``(u, s) -> (s, output, next state)`` is
 injective.  Encoded sequences are bi-infinite with identity tails and are
-represented as finite windows.  Each encoder is tabulated once as columns
-``_next[j][i]`` (next-state index) and ``_out[j][i]`` (output) over input
-index ``j`` and state index ``i``, which every reader walks; elements become
-indices only at the API boundary, where a foreign one raises ``WrongGroup``.
+represented as finite windows.  Each encoder is tabulated once, from each
+hom's cached target indices, as int columns ``_next[j][i]`` (next-state
+index) and ``_out[j][i]`` (output index) over input index ``j`` and state
+index ``i``, which every reader walks; elements and indices trade places only
+at the API boundary, where a foreign element raises ``WrongGroup``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     InvalidHom,
+    NotApplicable,
     NuNotSurjective,
     OmegaNotHom,
     PsiNotInjective,
@@ -40,9 +42,9 @@ class Encoder:
     """A validated homomorphic encoder over an extension decomposition.
 
     ``next_state`` and ``output`` are homomorphisms on the ambient group,
-    tabulated at construction into the columns ``_next`` and ``_out``: each
-    hom's cached table (see :func:`hom_table`) is read in the decomposition's
-    shared pair-position order and cut into one slice per input.
+    tabulated at construction into the int columns ``_next`` and ``_out``:
+    each hom's cached target indices are read in the decomposition's shared
+    pair-position order and cut into one slice per input.
     """
 
     decomposition: ExtensionDecomposition
@@ -57,9 +59,8 @@ class Encoder:
         if self.output.source != dec.ambient or self.output.target != self.output_group:
             raise WrongGroup("output map is not defined from the ambient group onto outputs")
         order, n_states = dec._by_position, dec.s_part.order
-        targets = map(self.next_state._table.__getitem__, order)
-        nxt = list(map(dec.s_part._index.__getitem__, targets))
-        out = list(map(self.output._table.__getitem__, order))
+        nxt = list(map(self.next_state._indices.__getitem__, order))
+        out = list(map(self.output._indices.__getitem__, order))
         cuts = range(0, len(order), n_states)
         vars(self).update(
             _next=[nxt[k : k + n_states] for k in cuts],
@@ -81,7 +82,8 @@ class Encoder:
     def step(self, u: Element, s: Element) -> tuple[Element, Element]:
         """Next state and output symbol for input ``u`` at state ``s``."""
         j, i = _position(self.input_group, u), _position(self.state_group, s)
-        return self.state_group.element_at(self._next[j][i]), self._out[j][i]
+        y = self.output_group.element_at(self._out[j][i])
+        return self.state_group.element_at(self._next[j][i]), y
 
     def next_state_pair(self, u: Element, s: Element) -> Element:
         return self.step(u, s)[0]
@@ -131,15 +133,14 @@ def validate_encoder(enc: Encoder) -> Encoder:
 
     Both conditions are read off the columns: surjectivity from their union,
     injectivity from every nonzero input at the identity state (the pair
-    ``(u, e_S)`` is the embedded input ``u``; both identities have index 0).
+    ``(u, e_S)`` is the embedded input ``u``; every identity has index 0).
     """
     dec = enc.decomposition
     missing = set(range(dec.s_part.order)).difference(*enc._next)
     if missing:
         raise NuNotSurjective(dec.s_part.element_at(min(missing)))
-    e_y = enc.output_group.identity()
     for j in range(1, dec.u_part.order):
-        if enc._next[j][0] == 0 and enc._out[j][0] == e_y:
+        if enc._next[j][0] == 0 and enc._out[j][0] == 0:
             raise PsiNotInjective((dec.u_part.element_at(j), dec.s_part.identity()))
     return enc
 
@@ -202,9 +203,9 @@ def encode_forward(
     i = _position(enc.state_group, s0)
     next_pairs = list(chain.from_iterable(enc._next))
     positions = _walk(next_pairs, enc.state_group.order, i, _input_indices(enc, inputs))
-    all_states, out_pairs = list(enc.state_group._index), list(chain.from_iterable(enc._out))
-    states = [all_states[next_pairs[p]] for p in positions]
-    return states, list(map(out_pairs.__getitem__, positions))
+    states, outputs = list(enc.state_group._index), list(enc.output_group.elements())
+    out_pairs = list(chain.from_iterable(enc._out))
+    return [states[next_pairs[p]] for p in positions], [outputs[out_pairs[p]] for p in positions]
 
 
 def _input_indices(enc: Encoder, inputs: Iterable[Element]) -> list[int]:
@@ -261,13 +262,14 @@ def extend_past(
     if depth < 1:
         raise ValueError("depth must be at least 1")
     inputs, states = list(enc.input_group._index), list(enc.state_group._index)
+    outputs = list(enc.output_group.elements())
     past_states, past_inputs, past_outputs = [], [], []
     target = _position(enc.state_group, s0)
     for _ in range(depth):
         j, target = next(_preimages(enc, target))
         past_states.append(states[target])
         past_inputs.append(inputs[j])
-        past_outputs.append(enc._out[j][target])
+        past_outputs.append(outputs[enc._out[j][target]])
     return past_states, past_inputs, past_outputs
 
 
@@ -371,12 +373,12 @@ def encoder_to_spec(enc: Encoder) -> dict:
     Generator order is the coordinate order of the pair group: input-group
     coordinates first, then state coordinates.  Encoders over nonsplit
     extensions have no pair-coordinate generator table and cannot be
-    serialized in this format.
+    serialized in this format: they raise ``NotApplicable``.
     """
     dec = enc.decomposition
     expected = direct_sum_decomposition(dec.u_part, dec.s_part)
     if dec.ambient != expected.ambient or dec.pair_of != expected.pair_of:
-        raise ValueError("only split pair-coordinate encoders have a wire format")
+        raise NotApplicable("only split pair-coordinate encoders have a wire format")
     return {
         "U": {"factors": list(dec.u_part.factors)},
         "S": {"factors": list(dec.s_part.factors)},

@@ -8,12 +8,12 @@ moduli verbatim so pair coordinates survive (used by the encoder layer).
 Every subgroup closure (generated subgroups, the closure test, subgroup
 enumeration, heights) is one coset-growing span, :func:`_span`.  Every search
 for generator images (surjective homs, automorphisms, basis extraction in
-recognition) is one prefix-span search, :func:`_image_tuples`.  A hom table
-is built one target coordinate at a time from the generator images (see
-:attr:`GroupHom._table`); recognition coordinates, which sum basis elements
-under an abstract operation, are one linear table, :func:`_linear_table`.  A
-hom is tabulated once and a group keeps one element index, both on first
-read.  Everything is immutable.
+recognition) is one prefix-span search, :func:`_image_tuples`.  A hom is
+tabulated once, on first read, as its images' target indices
+(:attr:`GroupHom._indices`), which :func:`hom_table` turns into elements;
+recognition coordinates, which sum basis elements under an abstract
+operation, are one linear table, :func:`_linear_table`.  A group keeps one
+element index, built on first read.  Everything is immutable.
 """
 
 from __future__ import annotations
@@ -589,39 +589,35 @@ class GroupHom:
         return out
 
     @cached_property
-    def _table(self) -> tuple[Element, ...]:
-        """The :func:`hom_table`, built on first read.
+    def _indices(self) -> list[int]:
+        """Each source element's image as an index into ``target.elements()``, built on first read.
 
         Each target coordinate is one int column over the source elements,
         grown from the last source generator to the first: an order-``n``
-        generator with coefficient ``a`` in a ``Z_d`` coordinate puts the
-        ``n`` multiples ``c * a mod d`` in front of the column built so far,
-        so a zero coefficient repeats the column ``n`` times.  The columns are
-        zipped into element tuples at the end.
+        generator with coefficient ``a`` in a ``Z_d`` coordinate adds each
+        multiple ``c * a`` (mod ``d``) to the column built so far, so a zero
+        coefficient repeats the column ``n`` times.  Each column is folded into
+        the mixed-radix index when built, so one column is held beside it.
         """
-        columns = [[0] for _ in self.target.factors]
-        for n, img in zip(reversed(self.source.factors), reversed(self.gen_images)):
-            for k, (a, d) in enumerate(zip(img, self.target.factors)):
-                column = columns[k]
+        indices = [0] * self.source.order
+        for k, d in enumerate(self.target.factors):
+            column = [0]
+            for n, img in zip(reversed(self.source.factors), reversed(self.gen_images)):
+                a = img[k]
                 if a == 0:
-                    columns[k] = column * n
+                    column = column * n
                 else:
-                    multiples = [c * a % d for c in range(n)]
-                    columns[k] = [(m + v) % d for m in multiples for v in column]
-        if not columns:  # the trivial target: every element maps to ()
-            return ((),) * self.source.order
-        return tuple(zip(*columns))
+                    column = [(m + v) % d for m in range(0, n * a, a) for v in column]
+            indices = list(map(operator.add, map(d.__mul__, indices), column))
+        return indices
 
 
 def hom_table(h: GroupHom) -> list[Element]:
-    """The image of every source element, in ``h.source.elements()`` order.
+    """The image of every source element, in ``h.source.elements()`` order, as a new list.
 
-    Built once per hom object from the generator images, one target
-    coordinate at a time, instead of ``|G| * rank`` checked
-    ``scalar_mul``/``add`` calls through ``h(a)``, which stays the checked
-    evaluation.  Each call returns a new list.
+    Read from the hom's cached target indices; ``h(a)`` stays the checked evaluation.
     """
-    return list(h._table)
+    return list(map(list(h.target.elements()).__getitem__, h._indices))
 
 
 def identity_hom(g: FiniteAbelianGroup) -> GroupHom:

@@ -1,12 +1,13 @@
 """State diagrams, trellis paths, splices, and codeword membership; diagrams
-and membership read the encoder's columns ``enc._next`` and ``enc._out``.
+and membership read the encoder's int columns ``enc._next`` (state indices)
+and ``enc._out`` (output indices).
 
 Membership runs on indices: states are bits of a mask and the window's
-symbols are output-label ids, so a witness becomes elements only when it is
-returned.  A state set's image under one label is the union of that label's
-successor (or predecessor) rows at the set's bits.  DOT export renders each
-label once and fills every time step of the pre-cut node and edge blocks
-with ``str.join``.
+symbols become output indices, so a witness becomes elements only when it is
+returned.  A state set's image under one output is the union of that
+output's successor (or predecessor) rows at the set's bits.  DOT export
+formats each label once and fills the pre-cut node and edge blocks of every
+time step with ``str.join``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ class Branch:
 def branches(enc: Encoder) -> list[Branch]:
     """All transitions of the state diagram, state-major then input-minor."""
     inputs, states = list(enc.input_group._index), list(enc.state_group._index)
+    outputs = list(enc.output_group.elements())
     return [
-        Branch(source=s, label=enc._out[j][i], target=states[enc._next[j][i]], input=u)
+        Branch(source=s, label=outputs[enc._out[j][i]], target=states[enc._next[j][i]], input=u)
         for i, s in enumerate(states)
         for j, u in enumerate(inputs)
     ]
@@ -79,36 +81,32 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
     lexicographically smallest state sequence is returned.
 
     State sets are bitmasks over state indices, which are lexicographic, so
-    the lowest set bit is the least state.  Output labels are numbered in
-    order of first appearance in the columns, and the window is read as label
-    ids: ``succ[k][i]`` and ``pred[k][i]`` are the masks of the states one
-    branch labelled ``k`` leads to from, or comes from into, state ``i``.
+    the lowest set bit is the least state.  The window is read as output
+    indices, which label the branches: ``succ[k][i]`` and ``pred[k][i]`` are
+    the masks of the states one branch labelled ``k`` leads to from, or comes
+    from into, state ``i``, for each output index ``k`` the columns hold.
     """
     if window.group != enc.output_group:
         raise ValueError("window symbols are not in the encoder output group")
     n_states = enc.state_group.order
-    label_id: dict[Element, int] = {}
-    succ: list[list[int]] = []
-    pred: list[list[int]] = []
+    succ: dict[int, list[int]] = {}
+    pred: dict[int, list[int]] = {}
     for column, outs in zip(enc._next, enc._out):
-        for source, (target, y) in enumerate(zip(column, outs)):
-            k = label_id.get(y)
-            if k is None:
-                k = label_id[y] = len(succ)
-                succ.append([0] * n_states)
-                pred.append([0] * n_states)
+        for source, (target, k) in enumerate(zip(column, outs)):
+            if k not in succ:
+                succ[k], pred[k] = [0] * n_states, [0] * n_states
             succ[k][source] |= 1 << target
             pred[k][target] |= 1 << source
 
-    ids = list(map(label_id.get, window.symbols))
-    if None in ids:
+    symbol_ids = {y: enc.output_group.index_of(y) for y in dict.fromkeys(window.symbols)}
+    if not succ.keys() >= set(symbol_ids.values()):
         return None
-    e_y = label_id[enc.output_group.identity()]  # labels the branch (e_U, e_S) -> e_S
+    ids = list(map(symbol_ids.__getitem__, window.symbols))
     full = (1 << n_states) - 1
 
     # a window revisits few state sets: each label keeps its images by mask
-    images: list[dict[int, int]] = [{} for _ in succ]
-    feasible = [_identity_core(succ[e_y], full)]
+    images: dict[int, dict[int, int]] = {k: {} for k in succ}
+    feasible = [_identity_core(succ[0], full)]  # 0 labels the branch (e_U, e_S) -> e_S
     for k in ids:
         mask = feasible[-1]
         seen = images[k]
@@ -118,10 +116,10 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
         if not image:
             return None
         feasible.append(image)
-    feasible[-1] &= _identity_core(pred[e_y], full)
+    feasible[-1] &= _identity_core(pred[0], full)
     if not feasible[-1]:
         return None
-    images = [{} for _ in succ]
+    images = {k: {} for k in succ}
     for t in range(len(ids) - 1, -1, -1):
         k, mask = ids[t], feasible[t + 1]
         seen = images[k]
@@ -170,9 +168,11 @@ def _dot_lines(enc: Encoder, unrolled_sections: int) -> Iterator[str]:
         for i, s in enumerate(s_group.elements())
     ).split(_SLOT)
     input_labels = [format_element(enc.input_group, u) for u in enc.input_group.elements()]
+    y_group = enc.output_group
+    y_labels = {y: format_element(y_group, y_group.element_at(y)) for y in set().union(*enc._out)}
     edge_pieces = "".join(
         f'  "t{_SLOT}_s{i}" -> "t{_SLOT}_s{enc._next[j][i]}" '
-        f'[label="{u}/{format_element(enc.output_group, enc._out[j][i])}"];\n'
+        f'[label="{u}/{y_labels[enc._out[j][i]]}"];\n'
         for i in range(s_group.order)
         for j, u in enumerate(input_labels)
     ).split(_SLOT)

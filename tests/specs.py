@@ -44,3 +44,12 @@ STATELESS = {
     "nu": {"gen_images": [[]]},
     "omega": {"gen_images": [[1]]},
 }
+
+# trivial output group: the state follows the input and every branch emits ()
+SILENT = {
+    "U": {"factors": [2]},
+    "S": {"factors": [2]},
+    "Y": {"factors": []},
+    "nu": {"gen_images": [[1], [0]]},
+    "omega": {"gen_images": [[], []]},
+}

@@ -9,6 +9,7 @@ from groupcode import (
     FiniteAbelianGroup,
     GroupHom,
     InvalidHom,
+    NotApplicable,
     NuNotSurjective,
     OmegaNotHom,
     PsiNotInjective,
@@ -388,7 +389,7 @@ def _assert_columns_match_checked_maps(enc) -> None:
         j, i = u_part.index_of(u), s_part.index_of(s)
         positions.add((j, i))
         assert enc._next[j][i] == s_part.index_of(enc.next_state(g))
-        assert enc._out[j][i] == enc.output(g)
+        assert enc._out[j][i] == enc.output_group.index_of(enc.output(g))
     assert len(positions) == dec.ambient.order
 
 
@@ -461,7 +462,7 @@ class TestWireFormat:
         dec = decompose(g, subgroup_generated(g, [(4,)]))
         nu = enumerate_homs(g, dec.s_part, surjective_only=True)[0]
         enc = encoder_from_extension(dec, g, nu, identity_hom(g))
-        with pytest.raises(ValueError):
+        with pytest.raises(NotApplicable, match="only split pair-coordinate encoders"):
             encoder_to_spec(enc)
 
     def test_non_coordinate_normal_subgroup_has_no_wire_form(self):
@@ -474,7 +475,7 @@ class TestWireFormat:
         assert dec.element_to_pair((1, 0, 0)) == ((1,), (1, 0))
         nu = enumerate_homs(g, dec.s_part, surjective_only=True)[0]
         enc = encoder_from_extension(dec, g, nu, identity_hom(g))
-        with pytest.raises(ValueError):
+        with pytest.raises(NotApplicable, match="only split pair-coordinate encoders"):
             encoder_to_spec(enc)
 
     def test_malformed_spec_rejected(self):

@@ -41,7 +41,7 @@ from groupcode.cli import main
 from groupcode.encoder import Encoder, encoder_from_spec, encoder_to_spec
 from groupcode.sweep import _json_pieces, enumerate_encoders, enumerate_extensions, sweep_theorems
 from groupcode.trellis import codeword_witness, export_dot
-from specs import observed_shift_register
+from specs import SILENT, observed_shift_register
 
 
 def _sha256(text: str) -> str:
@@ -258,6 +258,29 @@ def test_stream_output_bytes_with_comma_joined_labels(tmp_path, capsys):
     assert digests == WIDE_STREAM_DIGESTS
 
 
+# the empty output symbol renders as "()" in every label of the trivial output group
+SILENT_DIGESTS = {
+    "analyze": "33e4abffce4e6b5bc965d2636a485ee75473c0e7b35feeb0143b3099462a590a",
+    "encode": "c33db8acc4eb762b29f09c3a72626000a5a41b4ca8d4f6b43cd33cde5e1ac586",
+    "trellis": "abe78c9554b10fa3879aa4ad422721b2a6c34eb6a4b1f86cabaff47211d171e4",
+}
+
+
+def test_trivial_output_group_bytes(tmp_path, capsys):
+    spec = tmp_path / "encoder.json"
+    spec.write_text(json.dumps(SILENT))
+    runs = {
+        "analyze": ["analyze", str(spec)],
+        "encode": ["encode", str(spec), "--inputs", "1,0,1", "--zero-tail"],
+        "trellis": ["trellis", str(spec), "--sections", "2"],
+    }
+    digests = {}
+    for name, argv in runs.items():
+        assert main(argv) == 0
+        digests[name] = _sha256(capsys.readouterr().out)
+    assert digests == SILENT_DIGESTS
+
+
 def test_sweep_decides_each_encoder_once(monkeypatch):
     decided = _count_calls(monkeypatch, [sweep, control], "decide_controllability")
     oracle = _count_calls(monkeypatch, [control], "exact_reach")
@@ -300,6 +323,16 @@ def test_analysis_json_builds_the_successor_table_once(monkeypatch):
     assert built == [enc]
 
 
+def test_encoder_build_hashes_no_element(monkeypatch):
+    # the columns are read from each hom's target indices: no state index, no element table
+    indexed = _count_builds(monkeypatch, groups.FiniteAbelianGroup, "_index")
+    tabled = _count_calls(monkeypatch, [groups], "hom_table")
+    enc = encoder_from_spec(observed_shift_register(2, 8))
+    assert enc.state_group.order == 256
+    assert enc.state_group not in indexed
+    assert tabled == []
+
+
 def _instance(p, state_factors, ambient_factors):
     instances = enumerate_extensions(p, make_group(state_factors))
     return next(i for i in instances if i.ambient.factors == ambient_factors)
@@ -311,7 +344,7 @@ def _instance(p, state_factors, ambient_factors):
 def test_enumerate_encoders_tabulates_each_map_once(monkeypatch, ambient_factors, count):
     # one table per next-state map, plus one for the identity output map they share
     instance = _instance(2, [2, 2], ambient_factors)
-    tabulated = _count_builds(monkeypatch, GroupHom, "_table")
+    tabulated = _count_builds(monkeypatch, GroupHom, "_indices")
     encoders = enumerate_encoders(instance)
     assert len(encoders) == count
     assert len(tabulated) == count + 1

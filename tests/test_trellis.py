@@ -15,6 +15,7 @@ from groupcode import (
     decompose,
     encode_forward,
     export_dot,
+    extend_past,
     is_codeword,
     make_encoder,
     make_group,
@@ -26,7 +27,7 @@ from groupcode.encoder import encoder_from_extension, encoder_from_spec
 from groupcode.errors import PsiNotInjective
 from groupcode.groups import abelian_groups_of_order, enumerate_homs, format_element, identity_hom
 from groupcode.sweep import enumerate_extensions
-from specs import INPUTLESS, STATELESS, STREAM_SHAPES, observed_shift_register
+from specs import INPUTLESS, SILENT, STATELESS, STREAM_SHAPES, observed_shift_register
 
 
 def _reference_identity_core(enc, diagram, backwards):
@@ -410,7 +411,7 @@ def reference_dot(enc, unrolled_sections):
     input_labels = [label(enc.input_group, u) for u in enc.input_group.elements()]
     edge_block = "".join(
         f'  "t{{0}}_s{i}" -> "t{{1}}_s{enc._next[j][i]}" '
-        f'[label="{u}/{label(enc.output_group, enc._out[j][i])}"];\n'
+        f'[label="{u}/{label(enc.output_group, enc.output_group.element_at(enc._out[j][i]))}"];\n'
         for i in range(s_group.order)
         for j, u in enumerate(input_labels)
     )
@@ -515,3 +516,36 @@ class TestNonsplitColumnsAgainstCheckedEvaluation:
             assert witness == reference_witness(enc, window)
             checked += 1
         assert checked
+
+
+class TestTrivialOutputGroup:
+    """Y = Z1: every branch emits the one empty symbol, so the columns hold output index 0."""
+
+    @pytest.fixture
+    def enc(self):
+        return encoder_from_spec(SILENT)
+
+    def test_columns_hold_only_the_identity_index(self, enc):
+        assert enc._out == [[0, 0], [0, 0]]
+
+    def test_witness_of_the_empty_window(self, enc):
+        assert codeword_witness(enc, Window(enc.output_group, 0, ())) == [(0,)]
+
+    def test_witness_of_identity_symbols(self, enc):
+        window = Window(enc.output_group, 4, ((),) * 3)
+        assert codeword_witness(enc, window) == [(0,)] * 4
+
+    def test_branches(self, enc):
+        assert branches(enc) == [
+            Branch(source=(s,), label=(), target=(u,), input=(u,)) for s in (0, 1) for u in (0, 1)
+        ]
+
+    def test_step(self, enc):
+        for u, s in itertools.product([(0,), (1,)], repeat=2):
+            assert enc.step(u, s) == (u, ())
+
+    def test_encode_forward(self, enc):
+        assert encode_forward(enc, (1,), [(1,), (0,), (1,)]) == ([(1,), (0,), (1,)], [()] * 3)
+
+    def test_extend_past(self, enc):
+        assert extend_past(enc, (1,), 3) == ([(0,)] * 3, [(1,), (0,), (0,)], [()] * 3)
