@@ -11,11 +11,11 @@ concrete encoder and raises on any violation.
 State sets are bitmasks over ``state_group.index_of`` (the identity state is
 bit 0), and a set's one-step image is the union of the encoder's successor
 rows at its bits.  The brute-force ``exact_reach`` oracle shares no code with
-the chain: it pulls every start state's masks level by level over the
-encoder's next-state columns ``enc._next``, which the past kernel and the
-report's kernel counts read too.  Chain levels, the past kernel and
-counterexamples are element tuples, converted through the state group's one
-element index.
+the chain: it yields every start state's masks level by level, each pulled
+from the one before over the encoder's next-state columns ``enc._next``,
+which the past kernel and the report's kernel counts read too.  Chain
+levels, the past kernel and counterexamples are element tuples, converted
+through the state group's one element index.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from operator import or_
+from typing import Iterator
 
 from .encoder import Encoder, _image, _lowest, _picked, _preimages
 from .errors import NotApplicable, PredicateViolation, TooLarge
@@ -106,23 +107,23 @@ def past_kernel(enc: Encoder) -> Subgroup:
     return Subgroup(enc.state_group, tuple(map(enc.state_group.element_at, states)))
 
 
-def exact_reach(enc: Encoder, max_len: int) -> list[list[int]]:
-    """``result[L][i]`` is the mask of states reachable from state ``i`` in exactly L steps.
+def exact_reach(enc: Encoder, max_len: int) -> Iterator[list[int]]:
+    """Yield levels L = 0..max_len: ``level[i]`` masks the states reachable from ``i`` in L steps.
 
     A brute-force oracle over every start state, on bitmasks over state
     indices.  It pulls each level from the one before over the encoder's
-    next-state columns, ``result[L + 1][i] = OR over u of result[L][next(u, i)]``;
-    it shares no code with the chain.
+    next-state columns, ``level_{L+1}[i] = OR over u of level_L[next(u, i)]``,
+    and holds only that one; it shares no code with the chain.
     """
     first, *rest = enc._next
-    result = [[1 << i for i in range(len(first))]]
+    level = [1 << i for i in range(len(first))]
+    yield level
     for _ in range(max_len):
-        prev = result[-1]
+        prev = level
         level = list(map(prev.__getitem__, first))
         for column in rest:
             level = list(map(or_, level, map(prev.__getitem__, column)))
-        result.append(level)
-    return result
+        yield level
 
 
 def decide_controllability(enc: Encoder) -> ControlVerdict:
@@ -131,9 +132,11 @@ def decide_controllability(enc: Encoder) -> ControlVerdict:
     The chain criterion (reaching the full state group) is checked against
     exact L-step reachability from every state: the identity state's reach
     follows the chain one step past its stop, at the claimed index every
-    state reaches everything, one step earlier none does.  A disagreement
-    raises ``PredicateViolation`` with the step count and a witness.  More
-    than ``STATE_GUARD`` states raise ``TooLarge`` before either is built.
+    state reaches everything, one step earlier none does.  Each oracle level
+    is checked as it arrives and none is kept, only the first failing state
+    at the index and one step earlier.  A disagreement raises
+    ``PredicateViolation`` with the step count and a witness.  More than
+    ``STATE_GUARD`` states raise ``TooLarge`` before either is built.
     """
     if enc.state_group.order > STATE_GUARD:
         raise TooLarge(
@@ -143,22 +146,22 @@ def decide_controllability(enc: Encoder) -> ControlVerdict:
     controllable = chain.reaches_all
     index = chain.stabilized_at if controllable else None
 
-    reach = exact_reach(enc, chain.stabilized_at + 1)
     s_group = enc.state_group
     full = (1 << s_group.order) - 1
-    for L in range(chain.stabilized_at + 2):
-        if reach[L][0] != chain._masks[min(L, chain.stabilized_at)]:
+    short = early = None  # the first state index failing each index check
+    for L, level in enumerate(exact_reach(enc, chain.stabilized_at + 1)):
+        if level[0] != chain._masks[min(L, chain.stabilized_at)]:
             raise PredicateViolation(
-                "chain_matches_exact_reach", (L, list(_members(enc, reach[L][0])))
+                "chain_matches_exact_reach", (L, list(_members(enc, level[0])))
             )
-    if controllable:
-        short = [i for i, mask in enumerate(reach[index]) if mask != full]
-        if short:
-            witness = s_group.element_at(short[0])
-            raise PredicateViolation("index_reaches_every_state", (index, witness))
-        if index >= 1 and full in reach[index - 1]:
-            early = s_group.element_at(reach[index - 1].index(full))
-            raise PredicateViolation("index_is_minimal", (index - 1, early))
+        if L == index:
+            short = next((i for i, mask in enumerate(level) if mask != full), None)
+        if L + 1 == index and full in level:
+            early = level.index(full)
+    if short is not None:
+        raise PredicateViolation("index_reaches_every_state", (index, s_group.element_at(short)))
+    if early is not None:
+        raise PredicateViolation("index_is_minimal", (index - 1, s_group.element_at(early)))
 
     return ControlVerdict(
         controllable=controllable,

@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress
-from operator import or_
+from itertools import chain, compress, count
+from operator import ne, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     WrongGroup,
 )
 from .extension import ExtensionDecomposition, direct_sum_decomposition
-from .groups import Element, FiniteAbelianGroup, GroupHom
+from .groups import Element, FiniteAbelianGroup, GroupHom, direct_sum
 
 PAIR_GUARD = 2**20  # bound on |U| * |S|: every table is built over all (u, s) pairs
 
@@ -43,8 +43,9 @@ class Encoder:
 
     ``next_state`` and ``output`` are homomorphisms on the ambient group,
     tabulated at construction into the int columns ``_next`` and ``_out``:
-    each hom's cached target indices are read in the decomposition's shared
-    pair-position order and cut into one slice per input.
+    each hom's cached target indices are read in the order of the
+    decomposition's shared pair-position column and cut into one slice per
+    input.
     """
 
     decomposition: ExtensionDecomposition
@@ -58,7 +59,7 @@ class Encoder:
             raise WrongGroup("next-state map is not defined from the ambient group onto states")
         if self.output.source != dec.ambient or self.output.target != self.output_group:
             raise WrongGroup("output map is not defined from the ambient group onto outputs")
-        order, n_states = dec._by_position, dec.s_part.order
+        order, n_states = dec.column, dec.s_part.order
         nxt = list(map(self.next_state._indices.__getitem__, order))
         out = list(map(self.output._indices.__getitem__, order))
         cuts = range(0, len(order), n_states)
@@ -371,13 +372,14 @@ def encoder_to_spec(enc: Encoder) -> dict:
     """Serialize a split-extension encoder to its wire dictionary.
 
     Generator order is the coordinate order of the pair group: input-group
-    coordinates first, then state coordinates.  Encoders over nonsplit
+    coordinates first, then state coordinates.  The encoder is split in those
+    coordinates exactly when its ambient group is ``direct_sum(U, S)`` and
+    its pair-position column is the identity order.  Encoders over nonsplit
     extensions have no pair-coordinate generator table and cannot be
     serialized in this format: they raise ``NotApplicable``.
     """
     dec = enc.decomposition
-    expected = direct_sum_decomposition(dec.u_part, dec.s_part)
-    if dec.ambient != expected.ambient or dec.pair_of != expected.pair_of:
+    if dec.ambient != direct_sum(dec.u_part, dec.s_part) or any(map(ne, dec.column, count())):
         raise NotApplicable("only split pair-coordinate encoders have a wire format")
     return {
         "U": {"factors": list(dec.u_part.factors)},

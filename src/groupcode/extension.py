@@ -1,12 +1,13 @@
 """Decompose a group with a chosen normal subgroup into pair coordinates.
 
 Given an ambient abelian group ``G`` and a subgroup ``N``, a decomposition
-stores one map: the pair ``(u, s)`` of every element of ``G``.  ``s`` names
-the element's coset in a canonical group ``S`` isomorphic to ``G/N``, and
-``u`` its residue over the coset's lift, the lexicographically minimal
-member, in a canonical group ``U`` isomorphic to ``N``.  The projection, the
-embedding of ``N``, the lifting and ``N`` are read from that map, and the
-factor set measures how far the lifting is from a homomorphism.
+stores one int column: for each pair ``(u, s)``, the index of the element of
+``G`` that carries it.  ``s`` names the element's coset in a canonical group
+``S`` isomorphic to ``G/N``, and ``u`` its residue over the coset's lift, the
+lexicographically minimal member, in a canonical group ``U`` isomorphic to
+``N``.  The pair of each element, the projection, the embedding of ``N``, the
+lifting and ``N`` are derived from that column, and the factor set measures
+how far the lifting is from a homomorphism.
 Conjugation is trivial in an abelian group, so pairs multiply by
 
     (u1, s1) * (u2, s2) = (u1 + u2 + factor_set(s1, s2), s1 + s2)
@@ -19,7 +20,6 @@ its value is the identity whenever either argument is the identity.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Sequence
@@ -46,30 +46,24 @@ class ExtensionKind(enum.Enum):
 class ExtensionDecomposition:
     """Pair-coordinate presentation of an ambient group over a normal subgroup.
 
-    ``pair_of[i]`` is the pair ``(u, s)`` of the ambient element with index
-    ``i`` in ``ambient.elements()`` order.  Every other map is read from it
-    the first time it is used; tabulating an encoder reads only
-    :attr:`_by_position`, which every encoder on the decomposition shares.
+    ``column[index(u) * |S| + index(s)]`` is the index of the ambient element
+    whose pair is ``(u, s)``, indices in ``elements()`` order.  Tabulating an
+    encoder reads only the column, which every encoder on the decomposition
+    shares; every other map is derived from it the first time it is used.
     """
 
     ambient: FiniteAbelianGroup
     u_part: FiniteAbelianGroup
     s_part: FiniteAbelianGroup
-    pair_of: tuple[tuple[Element, Element], ...]
+    column: Sequence[int]
 
     @cached_property
-    def _by_position(self) -> Sequence[int]:
-        """Ambient indices in pair-position order.
-
-        Entry ``index(u) * |S| + index(s)`` is the index of the ambient
-        element whose pair is ``(u, s)``, indices in ``elements()`` order.
-        """
-        u_index, s_index = self.u_part._index, self.s_part._index
-        n_states = len(s_index)
-        order = [0] * len(self.pair_of)
-        for g, (u, s) in enumerate(self.pair_of):
-            order[u_index[u] * n_states + s_index[s]] = g
-        return order
+    def pair_of(self) -> tuple[tuple[Element, Element], ...]:
+        """``pair_of[g]`` is the pair of the ambient element with index ``g``."""
+        pair_of = [None] * len(self.column)
+        for g, pair in zip(self.column, self.pairs()):
+            pair_of[g] = pair
+        return tuple(pair_of)
 
     @cached_property
     def to_quotient(self) -> dict[Element, Element]:
@@ -97,8 +91,9 @@ class ExtensionDecomposition:
         return Subgroup(self.ambient, tuple(self.n_to_u))
 
     def pair_to_element(self, u: Element, s: Element) -> Element:
-        lift = self.lifting[self.s_part.check(s)]
-        return self.ambient.add(lift, self.u_to_n[self.u_part.check(u)])
+        j = self.u_part.index_of(self.u_part.check(u))
+        i = self.s_part.index_of(self.s_part.check(s))
+        return self.ambient.element_at(self.column[j * self.s_part.order + i])
 
     def element_to_pair(self, g: Element) -> tuple[Element, Element]:
         return self.pair_of[self.ambient.index_of(self.ambient.check(g))]
@@ -128,23 +123,24 @@ def decompose(ambient: FiniteAbelianGroup, normal: Subgroup) -> ExtensionDecompo
     The subgroup and quotient are recognized into canonical coordinate
     groups.  :func:`quotient` lists the projection in ``elements()`` order,
     so the first element met in each coset is its minimum, which becomes the
-    coset's lift (the identity coset lifts to the identity).  Every other
-    element ``g`` of the coset gets the pair ``(n_to_u[g - lift], s)``.
+    coset's lift (the identity coset lifts to the identity).  Each element
+    ``g`` of the coset gets the pair ``(n_to_u[g - lift], s)``, the lift
+    itself ``(e_U, s)``, and the column holds its index at that pair's
+    position.
     """
     s_part, to_quotient = quotient(ambient, normal)  # checks that normal is a subgroup
     moduli = ambient.factors
     u_part, n_to_u = recognize_with_iso(list(normal.elements), partial(_add, moduli))
-    e_u = u_part.identity()
+    n_states = s_part.order
 
     neg_lift: dict[Element, Element] = {}
-    pair_of = []
-    for g, s in to_quotient.items():
-        if s in neg_lift:
-            pair_of.append((n_to_u[_add(moduli, g, neg_lift[s])], s))
-        else:
+    column = [0] * ambient.order
+    for g_index, (g, s) in enumerate(to_quotient.items()):
+        if s not in neg_lift:
             neg_lift[s] = tuple(-c % d for c, d in zip(g, moduli))
-            pair_of.append((e_u, s))
-    return ExtensionDecomposition(ambient, u_part, s_part, tuple(pair_of))
+        u = n_to_u[_add(moduli, g, neg_lift[s])]
+        column[u_part.index_of(u) * n_states + s_part.index_of(s)] = g_index
+    return ExtensionDecomposition(ambient, u_part, s_part, column)
 
 
 def direct_sum_decomposition(
@@ -154,18 +150,12 @@ def direct_sum_decomposition(
 
     Unlike :func:`decompose`, the components keep the caller's coordinates
     verbatim (no recognition step), so states and inputs print exactly as
-    supplied: the pair of an element is its coordinate split.  The factor
-    set is identically zero.
+    supplied: the pair of an element is its coordinate split, so the element
+    at position ``index(u) * |S| + index(s)`` has that same index and the
+    column is the identity order.  The factor set is identically zero.
     """
-    pair_of = tuple(itertools.product(u_part.elements(), s_part.elements()))
-    dec = ExtensionDecomposition(direct_sum(u_part, s_part), u_part, s_part, pair_of)
-    # The ambient elements are the product of the components' elements, so
-    # the element at position index(u) * |S| + index(s) has that same index:
-    # seed the cached order with the identity instead of inverting pair_of
-    # (inverting it costs about 150 us, a fifth of an encoder build, at
-    # |U| * |S| = 729).
-    vars(dec)["_by_position"] = range(len(pair_of))
-    return dec
+    ambient = direct_sum(u_part, s_part)
+    return ExtensionDecomposition(ambient, u_part, s_part, range(ambient.order))
 
 
 def extension_product(
@@ -174,9 +164,9 @@ def extension_product(
     pair2: tuple[Element, Element],
 ) -> tuple[Element, Element]:
     """Multiply two pairs; the second coordinate is always the state sum."""
-    for u, s in (pair1, pair2):
-        dec.u_part.check(u)
-        dec.s_part.check(s)
+    pair1, pair2 = (
+        (tuple(dec.u_part.check(u)), tuple(dec.s_part.check(s))) for u, s in (pair1, pair2)
+    )
     return _product(dec, pair1, pair2)
 
 
@@ -191,7 +181,8 @@ def _product(dec: ExtensionDecomposition, pair1, pair2) -> tuple[Element, Elemen
 def verify_decomposition(dec: ExtensionDecomposition) -> bool:
     """Check the pair map is a bijection onto ``U x S`` carrying sums to pair products."""
     ambient = dec.ambient
-    if len(dec.pair_of) != ambient.order or set(dec.pair_of) != set(dec.pairs()):
+    n_pairs = dec.u_part.order * dec.s_part.order
+    if ambient.order != n_pairs or sorted(dec.column) != list(range(n_pairs)):
         return False
     pair_of = dict(zip(ambient.elements(), dec.pair_of))
     for g1, p1 in pair_of.items():

@@ -5,7 +5,8 @@ and ``enc._out`` (output indices).
 Membership runs on indices: states are bits of a mask and the window's
 symbols become output indices, so a witness becomes elements only when it is
 returned.  A state set's image under one output is the union of that
-output's successor (or predecessor) rows at the set's bits.  DOT export
+output's successor (or predecessor) rows at the set's bits; rows are built
+only for the identity output and the outputs the window reads.  DOT export
 formats each label once and fills the pre-cut node and edge blocks of every
 time step with ``str.join``.
 """
@@ -84,24 +85,22 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
     the lowest set bit is the least state.  The window is read as output
     indices, which label the branches: ``succ[k][i]`` and ``pred[k][i]`` are
     the masks of the states one branch labelled ``k`` leads to from, or comes
-    from into, state ``i``, for each output index ``k`` the columns hold.
+    from into, state ``i``, built only for the identity label 0 and the
+    window's labels.  A label no branch carries keeps all-zero rows, so its
+    image is empty.
     """
     if window.group != enc.output_group:
         raise ValueError("window symbols are not in the encoder output group")
     n_states = enc.state_group.order
-    succ: dict[int, list[int]] = {}
-    pred: dict[int, list[int]] = {}
+    symbol_ids = {y: enc.output_group.index_of(y) for y in dict.fromkeys(window.symbols)}
+    ids = list(map(symbol_ids.__getitem__, window.symbols))
+    succ = {k: [0] * n_states for k in (0, *symbol_ids.values())}
+    pred = {k: [0] * n_states for k in succ}
     for column, outs in zip(enc._next, enc._out):
         for source, (target, k) in enumerate(zip(column, outs)):
-            if k not in succ:
-                succ[k], pred[k] = [0] * n_states, [0] * n_states
-            succ[k][source] |= 1 << target
-            pred[k][target] |= 1 << source
-
-    symbol_ids = {y: enc.output_group.index_of(y) for y in dict.fromkeys(window.symbols)}
-    if not succ.keys() >= set(symbol_ids.values()):
-        return None
-    ids = list(map(symbol_ids.__getitem__, window.symbols))
+            if k in succ:
+                succ[k][source] |= 1 << target
+                pred[k][target] |= 1 << source
     full = (1 << n_states) - 1
 
     # a window revisits few state sets: each label keeps its images by mask

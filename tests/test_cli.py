@@ -157,7 +157,7 @@ def _corrupt_reach(monkeypatch, level, state, value):
     original = control.exact_reach
 
     def corrupted(enc, max_len):
-        table = original(enc, max_len)
+        table = list(original(enc, max_len))
         table[level][enc.state_group.index_of(state)] = value(enc)
         return table
 

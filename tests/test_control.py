@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import sys
+import tracemalloc
 
 import pytest
 
@@ -22,9 +24,10 @@ from groupcode import (
     subgroup_generated,
 )
 from groupcode.control import _subgroup_is_cyclic, analysis_json, exact_reach
-from groupcode.encoder import encoder_from_extension
+from groupcode.encoder import encoder_from_extension, encoder_from_spec
 from groupcode.groups import abelian_groups_of_order, all_subgroups, identity_hom, recognize
 from groupcode.sweep import enumerate_encoders, enumerate_extensions
+from specs import observed_shift_register
 
 
 def reach_sets(enc, table):
@@ -202,6 +205,23 @@ class TestExactReach:
         enc = frozen_state_encoder
         for length in range(enc.state_group.order + 1):
             assert (1,) not in brute_exact_reach(enc, (0,), length)
+
+    def test_decision_holds_a_bounded_number_of_levels(self):
+        # the m = 10 register's chain stops at 10, so holding every oracle
+        # level would hold twelve levels of 1,024 masks of 1,024 bits
+        enc = encoder_from_spec(observed_shift_register(2, 10))
+        n = enc.state_group.order
+        level = n * sys.getsizeof((1 << n) - 1) + sys.getsizeof([0] * n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            verdict = decide_controllability(enc)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert verdict.index == 10
+        assert peak < 6 * level
 
 
 def _ref_one_step_image(enc, states):

@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from groupcode import (
-    ExtensionDecomposition,
     FiniteAbelianGroup,
     GroupHom,
     InvalidHom,
@@ -443,10 +442,12 @@ class TestColumns:
         _assert_columns_match_checked_maps(enc)
 
     @pytest.mark.parametrize("enc", [pytest.param(enc, id=name) for name, enc in _split_registers()])
-    def test_split_position_order_is_the_inverted_pair_map(self, enc):
-        # direct_sum_decomposition seeds the identity order instead of inverting pair_of
+    def test_split_column_is_the_identity_order(self, enc):
+        # the split pair (u, s) is the ambient element u + s, at position index(u) * |S| + index(s)
         dec = enc.decomposition
-        assert list(dec._by_position) == ExtensionDecomposition._by_position.func(dec)
+        assert list(dec.column) == list(range(dec.ambient.order))
+        k = dec.u_part.rank
+        assert dec.pair_of == tuple((a[:k], a[k:]) for a in dec.ambient.elements())
 
 
 class TestWireFormat:

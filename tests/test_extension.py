@@ -100,6 +100,26 @@ class TestPairApi:
         with pytest.raises(WrongGroup):
             extension_product(z4_halved, ((0,), (0,)), ((0,), (9,)))
 
+    def test_coordinate_lists_are_accepted(self, klein_cube_split, z4_halved):
+        for dec in (klein_cube_split, z4_halved):
+            e = (list(dec.u_part.identity()), list(dec.s_part.identity()))
+            for u, s in dec.pairs():
+                g = dec.pair_to_element(list(u), list(s))
+                assert g == dec.pair_to_element(u, s)
+                assert dec.element_to_pair(list(g)) == (u, s)
+                assert extension_product(dec, (list(u), list(s)), e) == (u, s)
+        assert klein_cube_split.pair_to_element([1], [0, 1]) == (1, 0, 1)
+        assert extension_product(klein_cube_split, ([1], [0, 1]), ([1], [1, 1])) == ((0,), (1, 0))
+
+    def test_foreign_coordinate_lists_raise_wrong_group(self, klein_cube_split):
+        dec = klein_cube_split
+        with pytest.raises(WrongGroup):
+            dec.pair_to_element([2], [0, 1])
+        with pytest.raises(WrongGroup):
+            dec.pair_to_element([1], [0, 1, 0])
+        with pytest.raises(WrongGroup):
+            extension_product(dec, ([1], [0, 1]), ([0], [0, 2]))
+
     def test_pair_of_is_indexed_by_ambient_order(self, z4_halved):
         # cosets {0, 2} and {1, 3}; 2 and 3 sit one embedded 2 above their lifts
         assert z4_halved.pair_of == (((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,)))

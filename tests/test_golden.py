@@ -350,14 +350,40 @@ def test_enumerate_encoders_tabulates_each_map_once(monkeypatch, ambient_factors
     assert len(tabulated) == count + 1
 
 
+class _RecordedColumn(list):
+    """A pair-position column that logs itself each time it is read through."""
+
+    def __init__(self, column, reads):
+        super().__init__(column)
+        self.reads = reads
+
+    def __iter__(self):
+        self.reads.append(self)
+        return super().__iter__()
+
+
 @pytest.mark.parametrize("ambient_factors", [(2, 2, 2), (2, 4)], ids=["Z2^3", "Z2xZ4"])
-def test_position_order_is_built_once_per_instance(monkeypatch, ambient_factors):
-    # every encoder of an instance reads its columns in the one shared order
+def test_encoders_of_an_instance_read_one_column(ambient_factors):
+    # every encoder of an instance reads its columns in the one stored order
     instance = _instance(2, [2, 2], ambient_factors)
-    built = _count_builds(monkeypatch, extension.ExtensionDecomposition, "_by_position")
+    dec = instance.decomposition
+    reads = []
+    column = _RecordedColumn(dec.column, reads)
+    object.__setattr__(dec, "column", column)
     encoders = enumerate_encoders(instance)
     assert len(encoders) > 1
-    assert built == [instance.decomposition]
+    assert len(reads) == 2 * len(encoders)  # once for the next-state map, once for the output
+    assert all(read is column for read in reads)
+    assert all(enc.decomposition.column is column for enc in encoders)
+
+
+def test_split_encoder_analysis_builds_no_pair_map(monkeypatch):
+    # a split encoder is built and analysed from its identity column alone
+    built = _count_builds(monkeypatch, extension.ExtensionDecomposition, "pair_of")
+    enc = encoder_from_spec(observed_shift_register(2, 8))
+    analysis_json(enc)
+    assert enc.state_group.order == 256
+    assert built == []
 
 
 def test_state_index_is_built_once_per_instance(monkeypatch):
@@ -546,10 +572,10 @@ def test_control_reads_the_columns(monkeypatch, systematic_encoder, spec):
     enc = systematic_encoder if spec is None else encoder_from_spec(spec)
     verdict = decide_controllability(enc)
     length = enc.state_group.order + 1
-    reach, payload = exact_reach(enc, length), analysis_json(enc)
+    reach, payload = list(exact_reach(enc, length)), analysis_json(enc)
     report = structure_report(enc, verdict)
     _refuse(monkeypatch, (trellis, "branches"), (Encoder, "step"))
-    assert exact_reach(enc, length) == reach
+    assert list(exact_reach(enc, length)) == reach
     assert structure_report(enc, verdict).predicates == report.predicates
     assert analysis_json(enc) == payload
 

@@ -369,6 +369,27 @@ class TestWitnessOnStreamShapes:
         assert codeword_witness(enc, window) is None
 
 
+    def test_injective_output_map_and_labels_the_window_does_not_read(self):
+        # U = Z2, S = Z2^10 with the output (u, s, 0) in Z2^12: 2,048 labels
+        # label a branch each, and the 2,048 with last coordinate 1 label none
+        spec = observed_shift_register(2, 10)
+        spec["Y"] = {"factors": [2] * 12}
+        spec["omega"] = {"gen_images": [[int(j == i) for j in range(12)] for i in range(11)]}
+        enc = encoder_from_spec(spec)
+        outputs = _zero_tailed_outputs(enc, (0,) * 10, 4, seed=7)
+        window = Window(enc.output_group, 0, outputs)
+        assert codeword_witness(enc, window) == reference_witness(enc, window) is not None
+        absent = outputs[:1] + [outputs[1][:11] + (1,)] + outputs[2:]
+        # the output names the state, so a flipped state coordinate breaks the path
+        flipped = list(outputs[2])
+        flipped[3] ^= 1
+        corrupted = outputs[:2] + [tuple(flipped)] + outputs[3:]
+        for symbols in (absent, corrupted):
+            window = Window(enc.output_group, 0, symbols)
+            assert reference_witness(enc, window) is None
+            assert codeword_witness(enc, window) is None
+
+
 class TestExportDot:
     def test_state_diagram_shape(self, systematic_encoder):
         dot = export_dot(systematic_encoder, 0)
