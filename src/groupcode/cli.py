@@ -8,9 +8,11 @@ byte-deterministic for identical inputs; the sweep runs in one process.
 
 ``encode`` runs on indices: the parsed input symbols become input indices,
 the encoder's shared forward walk turns them into pair positions
-``j * |S| + i``, and each distinct position's row tail is rendered once;
-elements appear only in that rendering.  ``trellis`` streams the chunks of
-:func:`groupcode.trellis._dot_lines`.
+``j * |S| + i``, and each distinct position's row tail is rendered once.
+Labels are rendered in bulk from indices, one
+:func:`groupcode.groups.element_labels` call each for the distinct
+positions' inputs, next states and outputs; no label is built from a tuple.
+``trellis`` streams the chunks of :func:`groupcode.trellis._dot_lines`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable
 from .control import analysis_json
 from .encoder import _input_indices, _walk, encoder_from_spec, zero_tail
 from .errors import GroupCodeError, NotPrime, PredicateViolation, TooLarge
-from .groups import format_element
+from .groups import element_labels
 from .sweep import _json_pieces, sweep_theorems
 from .trellis import _dot_lines
 
@@ -134,18 +136,20 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         else:
             positions += _walk(next_pairs, n_states, final, _input_indices(enc, padding))
 
-    def tail(p: int) -> str:  # the row after its number: input, next state, output
-        j, i = divmod(p, n_states)
-        return (
-            f"  {format_element(u_group, u_group.element_at(j)):<8} "
-            f"{format_element(s_group, s_group.element_at(next_pairs[p])):<10} "
-            f"{format_element(y_group, y_group.element_at(enc._out[j][i])):<10}\n"
-        )
-
-    tails = {p: tail(p) for p in set(positions)}
+    # each distinct position's row tail (input, next state, output) is rendered once
+    distinct = list(set(positions))
+    inputs = list(map(n_states.__rfloordiv__, distinct))
+    outputs = [enc._out[j][p % n_states] for j, p in zip(inputs, distinct)]
+    rendered = map(
+        "  {:<8} {:<10} {:<10}\n".format,
+        element_labels(u_group, inputs),
+        element_labels(s_group, list(map(next_pairs.__getitem__, distinct))),
+        element_labels(y_group, outputs),
+    )
+    tails = dict(zip(distinct, rendered))
     lines.append(f"{'i':>4}  {'u':<8} {'s':<10} {'y':<10}\n")
-    numbers = map("{:>4}".format, range(1, len(positions) + 1))
-    lines.append("".join(map(str.__add__, numbers, map(tails.__getitem__, positions))))
+    rows = zip(itertools.count(1), map(tails.__getitem__, positions))
+    lines.append("".join(map("%4d%s".__mod__, rows)))
     _emit(lines)
     return 0
 

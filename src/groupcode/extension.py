@@ -96,7 +96,10 @@ class ExtensionDecomposition:
         return self.ambient.element_at(self.column[j * self.s_part.order + i])
 
     def element_to_pair(self, g: Element) -> tuple[Element, Element]:
-        return self.pair_of[self.ambient.index_of(self.ambient.check(g))]
+        ambient = self.ambient
+        position = self.column.index(ambient.index_of(ambient.check(g)))
+        j, i = divmod(position, self.s_part.order)
+        return self.u_part.element_at(j), self.s_part.element_at(i)
 
     def pairs(self):
         for u in self.u_part.elements():

@@ -13,7 +13,9 @@ tabulated once, on first read, as its images' target indices
 (:attr:`GroupHom._indices`), which :func:`hom_table` turns into elements;
 recognition coordinates, which sum basis elements under an abstract
 operation, are one linear table, :func:`_linear_table`.  A group keeps one
-element index, built on first read.  Everything is immutable.
+element index, built on first read.  Labels are rendered in bulk from
+element indices by :func:`element_labels`; :func:`format_element` is its
+checked one-element form.  Everything is immutable.
 """
 
 from __future__ import annotations
@@ -215,11 +217,27 @@ def _linear_table(op: Callable, identity, gens: Iterable[tuple[int, object]]) ->
 def format_element(g: FiniteAbelianGroup, a: Element) -> str:
     """Compact rendering: digits concatenated when unambiguous, else comma-joined."""
     g.check(a)
-    if not a:
-        return "()"
-    if all(d <= 10 for d in g.factors):
-        return "".join(str(c) for c in a)
-    return ",".join(str(c) for c in a)
+    return element_labels(g, [g.index_of(a)])[0]
+
+
+def element_labels(g: FiniteAbelianGroup, indices: Sequence[int]) -> list[str]:
+    """The :func:`format_element` text of the element at each index, in the order given.
+
+    Indices are not range-checked.  Each coordinate's digit strings are built
+    once and its digits are read as one column over all indices; the columns
+    are joined with no separator when every factor is at most 10, else with
+    commas.  The trivial group's one element is ``"()"``.
+    """
+    if not g.factors:
+        return ["()"] * len(indices)
+    sep = "" if all(d <= 10 for d in g.factors) else ","
+    columns = []
+    weight = g.order
+    for d in g.factors:
+        weight //= d
+        digits = list(map(str, range(d)))
+        columns.append(map(digits.__getitem__, map(d.__rmod__, map(weight.__rfloordiv__, indices))))
+    return list(map(sep.join, zip(*columns)))
 
 
 def make_group(invariant_factors: Sequence[int]) -> FiniteAbelianGroup:

@@ -7,8 +7,9 @@ symbols become output indices, so a witness becomes elements only when it is
 returned.  A state set's image under one output is the union of that
 output's successor (or predecessor) rows at the set's bits; rows are built
 only for the identity output and the outputs the window reads.  DOT export
-formats each label once and fills the pre-cut node and edge blocks of every
-time step with ``str.join``.
+renders its labels in bulk from indices (every state, every input and each
+distinct output, one :func:`groupcode.groups.element_labels` call each) and
+fills the pre-cut node and edge blocks of every time step with ``str.join``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterator
 
 from .encoder import Encoder, Window, _image, _lowest
 from .encoder import connected  # noqa: F401 - re-exported
-from .groups import Element, format_element
+from .groups import Element, element_labels
 
 
 @dataclass(frozen=True)
@@ -161,18 +162,18 @@ def _dot_lines(enc: Encoder, unrolled_sections: int) -> Iterator[str]:
     """
     if unrolled_sections < 0:
         raise ValueError("unrolled_sections must be >= 0")
-    s_group = enc.state_group
+    n_states = enc.state_group.order
     node_pieces = "".join(
-        f'  "t{_SLOT}_s{i}" [label="{format_element(s_group, s)}"];\n'
-        for i, s in enumerate(s_group.elements())
+        f'  "t{_SLOT}_s{i}" [label="{s}"];\n'
+        for i, s in enumerate(element_labels(enc.state_group, range(n_states)))
     ).split(_SLOT)
-    input_labels = [format_element(enc.input_group, u) for u in enc.input_group.elements()]
-    y_group = enc.output_group
-    y_labels = {y: format_element(y_group, y_group.element_at(y)) for y in set().union(*enc._out)}
+    input_labels = element_labels(enc.input_group, range(enc.input_group.order))
+    y_ids = list(set().union(*enc._out))
+    y_labels = dict(zip(y_ids, element_labels(enc.output_group, y_ids)))
     edge_pieces = "".join(
         f'  "t{_SLOT}_s{i}" -> "t{_SLOT}_s{enc._next[j][i]}" '
         f'[label="{u}/{y_labels[enc._out[j][i]]}"];\n'
-        for i in range(s_group.order)
+        for i in range(n_states)
         for j, u in enumerate(input_labels)
     ).split(_SLOT)
     edges = len(edge_pieces) // 2

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from groupcode import PredicateViolation, control
+from groupcode import PredicateViolation, cli, control
 from groupcode.cli import main
 from groupcode.control import analysis_json
 from groupcode.encoder import encode_forward, encoder_from_spec, zero_tail
@@ -298,6 +298,25 @@ class TestEncode:
         assert main(["encode", spec_path, "--state", "0,0"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1  # header only
+
+    def test_renders_only_the_rows_it_visits(self, tmp_path, capsys, monkeypatch):
+        # each label call gets at most one index per row: no table of all 2^16 states
+        path = tmp_path / "register.json"
+        path.write_text(json.dumps(observed_shift_register(2, 16)))
+        original = cli.element_labels
+        sizes = []
+
+        def counted(group, indices):
+            sizes.append(len(indices))
+            return original(group, indices)
+
+        monkeypatch.setattr(cli, "element_labels", counted)
+        assert main(["encode", str(path), "--inputs", "1,0,1", "--zero-tail"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[1] for r in rows[:3]] == ["1", "0", "1"]
+        assert rows[-1][2] == "0" * 16
+        assert len(sizes) == 3
+        assert max(sizes) <= len(rows)
 
     def test_bad_symbol_exits_2(self, spec_path, capsys):
         assert main(["encode", spec_path, "--state", "0,0", "--inputs", "0,7"]) == 2

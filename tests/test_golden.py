@@ -386,6 +386,15 @@ def test_split_encoder_analysis_builds_no_pair_map(monkeypatch):
     assert built == []
 
 
+def test_split_element_to_pair_builds_no_pair_map(monkeypatch):
+    # one pair is read off the column's position, not out of an inverted column
+    built = _count_builds(monkeypatch, extension.ExtensionDecomposition, "pair_of")
+    dec = encoder_from_spec(observed_shift_register(2, 16)).decomposition
+    state = (1, 0) * 8
+    assert dec.element_to_pair((1,) + state) == ((1,), state)
+    assert built == []
+
+
 def test_state_index_is_built_once_per_instance(monkeypatch):
     # the successor tables and chain members of all encoders read one index
     instance = _instance(2, [2, 2], (2, 2, 2))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import subprocess
 import sys
 
@@ -21,6 +22,7 @@ from groupcode import (
     automorphisms,
     direct_sum,
     enumerate_homs,
+    format_element,
     hom_image,
     hom_kernel,
     hom_table,
@@ -36,7 +38,14 @@ from groupcode import (
     subgroup_index,
     trivial_subgroup,
 )
-from groupcode.groups import _add, _linear_table, element_height, elements_of_order, identity_hom
+from groupcode.groups import (
+    _add,
+    _linear_table,
+    element_height,
+    element_labels,
+    elements_of_order,
+    identity_hom,
+)
 
 
 def brute_order(g, a):
@@ -162,6 +171,43 @@ class TestArithmetic:
     def test_element_at_rejects_out_of_range_index(self, index):
         with pytest.raises(WrongGroup):
             make_group([2, 4]).element_at(index)
+
+
+# the seven groups of TestRecognize, the trivial group, the <= 10 boundary and
+# two comma-joined groups
+LABELLED_FACTORS = [
+    [4], [2, 4], [2, 2, 2], [8], [9], [3, 3], [2, 6], [], [10], [12, 12], [2, 12],
+]
+
+
+class TestElementLabels:
+    @pytest.mark.parametrize("factors", LABELLED_FACTORS, ids=str)
+    def test_labels_equal_format_element(self, factors):
+        g = make_group(factors)
+        n = g.order
+        shuffled = list(range(n))
+        random.Random(n).shuffle(shuffled)
+        repeated = [0, n - 1, 0, n // 2, n - 1, n - 1]
+        for indices in (range(n), list(range(n)), shuffled, repeated, []):
+            expected = [format_element(g, g.element_at(i)) for i in indices]
+            assert element_labels(g, indices) == expected
+        # the rendering spelled out, element by element
+        sep = "" if all(d <= 10 for d in g.factors) else ","
+        for i, a in enumerate(g.elements()):
+            want = sep.join(map(str, a)) if a else "()"
+            assert format_element(g, a) == want
+            assert element_labels(g, [i]) == [want]
+
+    def test_labels_in_the_wide_groups_are_comma_joined(self):
+        assert element_labels(make_group([10]), [0, 9]) == ["0", "9"]
+        assert element_labels(make_group([12, 12]), [0, 13, 143]) == ["0,0", "1,1", "11,11"]
+        assert element_labels(make_group([2, 12]), [1, 23]) == ["0,1", "1,11"]
+        assert element_labels(make_group([]), [0, 0]) == ["()", "()"]
+
+    @pytest.mark.parametrize("a", [(2,), (0, 0), (-1,), ()], ids=str)
+    def test_format_element_rejects_foreign_elements(self, a):
+        with pytest.raises(WrongGroup):
+            format_element(make_group([2]), a)
 
 
 class TestSubgroups:
