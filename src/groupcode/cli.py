@@ -121,7 +121,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         symbols = zip(*[iter(flat)] * u_rank)
     # the frame stays in pair positions j * |S| + i until each row is rendered
     next_pairs = list(itertools.chain.from_iterable(enc._next))
-    final = s_group._index[s0_coords]
+    final = s_group.index_of(s0_coords)  # checked above; no element index of S is built
     positions = _walk(next_pairs, n_states, final, _input_indices(enc, symbols))
     lines = []
     if args.zero_tail:

@@ -15,7 +15,6 @@ at the API boundary, where a foreign element raises ``WrongGroup``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, compress, count
@@ -103,10 +102,18 @@ class Encoder:
 
 
 def _position(group: FiniteAbelianGroup, a: Sequence[int]) -> int:
-    """Index of the coordinate sequence ``a`` in ``group.elements()``; WrongGroup if foreign."""
+    """Index of the coordinate sequence ``a`` in ``group.elements()``; WrongGroup if foreign.
+
+    ``a`` names the element whose coordinates it equals, as a dict key would
+    (``1.0`` is ``1``, ``1.5`` is foreign).  It is checked and its index is
+    computed in O(rank), so no element index of the group is built.
+    """
     try:
-        return group._index[tuple(a)]
-    except (KeyError, TypeError):
+        coords = tuple(a)
+        ints = tuple(map(int, coords))
+        if ints == coords and group.contains(ints):
+            return group.index_of(ints)
+    except (TypeError, ValueError, OverflowError):
         pass
     raise WrongGroup(f"{a} is not an element of the group with moduli {group.factors}")
 
@@ -204,9 +211,17 @@ def encode_forward(
     i = _position(enc.state_group, s0)
     next_pairs = list(chain.from_iterable(enc._next))
     positions = _walk(next_pairs, enc.state_group.order, i, _input_indices(enc, inputs))
-    states, outputs = list(enc.state_group._index), list(enc.output_group.elements())
     out_pairs = list(chain.from_iterable(enc._out))
-    return [states[next_pairs[p]] for p in positions], [outputs[out_pairs[p]] for p in positions]
+    return (
+        _elements_at(enc.state_group, list(map(next_pairs.__getitem__, positions))),
+        _elements_at(enc.output_group, list(map(out_pairs.__getitem__, positions))),
+    )
+
+
+def _elements_at(group: FiniteAbelianGroup, indices: list[int]) -> list[Element]:
+    """The elements at ``indices``, each distinct index converted once, with no table of the group."""
+    at = {i: group.element_at(i) for i in set(indices)}
+    return list(map(at.__getitem__, indices))
 
 
 def _input_indices(enc: Encoder, inputs: Iterable[Element]) -> list[int]:
@@ -278,28 +293,34 @@ def connected(enc: Encoder, s: Element, r: Element, max_len: int) -> list[Elemen
     """Shortest input word driving ``s`` to ``r``, or None within ``max_len``.
 
     A state is connected to itself by the empty word.  Breadth-first search
-    with inputs in canonical order resolves ties lexicographically.
+    with inputs in canonical order resolves ties lexicographically; each
+    visited state keeps one parent pointer, and the word is read back from
+    the goal's.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     start, goal = _position(enc.state_group, s), _position(enc.state_group, r)
     if start == goal:
         return []
-    queue: deque[tuple[int, tuple[int, ...]]] = deque([(start, ())])
-    visited = {start}
-    while queue:
-        state, word = queue.popleft()
-        if len(word) >= max_len:
-            continue
-        for j, column in enumerate(enc._next):
-            nxt = column[state]
-            if nxt in visited:
-                continue
-            extended = word + (j,)
-            if nxt == goal:
-                return [enc.input_group.element_at(k) for k in extended]
-            visited.add(nxt)
-            queue.append((nxt, extended))
+    previous, via = [-1] * enc.state_group.order, [0] * enc.state_group.order
+    previous[start] = start  # each visited state's parent pointer: the state and input reaching it
+    frontier = [start]
+    for _ in range(max_len):
+        reached = []
+        for state in frontier:
+            for j, column in enumerate(enc._next):
+                nxt = column[state]
+                if previous[nxt] >= 0:
+                    continue
+                previous[nxt], via[nxt] = state, j
+                if nxt == goal:
+                    word = []
+                    while nxt != start:
+                        word.append(enc.input_group.element_at(via[nxt]))
+                        nxt = previous[nxt]
+                    return word[::-1]
+                reached.append(nxt)
+        frontier = reached
     return None
 
 

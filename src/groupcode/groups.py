@@ -12,7 +12,11 @@ recognition) is one prefix-span search, :func:`_image_tuples`.  A hom is
 tabulated once, on first read, as its images' target indices
 (:attr:`GroupHom._indices`), which :func:`hom_table` turns into elements;
 recognition coordinates, which sum basis elements under an abstract
-operation, are one linear table, :func:`_linear_table`.  A group keeps one
+operation, are one linear table, :func:`_linear_table`.  Sums in index
+space come from one table, :func:`_index_sum_rows`.  The order-``p``
+subgroups are one walk over the ``p``-torsion coordinates,
+:func:`prime_order_generators`, and the quotient by each is read from its
+generator's height, :func:`prime_quotient_types`.  A group keeps one
 element index, built on first read.  Labels are rendered in bulk from
 element indices by :func:`element_labels`; :func:`format_element` is its
 checked one-element form.  Everything is immutable.
@@ -429,13 +433,28 @@ def elements_of_order(g: FiniteAbelianGroup, n: int) -> list[Element]:
     return [a for a in g.elements() if g.element_order(a) == n]
 
 
+def prime_order_generators(g: FiniteAbelianGroup, p: int) -> Iterator[Element]:
+    """The least non-identity member of each order-``p`` subgroup (``p`` prime), in lexicographic order.
+
+    The elements ``a`` with ``p a = 0`` are the ``p``-torsion: coordinate
+    ``i`` is a multiple of ``d_i / p`` when ``p`` divides ``d_i``, else 0.
+    Its ``p^rank`` tuples are walked in lexicographic order, which is the
+    order of their coefficient tuples ``c`` over ``Z_p``; the subgroup of
+    ``a`` is ``{k a}``, whose least non-identity member is the multiple whose
+    first nonzero coefficient is 1, so exactly those tuples are kept.
+    """
+    ranges = [range(0, d, d // p) if d % p == 0 else (0,) for d in g.factors]
+    for a in itertools.product(*ranges):
+        for c, d in zip(a, g.factors):
+            if c:
+                if c * p == d:
+                    yield a
+                break
+
+
 def prime_order_subgroups(g: FiniteAbelianGroup, p: int) -> list[Subgroup]:
-    """All subgroups of ``g`` of prime order ``p``, in canonical order."""
-    seen: dict[frozenset, Subgroup] = {}
-    for a in elements_of_order(g, p):
-        sub = subgroup_generated(g, [a])
-        seen.setdefault(frozenset(sub.elements), sub)
-    return sorted(seen.values(), key=lambda s: s.elements)
+    """All subgroups of ``g`` of prime order ``p``, in canonical order (by least generator)."""
+    return [subgroup_generated(g, [a]) for a in prime_order_generators(g, p)]
 
 
 def element_height(g: FiniteAbelianGroup, a: Element, p: int) -> int:
@@ -454,6 +473,26 @@ def element_height(g: FiniteAbelianGroup, a: Element, p: int) -> int:
     while all(c % math.gcd(p ** (t + 1), d) == 0 for c, d in zip(a, g.factors)):
         t += 1
     return t
+
+
+def prime_quotient_types(g: FiniteAbelianGroup, p: int) -> dict[int, tuple[int, ...]]:
+    """``{h: invariant factors of g / <x>}`` over the heights ``h`` of the order-``p`` elements ``x``.
+
+    For ``x`` of prime order ``p`` and height ``h`` (Kaplansky, Infinite
+    Abelian Groups, 1954), ``g / <x>`` is ``g`` with one ``Z_{p^(h+1)}``
+    summand replaced by ``Z_{p^h}``: one modulus of ``p``-adic valuation
+    ``h + 1`` divided by ``p``.  The heights that occur are the valuations,
+    less one, of the moduli that ``p`` divides, so nothing is built.
+    """
+    types = {}
+    for i, d in enumerate(g.factors):
+        v = 0
+        while d % p ** (v + 1) == 0:
+            v += 1
+        if v and v - 1 not in types:
+            moduli = g.factors[:i] + ((d // p,) if d > p else ()) + g.factors[i + 1 :]
+            types[v - 1] = _invariant_chain(moduli)
+    return types
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +667,24 @@ class GroupHom:
                     column = [(m + v) % d for m in range(0, n * a, a) for v in column]
             indices = list(map(operator.add, map(d.__mul__, indices), column))
         return indices
+
+
+def _index_sum_rows(g: FiniteAbelianGroup, a: int = 1, b: int = 1) -> list[list[int]]:
+    """``rows[x][y]`` is the index of ``a * g.element_at(x) + b * g.element_at(y)``.
+
+    Built from the last coordinate to the first: prepending a ``Z_d``
+    coordinate to a table of ``m`` indices puts digit ``(a c1 + b c2) mod d``
+    at weight ``m`` in front of the old entry, with no element built.
+    """
+    rows = [[0]]
+    for d in reversed(g.factors):
+        m = len(rows)
+        rows = [
+            [(a * c1 + b * c2) % d * m + t for c2 in range(d) for t in row]
+            for c1 in range(d)
+            for row in rows
+        ]
+    return rows
 
 
 def hom_table(h: GroupHom) -> list[Element]:

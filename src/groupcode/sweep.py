@@ -5,12 +5,17 @@ group ``S``, every abelian group of order ``p * |S|`` is paired with each
 orbit representative of its order-``p`` subgroups whose quotient is
 isomorphic to ``S``.  Orbits of order-``p`` subgroups under the automorphism
 group are classified by the divisibility height of a generator (Kaplansky,
-Infinite Abelian Groups, 1954), so subgroups of one height also share their
-quotient type, and the height is read before anything is decomposed; the
+Infinite Abelian Groups, 1954), and the height also gives the quotient type:
+``G`` with one ``Z_{p^(h+1)}`` summand replaced by ``Z_{p^h}``.  So setup
+takes no subgroup census: it walks the least generators over the
+``p``-torsion coordinates, reads each one's quotient type from its height,
+and builds and decomposes only a subgroup whose quotient is ``S``.  The
 tests cross-check both facts against explicitly enumerated automorphisms and
 quotients.  Each instance then yields one encoder per surjective next-state
 homomorphism, with the identity output map, which keeps the branch map
-injective for free and does not affect reachability.
+injective for free and does not affect reachability.  The orbit search runs
+on indices into ``S.elements()``; element tuples are made only for the
+encoders it decides and lists.
 
 The sweep decides one encoder per symmetry orbit.  An automorphism ``beta``
 of ``G`` with ``beta(N) = N`` induces ``beta_bar`` on ``S = G/N``, and
@@ -33,7 +38,6 @@ import operator
 import time
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator
 
 from .control import decide_controllability, structure_report
@@ -45,16 +49,18 @@ from .groups import (
     FiniteAbelianGroup,
     GroupHom,
     Subgroup,
-    _add,
     _hom_candidates,
     _image_tuples,
+    _index_sum_rows,
     abelian_groups_of_order,
     element_height,
     enumerate_homs,
     identity_hom,
     invariant_factors,
     is_prime,
-    prime_order_subgroups,
+    prime_order_generators,
+    prime_quotient_types,
+    subgroup_generated,
 )
 
 EXHAUSTIVE_GUARD = 256  # bound on p * |S|: instance setup is linear in |G|
@@ -76,36 +82,49 @@ class ExtensionInstance:
         return self.decomposition.s_part
 
 
+def _instance_ambients(
+    p: int, state_group: FiniteAbelianGroup
+) -> Iterator[tuple[FiniteAbelianGroup, set[int]]]:
+    """Each abelian group of order ``p * |S|`` with an instance of ``S``, with the heights giving one.
+
+    A height gives an instance when the quotient by an order-``p`` subgroup
+    whose generator has that height, read by :func:`prime_quotient_types`,
+    is isomorphic to ``S``.
+    """
+    wanted = invariant_factors(state_group)
+    for ambient in abelian_groups_of_order(p * state_group.order):
+        heights = {h for h, factors in prime_quotient_types(ambient, p).items() if factors == wanted}
+        if heights:
+            yield ambient, heights
+
+
 def enumerate_extensions(
     p: int, state_group: FiniteAbelianGroup, dedup: bool = True
 ) -> list[ExtensionInstance]:
     """All extension instances of a prime-order group by ``state_group``.
 
+    The order-``p`` subgroups of each ambient group are walked by their
+    least generators (:func:`prime_order_generators`), and a subgroup is
+    built and decomposed only when its generator's height gives the
+    quotient type ``S``.
     With ``dedup`` (the default) one representative is kept per automorphism
-    orbit of the embedded subgroup: the first subgroup whose generator has a
-    given height.  The height is read before the subgroup is decomposed, and
-    a height already met is skipped undecomposed, since subgroups of one
-    height share their quotient type.  Without ``dedup`` every subgroup is
-    decomposed and every qualifying one yields an instance, which is the
-    soundness cross-check mode.
+    orbit: the first subgroup of each such height.  Without ``dedup`` every
+    such subgroup yields an instance, which is the soundness cross-check mode.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    total = p * state_group.order
-    wanted = invariant_factors(state_group)
     instances = []
-    for ambient in abelian_groups_of_order(total):
-        seen_heights: set[int] = set()
-        for normal in prime_order_subgroups(ambient, p):
-            generator = normal.elements[1]  # elements are sorted, the identity first
+    for ambient, heights in _instance_ambients(p, state_group):
+        for generator in prime_order_generators(ambient, p):
+            height = element_height(ambient, generator, p)
+            if height not in heights:
+                continue
             if dedup:
-                height = element_height(ambient, generator, p)
-                if height in seen_heights:
-                    continue
-                seen_heights.add(height)
-            dec = decompose(ambient, normal)
-            if dec.s_part.factors == wanted:
-                instances.append(ExtensionInstance(p, ambient, normal, generator, dec))
+                heights.discard(height)
+            normal = subgroup_generated(ambient, [generator])
+            instances.append(
+                ExtensionInstance(p, ambient, normal, generator, decompose(ambient, normal))
+            )
     return instances
 
 
@@ -296,42 +315,59 @@ def _symmetries(instance: ExtensionInstance) -> list[_Symmetry]:
 
 
 def _moved_image(sym: _Symmetry, s_moduli: tuple[int, ...], x_m: Element, x_i: Element) -> Element:
-    """``beta_bar(nu(beta^-1 e_m))`` from ``x_m = nu(e_m)`` and ``x_i = nu(e_i)``."""
+    """``beta_bar(nu(beta^-1 e_m))`` from ``x_m = nu(e_m)`` and ``x_i = nu(e_i)``.
+
+    The element form of the entries of :func:`_orbits`' binary action table.
+    """
     a, b = sym.inverse
     return sym.bar[tuple((a * y + b * z) % d for y, z, d in zip(x_m, x_i, s_moduli))]
 
 
 def _orbits(
-    instance: ExtensionInstance, candidates: list[list[Element]], weights: list[int]
-) -> Iterator[tuple[tuple[Element, ...], list[int]]]:
-    """Each orbit of surjective homs ``G -> S`` as (its first hom's images, member codes).
+    instance: ExtensionInstance, candidates: list[list[int]], weights: list[int]
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Each orbit of surjective homs ``G -> S`` as (its first hom's image indices, member codes).
 
-    A hom's code is the mixed-radix number, digit ``j`` of weight
-    ``weights[j]``, of its images' positions in the ``candidates`` lists
-    (:func:`enumerate_homs` order).  The surjective homs are walked in that
-    order; each one not yet marked floods its orbit under
-    :func:`_symmetries` (surjectivity is an orbit invariant).  A symmetry maps
-    every image but the ``m``-th through ``beta_bar``, so it acts on codes by
-    one table per digit, the ``m``-th indexed by the ``m``-th and ``i``-th digits.
+    ``candidates[j]`` lists, as indices into ``S.elements()``, the images the
+    ``j``-th generator may take.  A hom's code is the mixed-radix number,
+    digit ``j`` of weight ``weights[j]``, of its images' positions in those
+    lists (:func:`enumerate_homs` order).  The surjective homs are walked in
+    that order, on indices under :func:`_index_sum_rows` addition; each one
+    not yet marked floods its orbit under :func:`_symmetries` (surjectivity
+    is an orbit invariant).  A symmetry maps every image but the ``m``-th
+    through ``beta_bar``, so it acts on codes by one table per digit, the
+    ``m``-th indexed by the ``m``-th and ``i``-th digits.
     """
     s_group = instance.state_group
-    positions = [{a: k for k, a in enumerate(c)} for c in candidates]
-    radices = [len(c) for c in candidates]
+    elements = list(s_group.elements())
+    positions = []
+    for c in candidates:
+        pos = [None] * s_group.order
+        for k, a in enumerate(c):
+            pos[a] = k
+        positions.append(pos)
+    radices = list(map(len, candidates))
     actions = []
     for sym in _symmetries(instance):
         m, i = sym.m, sym.i
-        unary = [[w * pos[sym.bar[a]] for a in c] for c, pos, w in zip(candidates, positions, weights)]
+        bar = list(map(s_group.index_of, map(sym.bar.__getitem__, elements)))
+        unary = [
+            list(map(w.__mul__, map(pos.__getitem__, map(bar.__getitem__, c))))
+            for c, pos, w in zip(candidates, positions, weights)
+        ]
         unary[m] = [0] * radices[m]
+        moved = _index_sum_rows(s_group, *sym.inverse)  # moved[x][y]: the index of a x + b y
         binary = [
-            weights[m] * positions[m][_moved_image(sym, s_group.factors, x, y)]
+            weights[m] * positions[m][bar[v]]
             for x in candidates[m]
-            for y in candidates[i]
+            for v in map(moved[x].__getitem__, candidates[i])
         ]
         actions.append((unary, binary, m, i, radices[i]))
 
     seen = bytearray(math.prod(radices))
-    op, sizes = partial(_add, s_group.factors), [None] * len(radices) + [s_group.order]
-    for images in _image_tuples(candidates, op, s_group.identity(), sizes):
+    rows = _index_sum_rows(s_group)
+    sizes = [None] * len(radices) + [s_group.order]
+    for images in _image_tuples(candidates, lambda x, y: rows[x][y], 0, sizes):
         code = sum(map(operator.mul, weights, map(operator.getitem, positions, images)))
         if seen[code]:
             continue
@@ -367,19 +403,20 @@ def _evaluate_instance(instance: ExtensionInstance) -> dict:
             return verdict, {"predicate": exc.name, "counterexample": repr(exc.counterexample)}
         return verdict, None
 
-    candidates = _hom_candidates(ambient, s_group)
+    elements = list(s_group.elements())
+    candidates = [list(map(s_group.index_of, c)) for c in _hom_candidates(ambient, s_group)]
     weights = [math.prod(map(len, candidates[j + 1 :])) for j in range(len(candidates))]
     encoder_count = 0
     listed: dict[int, int | None] = {}  # code -> its orbit's index, or None: evaluate it alone
     for images, members in _orbits(instance, candidates, weights):
         encoder_count += len(members)
-        verdict, violation = evaluate(images)
+        verdict, violation = evaluate(tuple(map(elements.__getitem__, images)))
         if violation is not None or verdict.controllable:
             listed.update(dict.fromkeys(members, None if violation else verdict.index))
 
     controllable, violations = [], []
     for code in sorted(listed):
-        images = tuple(c[code // w % len(c)] for c, w in zip(candidates, weights))
+        images = tuple(elements[c[code // w % len(c)]] for c, w in zip(candidates, weights))
         index = listed[code]
         if index is None:
             verdict, violation = evaluate(images)
@@ -399,6 +436,23 @@ def _evaluate_instance(instance: ExtensionInstance) -> dict:
         "violation_details": violations,
         "controllable": controllable,
     }
+
+
+def _check_hom_guard(grid: list[tuple[int, FiniteAbelianGroup]]) -> None:
+    """Refuse the grid when some instance's ``|Hom(G, S)|`` exceeds ``HOM_GUARD``.
+
+    Only the ambient groups that have an instance of ``S`` are counted
+    (:func:`_instance_ambients`), so the guard bounds the homs the orbit
+    search will mark; nothing is enumerated.
+    """
+    for p, state_group in grid:
+        for ambient, _ in _instance_ambients(p, state_group):
+            homs = math.prod(math.gcd(d, e) for d in ambient.factors for e in state_group.factors)
+            if homs > HOM_GUARD:
+                raise TooLarge(
+                    f"p = {p}, S = {state_group}, G = {ambient}: {homs} homomorphisms "
+                    f"G -> S exceed the exhaustive guard {HOM_GUARD}"
+                )
 
 
 def sweep_theorems(p_list: list[int], max_s_order: int, dedup: bool = True) -> SweepReport:
@@ -423,15 +477,7 @@ def sweep_theorems(p_list: list[int], max_s_order: int, dedup: bool = True) -> S
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
     grid = [(p, s) for p in primes for n in range(1, max_s_order + 1) for s in abelian_groups_of_order(n)]
-    for p, state_group in grid:
-        for ambient in abelian_groups_of_order(p * state_group.order):
-            homs = math.prod(math.gcd(d, e) for d in ambient.factors for e in state_group.factors)
-            if homs > HOM_GUARD:
-                raise TooLarge(
-                    f"p = {p}, S = {state_group}, G = {ambient}: {homs} homomorphisms "
-                    f"G -> S exceed the exhaustive guard {HOM_GUARD}"
-                )
-
+    _check_hom_guard(grid)
     rows = [
         _evaluate_instance(instance)
         for p, state_group in grid

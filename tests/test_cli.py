@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pickle
@@ -14,7 +15,7 @@ from groupcode.cli import main
 from groupcode.control import analysis_json
 from groupcode.encoder import encode_forward, encoder_from_spec, zero_tail
 from groupcode.errors import WrongGroup
-from groupcode.groups import format_element
+from groupcode.groups import FiniteAbelianGroup, format_element
 from groupcode.trellis import export_dot
 from specs import INPUTLESS, RANK2_ACCUMULATOR, STATELESS, observed_shift_register
 
@@ -317,6 +318,26 @@ class TestEncode:
         assert rows[-1][2] == "0" * 16
         assert len(sizes) == 3
         assert max(sizes) <= len(rows)
+
+    def test_builds_no_state_index(self, tmp_path, capsys, monkeypatch):
+        # the start state and the zero-tail search index S in O(rank) each,
+        # so no element-to-index dict of the 2^16 states is built
+        path = tmp_path / "register.json"
+        path.write_text(json.dumps(observed_shift_register(2, 16)))
+        built = []
+        original = vars(FiniteAbelianGroup)["_index"].func
+
+        def counted(self):
+            built.append(self.order)
+            return original(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(FiniteAbelianGroup, "_index")
+        monkeypatch.setattr(FiniteAbelianGroup, "_index", prop)
+        assert main(["encode", str(path), "--inputs", "1,0,1", "--zero-tail"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows[-1][2] == "0" * 16
+        assert 2**16 not in built
 
     def test_bad_symbol_exits_2(self, spec_path, capsys):
         assert main(["encode", spec_path, "--state", "0,0", "--inputs", "0,7"]) == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 
 import pytest
@@ -33,6 +34,14 @@ from groupcode import (
 from groupcode.encoder import encoder_from_extension
 from groupcode.groups import abelian_groups_of_order, identity_hom
 from groupcode.sweep import enumerate_encoders, enumerate_extensions
+from specs import (
+    INPUTLESS,
+    RANK2_ACCUMULATOR,
+    SILENT,
+    STATELESS,
+    STREAM_SHAPES,
+    observed_shift_register,
+)
 
 
 def shift_register_reference(inputs):
@@ -305,6 +314,60 @@ class TestZeroTail:
                 if best is not None:
                     break
             assert zero_tail(enc, s, max_len=8) == best
+
+
+def _tuple_queue_search(enc, s, r, max_len):
+    """Reference word search: a FIFO queue whose entries carry their whole input word."""
+    start, goal = enc.state_group.index_of(s), enc.state_group.index_of(r)
+    if start == goal:
+        return []
+    queue, visited = collections.deque([(start, ())]), {start}
+    while queue:
+        state, word = queue.popleft()
+        if len(word) >= max_len:
+            continue
+        for j, column in enumerate(enc._next):
+            nxt = column[state]
+            if nxt in visited:
+                continue
+            if nxt == goal:
+                return [enc.input_group.element_at(k) for k in word + (j,)]
+            visited.add(nxt)
+            queue.append((nxt, word + (j,)))
+    return None
+
+
+SPEC_ENCODERS = {
+    **{f"register-{p}-{m}": observed_shift_register(p, m) for p, m in STREAM_SHAPES},
+    "rank2": RANK2_ACCUMULATOR,
+    "inputless": INPUTLESS,
+    "stateless": STATELESS,
+    "silent": SILENT,
+}
+
+
+@pytest.mark.parametrize("spec", SPEC_ENCODERS.values(), ids=SPEC_ENCODERS.keys())
+def test_connected_matches_a_tuple_queue_search(spec):
+    # parent pointers give the same shortest, lexicographically first words
+    enc = encoder_from_spec(spec)
+    states = list(enc.state_group.elements())
+    for max_len in sorted({1, 2, 3, len(states) + 1}):
+        for s in states:
+            for r in states:
+                expected = _tuple_queue_search(enc, s, r, max_len)
+                assert connected(enc, s, r, max_len) == expected, (s, r, max_len)
+
+
+@pytest.mark.parametrize(
+    "state, accepted", [((1.0, 0), True), ((True, False), True), ((0.5, 0), False), (("1", 0), False)]
+)
+def test_state_coordinates_name_the_element_they_equal(systematic_encoder, state, accepted):
+    # the index is computed, not looked up, and accepts what an element dict key would
+    if accepted:
+        assert zero_tail(systematic_encoder, state, 5) == zero_tail(systematic_encoder, (1, 0), 5)
+    else:
+        with pytest.raises(WrongGroup):
+            zero_tail(systematic_encoder, state, 5)
 
 
 class TestTimeInvariance:

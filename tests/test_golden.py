@@ -30,7 +30,6 @@ from groupcode.groups import (
     Subgroup,
     abelian_groups_of_order,
     all_subgroups,
-    element_height,
     enumerate_homs,
     make_group,
     prime_order_subgroups,
@@ -439,37 +438,21 @@ def test_control_recognizes_no_operation_table(monkeypatch, systematic_encoder):
     assert [len(calls) for calls in recognized] == [0, 0]
 
 
-def _heights(ambient, p) -> set[int]:
-    """The generator heights of the order-p subgroups: one per automorphism orbit."""
-    return {
-        element_height(ambient, min(a for a in sub.elements if a != ambient.identity()), p)
-        for sub in prime_order_subgroups(ambient, p)
-    }
-
-
 def test_sweep_computes_each_quotient_once(monkeypatch):
-    # one quotient per examined (ambient, height) orbit: a height already met
-    # is skipped before its subgroup is decomposed
+    # the quotient type is read from the generator height, so only a subgroup
+    # whose quotient is S is built: one quotient per instance
     modules = [m for m in (groups, extension, sweep) if hasattr(m, "quotient")]
     quotients = _count_calls(monkeypatch, modules, "quotient")
-    sweep_theorems([2, 3], 6)
-    examined = sum(
-        len(_heights(ambient, p))
-        for p in (2, 3)
-        for order in range(1, 7)
-        for _ in abelian_groups_of_order(order)
-        for ambient in abelian_groups_of_order(p * order)
-    )
-    assert len(quotients) == examined
+    report = sweep_theorems([2, 3], 6)
+    assert len(quotients) == report.totals["instances"]
 
 
-@pytest.mark.parametrize("dedup, count", [(True, 70), (False, 188)], ids=["dedup", "no-dedup"])
+@pytest.mark.parametrize("dedup, count", [(True, 38), (False, 91)], ids=["dedup", "no-dedup"])
 def test_sweep_decomposition_count(monkeypatch, dedup, count):
-    # without dedup every order-p subgroup of every ambient group is decomposed
+    # every decomposed subgroup yields an instance, with or without dedup
     decomposed = _count_calls(monkeypatch, [sweep], "decompose")
     report = sweep_theorems([2, 3], 9, dedup=dedup)
-    assert len(decomposed) == count
-    assert report.totals["instances"] == (38 if dedup else 91)
+    assert len(decomposed) == report.totals["instances"] == count
 
 
 def test_decompose_checks_closure_once(monkeypatch):

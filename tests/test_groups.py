@@ -40,11 +40,14 @@ from groupcode import (
 )
 from groupcode.groups import (
     _add,
+    _index_sum_rows,
     _linear_table,
     element_height,
     element_labels,
     elements_of_order,
     identity_hom,
+    prime_order_generators,
+    prime_quotient_types,
 )
 
 
@@ -644,15 +647,52 @@ class TestAutomorphisms:
             for g in abelian_groups_of_order(order):
                 for p in _prime_factors(order):
                     type_of = {}
+                    predicted = prime_quotient_types(g, p)  # the sweep reads this instead
                     for sub in prime_order_subgroups(g, p):
                         gen = min(a for a in sub.elements if a != g.identity())
                         q_factors = quotient(g, sub)[0].factors
                         height = element_height(g, gen, p)
                         assert type_of.setdefault(height, q_factors) == q_factors, (g, gen, p)
+                        assert predicted[height] == q_factors, (g, gen, p)
                         checked += 1
+                    assert set(predicted) == set(type_of), (g, p)
                     rank = sum(1 for d in g.factors if d % p == 0)  # the p-rank
                     expected += (p**rank - 1) // (p - 1)
         assert checked == expected == 548
+
+
+@pytest.mark.parametrize("factors", [[], [2], [5], [2, 2], [2, 4], [3, 6], [2, 2, 6], [2, 12]])
+@pytest.mark.parametrize("a, b", [(1, 1), (1, -1), (1, -3), (2, 0), (5, 0), (-1, 2)])
+def test_index_sum_rows_add_in_index_space(factors, a, b):
+    g = make_group(factors)
+    elements = list(g.elements())
+    rows = _index_sum_rows(g, a, b)
+    assert len(rows) == g.order
+    for x, ex in enumerate(elements):
+        assert rows[x] == [g.index_of(g.add(g.scalar_mul(a, ex), g.scalar_mul(b, ey))) for ey in elements]
+
+
+def _scanned_generators(g, p) -> list:
+    """The old subgroup census: span every order-p element, dedupe, sort, take each least generator."""
+    seen = {}
+    for a in elements_of_order(g, p):
+        sub = subgroup_generated(g, [a])
+        seen.setdefault(frozenset(sub.elements), sub)
+    return [sub.elements[1] for sub in sorted(seen.values(), key=lambda sub: sub.elements)]
+
+
+def test_prime_order_generators_match_the_element_scan():
+    # the p-torsion walk against spanning every element of order p, on every
+    # abelian group of order <= 128 and every prime dividing the order
+    cases = 0
+    for order in range(2, 129):
+        for g in abelian_groups_of_order(order):
+            for p in _prime_factors(order):
+                expected = _scanned_generators(g, p)
+                assert list(prime_order_generators(g, p)) == expected, (g, p)
+                assert [sub.elements[1] for sub in prime_order_subgroups(g, p)] == expected
+                cases += 1
+    assert cases == 419
 
 
 def _prime_factors(n: int) -> list[int]:

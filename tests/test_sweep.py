@@ -230,6 +230,25 @@ class TestSweepTheorems:
         with pytest.raises(Accepted if accepted else TooLarge):
             sweep_theorems(primes, max_s_order)
 
+    def test_guard_counts_only_ambients_with_an_instance(self, monkeypatch):
+        # p = 3, S = Z2 x Z4: Z2 x Z2 x Z6 has 64 homs to S but no instance (its
+        # quotient by Z3 is Z2^3), so only the 32 homs of Z2 x Z12 are real work.
+        # In a whole grid the elementary S always has the largest count and an
+        # instance, so the grid here is this one (p, S) pair.
+        s_group = make_group([2, 4])
+        homs = {
+            g.factors: math.prod(math.gcd(d, e) for d in g.factors for e in s_group.factors)
+            for g in abelian_groups_of_order(24)
+        }
+        assert homs == {(24,): 8, (2, 12): 32, (2, 2, 6): 64}
+        instances = enumerate_extensions(3, s_group, dedup=False)
+        assert [i.ambient.factors for i in instances] == [(2, 12)]
+        monkeypatch.setattr(sweep_module, "HOM_GUARD", 32)
+        sweep_module._check_hom_guard([(3, s_group)])  # accepted: 64 > 32 is not counted
+        monkeypatch.setattr(sweep_module, "HOM_GUARD", 31)
+        with pytest.raises(TooLarge, match=r"G = Z2 x Z12: 32 homomorphisms"):
+            sweep_module._check_hom_guard([(3, s_group)])
+
     def test_summary_table_shape(self, small_sweep):
         table = small_sweep.summary_table()
         lines = table.splitlines()
