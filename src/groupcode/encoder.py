@@ -219,7 +219,13 @@ def encode_forward(
 
 
 def _elements_at(group: FiniteAbelianGroup, indices: list[int]) -> list[Element]:
-    """The elements at ``indices``, each distinct index converted once, with no table of the group."""
+    """The elements at ``indices``, each distinct index converted once.
+
+    The group's elements are listed only when there are no more of them than
+    indices; otherwise no table of the group is built.
+    """
+    if group.order <= len(indices):
+        return list(map(list(group.elements()).__getitem__, indices))
     at = {i: group.element_at(i) for i in set(indices)}
     return list(map(at.__getitem__, indices))
 
@@ -260,8 +266,9 @@ def state_preimages(enc: Encoder, s: Element) -> list[tuple[Element, Element]]:
     There are always exactly ``|ambient| / |S|`` of them: the preimage of a
     state under a surjective homomorphism is a kernel coset.
     """
-    inputs, states = list(enc.input_group._index), list(enc.state_group._index)
-    return [(inputs[j], states[r]) for j, r in _preimages(enc, _position(enc.state_group, s))]
+    pairs = list(_preimages(enc, _position(enc.state_group, s)))
+    inputs = _elements_at(enc.input_group, [j for j, _ in pairs])
+    return list(zip(inputs, _elements_at(enc.state_group, [r for _, r in pairs])))
 
 
 def extend_past(
@@ -277,16 +284,18 @@ def extend_past(
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    inputs, states = list(enc.input_group._index), list(enc.state_group._index)
-    outputs = list(enc.output_group.elements())
     past_states, past_inputs, past_outputs = [], [], []
     target = _position(enc.state_group, s0)
     for _ in range(depth):
         j, target = next(_preimages(enc, target))
-        past_states.append(states[target])
-        past_inputs.append(inputs[j])
-        past_outputs.append(outputs[enc._out[j][target]])
-    return past_states, past_inputs, past_outputs
+        past_states.append(target)
+        past_inputs.append(j)
+        past_outputs.append(enc._out[j][target])
+    return (
+        _elements_at(enc.state_group, past_states),
+        _elements_at(enc.input_group, past_inputs),
+        _elements_at(enc.output_group, past_outputs),
+    )
 
 
 def connected(enc: Encoder, s: Element, r: Element, max_len: int) -> list[Element] | None:

@@ -14,8 +14,10 @@ tests cross-check both facts against explicitly enumerated automorphisms and
 quotients.  Each instance then yields one encoder per surjective next-state
 homomorphism, with the identity output map, which keeps the branch map
 injective for free and does not affect reachability.  The orbit search runs
-on indices into ``S.elements()``; element tuples are made only for the
-encoders it decides and lists.
+on int codes of homs, one digit per ambient generator over indices into
+``S.elements()``: it marks the non-surjective codes per maximal subgroup of
+``S``, scans for the least unmarked code, and floods its orbit in chunks.
+Element tuples are made only for the encoders it decides and lists.
 
 The sweep decides one encoder per symmetry orbit.  An automorphism ``beta``
 of ``G`` with ``beta(N) = N`` induces ``beta_bar`` on ``S = G/N``, and
@@ -24,14 +26,19 @@ map through ``beta_bar``, so the verdict, the index and every predicate are
 constant on an orbit.  ``beta_bar . nu . beta`` is not a symmetry (the F_2
 generators are involutions, so only odd primes tell it apart), and neither is
 an automorphism of ``S`` alone: it turns the README's shift register (chain
-sizes 1, 2, 4) into one with sizes 1, 2.  The generators are the unit
-scalings and transvections of the coordinates that fix ``N`` (Hillar and
-Rhea, Amer. Math. Monthly 2007); any subset of the stabiliser is sound.
+sizes 1, 2, 4) into one with sizes 1, 2.  The moves are the unit scalings
+and transvections of the coordinates that fix ``N`` (Hillar and Rhea, Amer.
+Math. Monthly 2007); any subset of the stabiliser is sound.  The flood acts
+by a subset of them that generates the same group: a scaling already in the
+closure of the kept scalings of its coordinate, or a transvection equal to
+a commutator of two shorter ones, adds no orbit member.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import json
 import math
 import operator
@@ -49,9 +56,10 @@ from .groups import (
     FiniteAbelianGroup,
     GroupHom,
     Subgroup,
+    _factorint,
     _hom_candidates,
-    _image_tuples,
     _index_sum_rows,
+    _span,
     abelian_groups_of_order,
     element_height,
     enumerate_homs,
@@ -323,20 +331,100 @@ def _moved_image(sym: _Symmetry, s_moduli: tuple[int, ...], x_m: Element, x_i: E
     return sym.bar[tuple((a * y + b * z) % d for y, z, d in zip(x_m, x_i, s_moduli))]
 
 
+def _generators(instance: ExtensionInstance) -> list[_Symmetry]:
+    """A subset of :func:`_symmetries` that generates the same group, so the orbits are the same.
+
+    A unit scaling of ``e_m`` is dropped when its factor lies in the
+    multiplicative closure, mod ``d_m``, of the kept scalings of ``e_m``.
+    Transvections come in increasing ``|m - i|``; ``e_m -> e_m + c e_i`` is
+    dropped when it equals, on every coordinate generator, the commutator
+    (either order) of two transvections already met, ``e_m -> e_m + a e_k``
+    and ``e_k -> e_k + b e_i``, kept or dropped.
+    """
+    moduli = instance.ambient.factors
+    basis = [tuple(int(j == k) for j in range(len(moduli))) for k in range(len(moduli))]
+
+    def product(*moves: tuple[int, int, tuple[int, int]]) -> list[Element]:
+        """The coordinate generators' images under ``(m, i, coeffs)`` moves, the last applied first."""
+        images = []
+        for g in basis:
+            for m, i, coeffs in reversed(moves):
+                g = _move(moduli, m, i, coeffs, g)
+            images.append(g)
+        return images
+
+    def commutator(x: _Symmetry, y: _Symmetry) -> list[Element]:
+        return product(
+            (x.m, x.i, x.forward), (y.m, y.i, y.forward), (x.m, x.i, x.inverse), (y.m, y.i, y.inverse)
+        )
+
+    kept, units, met = [], {}, {}  # units[m]: the closure of the kept scalings of e_m
+    for sym in sorted(_symmetries(instance), key=lambda sym: abs(sym.m - sym.i)):
+        m, i = sym.m, sym.i
+        if m == i:
+            closure = units.setdefault(m, {1})
+            if sym.forward[0] not in closure:
+                d = moduli[m]
+                units[m] = _span(lambda x, y: x * y % d, 1, [sym.forward[0]], closure)
+                kept.append(sym)
+            continue
+        images = product((m, i, sym.forward))
+        if not any(
+            images in (commutator(met[m, k], met[k, i]), commutator(met[k, i], met[m, k]))
+            for k in range(len(moduli))
+            if (m, k) in met and (k, i) in met
+        ):
+            kept.append(sym)
+        met[m, i] = sym
+    return kept
+
+
+def _mark_non_surjective(
+    unmarked: bytearray, s_group: FiniteAbelianGroup, candidates: list[list[int]], weights: list[int]
+) -> None:
+    """Clear the code of every hom whose images lie in one maximal subgroup of ``S``.
+
+    A hom is not surjective exactly when its image lies in a maximal subgroup.
+    Each maximal subgroup is the kernel of ``chi_a(s) = sum a_k s_k mod q``
+    over the coordinates ``k`` with ``q | e_k``, for a prime ``q`` dividing
+    ``|S|``, and ``a`` with first nonzero coefficient 1 names it once.  The
+    codes of the homs into one kernel are outer sums, digit by digit, of the
+    weighted positions of the candidates inside it.
+    """
+    elements = list(s_group.elements())
+    for q in _factorint(s_group.order):
+        coords = [k for k, e in enumerate(s_group.factors) if e % q == 0]
+        for a in itertools.product(range(q), repeat=len(coords)):
+            if next(filter(None, a), 0) != 1:
+                continue
+            chi = [sum(c * s[k] for c, k in zip(a, coords)) % q for s in elements]
+            codes = [0]
+            for c, w in zip(candidates, weights):
+                inside = [w * k for k, x in enumerate(c) if not chi[x]]
+                codes = [t + y for t in codes for y in inside]
+            collections.deque(map(unmarked.__setitem__, codes, itertools.repeat(0)), 0)
+
+
+_CHUNK = 1024  # members flooded at once: bounds the transient digit and image columns
+
+
 def _orbits(
     instance: ExtensionInstance, candidates: list[list[int]], weights: list[int]
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Each orbit of surjective homs ``G -> S`` as (its first hom's image indices, member codes).
+    """Each orbit of surjective homs ``G -> S`` as (its least hom's image indices, member codes).
 
     ``candidates[j]`` lists, as indices into ``S.elements()``, the images the
     ``j``-th generator may take.  A hom's code is the mixed-radix number,
     digit ``j`` of weight ``weights[j]``, of its images' positions in those
-    lists (:func:`enumerate_homs` order).  The surjective homs are walked in
-    that order, on indices under :func:`_index_sum_rows` addition; each one
-    not yet marked floods its orbit under :func:`_symmetries` (surjectivity
-    is an orbit invariant).  A symmetry maps every image but the ``m``-th
-    through ``beta_bar``, so it acts on codes by one table per digit, the
-    ``m``-th indexed by the ``m``-th and ``i``-th digits.
+    lists (:func:`enumerate_homs` order).  ``unmarked`` holds a 1 per code
+    not yet met; :func:`_mark_non_surjective` clears the non-surjective
+    ones, so the lowest code still set, found by ``bytearray.find``, is the
+    least member of a new orbit (surjectivity is an orbit invariant).  The
+    orbit is flooded under :func:`_generators`, in chunks of members: a
+    symmetry maps every image but the ``m``-th through ``beta_bar``, so it
+    acts on codes by one table per digit, the ``m``-th indexed by the
+    ``m``-th and ``i``-th digits, and a chunk's images are summed column by
+    column.  Only the least code of an orbit becomes images.
     """
     s_group = instance.state_group
     elements = list(s_group.elements())
@@ -347,40 +435,52 @@ def _orbits(
             pos[a] = k
         positions.append(pos)
     radices = list(map(len, candidates))
+    moved_rows = functools.cache(functools.partial(_index_sum_rows, s_group))
     actions = []
-    for sym in _symmetries(instance):
+    for sym in _generators(instance):
         m, i = sym.m, sym.i
         bar = list(map(s_group.index_of, map(sym.bar.__getitem__, elements)))
         unary = [
-            list(map(w.__mul__, map(pos.__getitem__, map(bar.__getitem__, c))))
-            for c, pos, w in zip(candidates, positions, weights)
+            (j, list(map(w.__mul__, map(pos.__getitem__, map(bar.__getitem__, c)))))
+            for j, (c, pos, w) in enumerate(zip(candidates, positions, weights))
+            if j != m
         ]
-        unary[m] = [0] * radices[m]
-        moved = _index_sum_rows(s_group, *sym.inverse)  # moved[x][y]: the index of a x + b y
+        moved = moved_rows(*sym.inverse)  # moved[x][y]: the index of a x + b y
         binary = [
-            weights[m] * positions[m][bar[v]]
+            [weights[m] * positions[m][bar[v]] for v in map(moved[x].__getitem__, candidates[i])]
             for x in candidates[m]
-            for v in map(moved[x].__getitem__, candidates[i])
         ]
-        actions.append((unary, binary, m, i, radices[i]))
+        actions.append((binary, m, i, unary))
 
-    seen = bytearray(math.prod(radices))
-    rows = _index_sum_rows(s_group)
-    sizes = [None] * len(radices) + [s_group.order]
-    for images in _image_tuples(candidates, lambda x, y: rows[x][y], 0, sizes):
-        code = sum(map(operator.mul, weights, map(operator.getitem, positions, images)))
-        if seen[code]:
-            continue
-        seen[code] = 1
+    unmarked = bytearray(b"\1") * math.prod(radices)
+    _mark_non_surjective(unmarked, s_group, candidates, weights)
+
+    def flood(code: int) -> list[int]:
+        """The codes of ``code``'s orbit, each cleared in ``unmarked`` as it is met."""
+        unmarked[code] = 0
         members = [code]
-        for member in members:
-            digits = [member // w % r for w, r in zip(weights, radices)]
-            for unary, binary, m, i, radix in actions:
-                image = binary[digits[m] * radix + digits[i]] + sum(map(operator.getitem, unary, digits))
-                if not seen[image]:
-                    seen[image] = 1
-                    members.append(image)
-        yield images, members
+        done = 0
+        while done < len(members):
+            chunk = members[done : done + _CHUNK]
+            done += len(chunk)
+            digits = [
+                list(map(r.__rmod__, map(w.__rfloordiv__, chunk))) for w, r in zip(weights, radices)
+            ]
+            images = []
+            for binary, m, i, unary in actions:
+                image = map(operator.getitem, map(binary.__getitem__, digits[m]), digits[i])
+                for j, table in unary:
+                    image = map(operator.add, image, map(table.__getitem__, digits[j]))
+                images += image
+            fresh = list(dict.fromkeys(itertools.compress(images, map(unmarked.__getitem__, images))))
+            collections.deque(map(unmarked.__setitem__, fresh, itertools.repeat(0)), 0)
+            members += fresh
+        return members
+
+    code = unmarked.find(1)
+    while code >= 0:
+        yield tuple(c[code // w % r] for c, w, r in zip(candidates, weights, radices)), flood(code)
+        code = unmarked.find(1, code + 1)
 
 
 def _evaluate_instance(instance: ExtensionInstance) -> dict:
@@ -404,7 +504,8 @@ def _evaluate_instance(instance: ExtensionInstance) -> dict:
         return verdict, None
 
     elements = list(s_group.elements())
-    candidates = [list(map(s_group.index_of, c)) for c in _hom_candidates(ambient, s_group)]
+    images_of = _hom_candidates(ambient, s_group)
+    candidates = [list(map(s_group.index_of, c)) for c in images_of]
     weights = [math.prod(map(len, candidates[j + 1 :])) for j in range(len(candidates))]
     encoder_count = 0
     listed: dict[int, int | None] = {}  # code -> its orbit's index, or None: evaluate it alone
@@ -415,8 +516,12 @@ def _evaluate_instance(instance: ExtensionInstance) -> dict:
             listed.update(dict.fromkeys(members, None if violation else verdict.index))
 
     controllable, violations = [], []
-    for code in sorted(listed):
-        images = tuple(elements[c[code // w % len(c)]] for c, w in zip(candidates, weights))
+    codes = sorted(listed)
+    columns = [
+        map(c.__getitem__, map(len(c).__rmod__, map(w.__rfloordiv__, codes)))
+        for c, w in zip(images_of, weights)
+    ]
+    for code, images in zip(codes, zip(*columns)):
         index = listed[code]
         if index is None:
             verdict, violation = evaluate(images)

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .encoder import Encoder, Window, _image, _lowest
+from .encoder import Encoder, Window, _elements_at, _image, _lowest
 from .encoder import connected  # noqa: F401 - re-exported
 from .groups import Element, element_labels
 
@@ -35,7 +35,7 @@ class Branch:
 
 def branches(enc: Encoder) -> list[Branch]:
     """All transitions of the state diagram, state-major then input-minor."""
-    inputs, states = list(enc.input_group._index), list(enc.state_group._index)
+    inputs, states = list(enc.input_group.elements()), list(enc.state_group.elements())
     outputs = list(enc.output_group.elements())
     return [
         Branch(source=s, label=outputs[enc._out[j][i]], target=states[enc._next[j][i]], input=u)
@@ -133,7 +133,7 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
     path = [_lowest(feasible[0])]
     for k, allowed in zip(ids, itertools.islice(feasible, 1, None)):
         path.append(_lowest(succ[k][path[-1]] & allowed))
-    return list(map(list(enc.state_group._index).__getitem__, path))
+    return _elements_at(enc.state_group, path)
 
 
 def is_codeword(enc: Encoder, window: Window) -> bool:

@@ -18,6 +18,7 @@ from groupcode import (
     Window,
     control,
     encode_forward,
+    encoder,
     extension,
     groups,
     sweep,
@@ -111,6 +112,19 @@ def test_sweep_report_bytes_without_dedup():
         _sha256(report.summary_table())
         == "bad0365cf0db9bdefae12b5235b1942d9837f5fc3f9c41b4df4e806ccc4aa04d"
     )
+
+
+@pytest.mark.parametrize(
+    "dedup, digest",
+    [
+        (True, "a45609fb46082a6cc66efe0005c16d0741983afd4a8d89b4c464aadd970822ed"),
+        (False, "2e76e307bebb7947e629e766dac6e2b094f6e24a38277f49ed36c5bc1b663f24"),
+    ],
+)
+def test_sweep_report_bytes_odd_primes(dedup, digest):
+    # p in {5, 7}: unit scalings of order greater than two among the symmetries
+    report = sweep_theorems([5, 7], 16, dedup=dedup)
+    assert _sha256("".join(_json_pieces(report))) == digest
 
 
 def test_readme_analysis_bytes(systematic_encoder):
@@ -392,6 +406,27 @@ def test_split_element_to_pair_builds_no_pair_map(monkeypatch):
     state = (1, 0) * 8
     assert dec.element_to_pair((1,) + state) == ((1,), state)
     assert built == []
+
+
+def test_index_to_element_reads_build_no_state_index(monkeypatch):
+    # only the visited indices become elements; branches lists every state in order
+    indexed = _count_builds(monkeypatch, groups.FiniteAbelianGroup, "_index")
+    enc = encoder_from_spec(observed_shift_register(2, 16))
+    state = (1, 0) * 8
+    before = (0,) + state[:-1]  # (s1..sm) -> (s2..sm, u + s1), least input first
+    assert encoder.extend_past(enc, state, 3) == ([before, state, before], [(0,)] * 3, [(0,), (1,), (0,)])
+    assert encoder.state_preimages(enc, state) == [((0,), (0,) + state[:-1]), ((1,), (1,) + state[:-1])]
+    listed = trellis.branches(enc)
+    assert len(listed) == 2 * 2**16
+    assert listed[-1] == trellis.Branch((1,) * 16, (1,), (1,) * 15 + (0,), (1,))
+    assert enc.state_group not in indexed
+    # a witness builds O(|S|^2)-bit mask rows, so it reads the 2^10-state register
+    small = encoder_from_spec(observed_shift_register(2, 10))
+    states, outputs = encode_forward(small, (0,) * 10, [(1,), (0,), (1,)] + [(0,)] * 10)
+    witness = codeword_witness(small, Window(small.output_group, 0, tuple(outputs)))
+    # the input word's states until its last output, then the least path into the zero tail
+    assert witness[1:11] == states[:10] and witness[-1] == (0,) * 10
+    assert small.state_group not in indexed
 
 
 def test_state_index_is_built_once_per_instance(monkeypatch):

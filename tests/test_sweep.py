@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -25,6 +26,9 @@ from groupcode import sweep as sweep_module
 from groupcode.control import forward_chain
 from groupcode.encoder import encoder_from_extension
 from groupcode.groups import (
+    _hom_candidates,
+    _image_tuples,
+    _index_sum_rows,
     all_subgroups,
     enumerate_homs,
     identity_hom,
@@ -35,9 +39,12 @@ from groupcode.groups import (
 )
 from groupcode.sweep import (
     _evaluate_instance,
+    _generators,
     _json_pieces,
+    _mark_non_surjective,
     _move,
     _moved_image,
+    _orbits,
     _symmetries,
 )
 
@@ -285,12 +292,12 @@ def _reference_row(instance, report=structure_report) -> dict:
     }
 
 
-def _grid(p: int, max_s_order: int) -> list:
+def _grid(p: int, max_s_order: int, dedup: bool = True) -> list:
     return [
         instance
         for order in range(1, max_s_order + 1)
         for state_group in abelian_groups_of_order(order)
-        for instance in enumerate_extensions(p, state_group)
+        for instance in enumerate_extensions(p, state_group, dedup=dedup)
     ]
 
 
@@ -427,3 +434,155 @@ def test_symmetries_fix_n_and_keep_chain_sizes(p):
                 assert sizes[_act(sym, s_group, images)] == chain
                 acted += 1
     assert acted > 1000
+
+
+def _codes(instance) -> tuple[list[list[int]], list[int]]:
+    """Candidate image indices and digit weights, as :func:`_evaluate_instance` builds them."""
+    s_group = instance.state_group
+    candidates = [list(map(s_group.index_of, c)) for c in _hom_candidates(instance.ambient, s_group)]
+    weights = [math.prod(map(len, candidates[j + 1 :])) for j in range(len(candidates))]
+    return candidates, weights
+
+
+def _reference_orbits(instance, candidates, weights):
+    """The orbits as the sweep first found them: walk every surjection, flood under every symmetry.
+
+    The surjections come from :func:`_image_tuples` in code order, and each
+    one not yet met floods its orbit member by member under all of
+    :func:`_symmetries`.
+    """
+    s_group = instance.state_group
+    elements = list(s_group.elements())
+    positions = []
+    for c in candidates:
+        pos = [None] * s_group.order
+        for k, a in enumerate(c):
+            pos[a] = k
+        positions.append(pos)
+    radices = list(map(len, candidates))
+    actions = []
+    for sym in _symmetries(instance):
+        m, i = sym.m, sym.i
+        bar = list(map(s_group.index_of, map(sym.bar.__getitem__, elements)))
+        unary = [
+            [w * pos[bar[x]] for x in c] for c, pos, w in zip(candidates, positions, weights)
+        ]
+        unary[m] = [0] * radices[m]
+        moved = _index_sum_rows(s_group, *sym.inverse)
+        binary = [
+            weights[m] * positions[m][bar[moved[x][y]]] for x in candidates[m] for y in candidates[i]
+        ]
+        actions.append((unary, binary, m, i, radices[i]))
+
+    seen = bytearray(math.prod(radices))
+    rows = _index_sum_rows(s_group)
+    sizes = [None] * len(radices) + [s_group.order]
+    for images in _image_tuples(candidates, lambda x, y: rows[x][y], 0, sizes):
+        code = sum(w * pos[a] for w, pos, a in zip(weights, positions, images))
+        if seen[code]:
+            continue
+        seen[code] = 1
+        members = [code]
+        for member in members:
+            digits = [member // w % r for w, r in zip(weights, radices)]
+            for unary, binary, m, i, radix in actions:
+                image = binary[digits[m] * radix + digits[i]] + sum(
+                    table[d] for table, d in zip(unary, digits)
+                )
+                if not seen[image]:
+                    seen[image] = 1
+                    members.append(image)
+        yield images, members
+
+
+# p = 2, 3, 5 and 7 up to |S| = 15, 18, 15 and 14: every instance, one per height and all
+_ORBIT_GRIDS = [
+    pytest.param(p, n, dedup, id=f"p{p}-s{n}-{'dedup' if dedup else 'all'}")
+    for p, n in [(2, 15), (3, 18), (5, 15), (7, 14)]
+    for dedup in (True, False)
+]
+
+
+@pytest.mark.parametrize("p, max_s_order, dedup", _ORBIT_GRIDS)
+def test_orbits_equal_the_walk_and_flood_over_every_symmetry(p, max_s_order, dedup):
+    # same representatives, in the same order, with the same member sets
+    for instance in _grid(p, max_s_order, dedup):
+        candidates, weights = _codes(instance)
+        found = [(images, set(members)) for images, members in _orbits(instance, candidates, weights)]
+        reference = _reference_orbits(instance, candidates, weights)
+        assert found == [(images, set(members)) for images, members in reference]
+
+
+def _permutation(ambient, sym) -> tuple[int, ...]:
+    """``beta`` as the index of each ambient element's image, in ``elements()`` order."""
+    moduli = ambient.factors
+    return tuple(ambient.index_of(_move(moduli, sym.m, sym.i, sym.forward, g)) for g in ambient.elements())
+
+
+def _generated(generators: list[tuple[int, ...]], targets: list[tuple[int, ...]]) -> bool:
+    """Whether the ``generators`` generate every target, by breadth-first products."""
+    missing = set(targets)
+    identity = tuple(range(len(generators[0])))
+    group, frontier = {identity}, collections.deque([identity])
+    while frontier and missing:
+        perm = frontier.popleft()
+        for gen in generators:
+            product = tuple(map(perm.__getitem__, gen))
+            if product not in group:
+                group.add(product)
+                frontier.append(product)
+                missing.discard(product)
+    return not missing
+
+
+@pytest.mark.parametrize("p, max_s_order, dedup", _ORBIT_GRIDS)
+def test_kept_symmetries_generate_the_dropped_ones(p, max_s_order, dedup):
+    kept_total = listed_total = 0
+    for instance in _grid(p, max_s_order, dedup):
+        listed = _symmetries(instance)
+        kept = _generators(instance)
+        kept_keys = {(sym.m, sym.i, sym.forward) for sym in kept}
+        assert kept_keys <= {(sym.m, sym.i, sym.forward) for sym in listed}
+        dropped = [sym for sym in listed if (sym.m, sym.i, sym.forward) not in kept_keys]
+        if dropped:
+            assert _generated(
+                [_permutation(instance.ambient, sym) for sym in kept],
+                [_permutation(instance.ambient, sym) for sym in dropped],
+            )
+        kept_total += len(kept)
+        listed_total += len(listed)
+    assert kept_total < listed_total
+
+
+@pytest.mark.parametrize("p, max_s_order, dedup", _ORBIT_GRIDS)
+def test_marking_leaves_exactly_the_surjections(p, max_s_order, dedup):
+    checked = 0
+    for instance in _grid(p, max_s_order, dedup):
+        s_group = instance.state_group
+        candidates, weights = _codes(instance)
+        if math.prod(map(len, candidates)) > 4096:
+            continue
+        unmarked = bytearray(b"\1") * math.prod(map(len, candidates))
+        _mark_non_surjective(unmarked, s_group, candidates, weights)
+        surjections = enumerate_homs(instance.ambient, s_group, surjective_only=True)
+        expected = {
+            sum(w * c.index(s_group.index_of(x)) for w, c, x in zip(weights, candidates, nu.gen_images))
+            for nu in surjections
+        }
+        assert {code for code, free in enumerate(unmarked) if free} == expected
+        checked += 1
+    assert checked
+
+
+def test_generating_subsets_on_the_benchmark_grid_and_the_headline_instance():
+    grid = _grid(2, 9) + _grid(3, 9)
+    assert sum(len(_symmetries(instance)) for instance in grid) == 177
+    assert sum(len(_generators(instance)) for instance in grid) == 96
+    # N = <e_5> in Z2^5: the transvections between adjacent coordinates generate the other nine
+    instance = next(
+        i for i in enumerate_extensions(2, make_group([2] * 4)) if i.ambient.factors == (2,) * 5
+    )
+    assert len(_symmetries(instance)) == 16
+    assert [(sym.m, sym.i) for sym in _generators(instance)] == [
+        (0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4)
+    ]
