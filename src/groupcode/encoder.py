@@ -219,13 +219,7 @@ def encode_forward(
 
 
 def _elements_at(group: FiniteAbelianGroup, indices: list[int]) -> list[Element]:
-    """The elements at ``indices``, each distinct index converted once.
-
-    The group's elements are listed only when there are no more of them than
-    indices; otherwise no table of the group is built.
-    """
-    if group.order <= len(indices):
-        return list(map(list(group.elements()).__getitem__, indices))
+    """The elements at ``indices``, each distinct index converted once, with no table of the group."""
     at = {i: group.element_at(i) for i in set(indices)}
     return list(map(at.__getitem__, indices))
 

@@ -288,8 +288,8 @@ def _json_pieces(report: SweepReport) -> Iterator[str]:
 
 
 # beta: e_m -> a e_m + b e_i for (a, b) = forward, the other generators fixed; inverse is
-# the pair of beta^-1, and bar the map beta_bar on S (a namedtuple: no annotations to compile)
-_Symmetry = namedtuple("_Symmetry", "m i forward inverse bar")
+# the pair of beta^-1 (a namedtuple: no annotations to compile)
+_Symmetry = namedtuple("_Symmetry", "m i forward inverse")
 
 
 def _move(moduli: tuple[int, ...], m: int, i: int, coeffs: tuple[int, int], g: Element) -> Element:
@@ -308,7 +308,7 @@ def _symmetries(instance: ExtensionInstance) -> list[_Symmetry]:
     which ``c e_i`` has order dividing ``d_m``, ``c = d_i / gcd(d_i, d_m)``;
     its inverse is ``-c``, and it is skipped when ``c e_i`` is zero.
     """
-    moduli, dec = instance.ambient.factors, instance.decomposition
+    moduli = instance.ambient.factors
     found = []
     for m, d_m in enumerate(moduli):
         moves = [(m, (c, 0), (pow(c, -1, d_m), 0)) for c in range(2, d_m) if math.gcd(c, d_m) == 1]
@@ -317,18 +317,26 @@ def _symmetries(instance: ExtensionInstance) -> list[_Symmetry]:
                 moves.append((i, (1, c), (1, -c)))
         for i, forward, inverse in moves:
             if _move(moduli, m, i, forward, instance.normal_generator) in instance.normal:
-                bar = {s: dec.to_quotient[_move(moduli, m, i, forward, g)] for s, g in dec.lifting.items()}
-                found.append(_Symmetry(m, i, forward, inverse, bar))
+                found.append(_Symmetry(m, i, forward, inverse))
     return found
 
 
-def _moved_image(sym: _Symmetry, s_moduli: tuple[int, ...], x_m: Element, x_i: Element) -> Element:
+def _bar(instance: ExtensionInstance, sym: _Symmetry) -> dict[Element, Element]:
+    """``beta_bar`` on ``S``: each state's image, through its lift in the ambient group."""
+    moduli, dec = instance.ambient.factors, instance.decomposition
+    return {s: dec.to_quotient[_move(moduli, sym.m, sym.i, sym.forward, g)] for s, g in dec.lifting.items()}
+
+
+def _moved_image(
+    sym: _Symmetry, bar: dict[Element, Element], s_moduli: tuple[int, ...], x_m: Element, x_i: Element
+) -> Element:
     """``beta_bar(nu(beta^-1 e_m))`` from ``x_m = nu(e_m)`` and ``x_i = nu(e_i)``.
 
-    The element form of the entries of :func:`_orbits`' binary action table.
+    ``bar`` is ``beta_bar`` as :func:`_bar` gives it.  The element form of
+    the entries of :func:`_orbits`' binary action table.
     """
     a, b = sym.inverse
-    return sym.bar[tuple((a * y + b * z) % d for y, z, d in zip(x_m, x_i, s_moduli))]
+    return bar[tuple((a * y + b * z) % d for y, z, d in zip(x_m, x_i, s_moduli))]
 
 
 def _generators(instance: ExtensionInstance) -> list[_Symmetry]:
@@ -439,7 +447,7 @@ def _orbits(
     actions = []
     for sym in _generators(instance):
         m, i = sym.m, sym.i
-        bar = list(map(s_group.index_of, map(sym.bar.__getitem__, elements)))
+        bar = list(map(s_group.index_of, map(_bar(instance, sym).__getitem__, elements)))
         unary = [
             (j, list(map(w.__mul__, map(pos.__getitem__, map(bar.__getitem__, c)))))
             for j, (c, pos, w) in enumerate(zip(candidates, positions, weights))

@@ -38,6 +38,7 @@ from groupcode.groups import (
     recognize,
 )
 from groupcode.sweep import (
+    _bar,
     _evaluate_instance,
     _generators,
     _json_pieces,
@@ -396,10 +397,10 @@ def test_streamed_report_carries_violation_details(monkeypatch):
     assert "".join(_json_pieces(swept)) == _indented_dump(swept)
 
 
-def _act(sym, s_group, images: tuple) -> tuple:
-    """Generator images of ``beta_bar . nu . beta^-1`` from those of ``nu``."""
-    out = [sym.bar[x] for x in images]
-    out[sym.m] = _moved_image(sym, s_group.factors, images[sym.m], images[sym.i])
+def _act(sym, bar, s_group, images: tuple) -> tuple:
+    """Generator images of ``beta_bar . nu . beta^-1`` from those of ``nu``, ``bar`` being ``beta_bar``."""
+    out = [bar[x] for x in images]
+    out[sym.m] = _moved_image(sym, bar, s_group.factors, images[sym.m], images[sym.i])
     return tuple(out)
 
 
@@ -426,12 +427,13 @@ def test_symmetries_fix_n_and_keep_chain_sizes(p):
             assert all(_move(moduli, sym.m, sym.i, sym.inverse, b) == g for g, b in beta.items())
             assert {beta[n] for n in instance.normal.elements} == set(instance.normal.elements)
             # beta_bar is a bijective hom of S
-            assert sorted(sym.bar.values()) == s_elements
+            bar = _bar(instance, sym)
+            assert sorted(bar.values()) == s_elements
             for s in s_elements:
                 for t in s_elements:
-                    assert sym.bar[s_group.add(s, t)] == s_group.add(sym.bar[s], sym.bar[t])
+                    assert bar[s_group.add(s, t)] == s_group.add(bar[s], bar[t])
             for images, chain in sizes.items():
-                assert sizes[_act(sym, s_group, images)] == chain
+                assert sizes[_act(sym, bar, s_group, images)] == chain
                 acted += 1
     assert acted > 1000
 
@@ -463,7 +465,7 @@ def _reference_orbits(instance, candidates, weights):
     actions = []
     for sym in _symmetries(instance):
         m, i = sym.m, sym.i
-        bar = list(map(s_group.index_of, map(sym.bar.__getitem__, elements)))
+        bar = list(map(s_group.index_of, map(_bar(instance, sym).__getitem__, elements)))
         unary = [
             [w * pos[bar[x]] for x in c] for c, pos, w in zip(candidates, positions, weights)
         ]
