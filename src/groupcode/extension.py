@@ -5,9 +5,10 @@ stores one int column: for each pair ``(u, s)``, the index of the element of
 ``G`` that carries it.  ``s`` names the element's coset in a canonical group
 ``S`` isomorphic to ``G/N``, and ``u`` its residue over the coset's lift, the
 lexicographically minimal member, in a canonical group ``U`` isomorphic to
-``N``.  The pair of each element, the projection, the embedding of ``N``, the
-lifting and ``N`` are derived from that column, and the factor set measures
-how far the lifting is from a homomorphism.
+``N``; both are read from one walk over ``G``.  The pair of each element, the
+projection, the embedding of ``N``, the lifting and ``N`` are derived from
+that column, and the factor set measures how far the lifting is from a
+homomorphism.
 Conjugation is trivial in an abelian group, so pairs multiply by
 
     (u1, s1) * (u2, s2) = (u1 + u2 + factor_set(s1, s2), s1 + s2)
@@ -30,10 +31,11 @@ from .groups import (
     FiniteAbelianGroup,
     Subgroup,
     _add,
+    _cosets,
+    _recognize,
     direct_sum,
+    invariant_factors,
     is_prime,
-    quotient,
-    recognize_with_iso,
 )
 
 
@@ -108,41 +110,32 @@ class ExtensionDecomposition:
 
     @cached_property
     def factor_set(self) -> dict[tuple[Element, Element], Element]:
-        """``(s1, s2) -> n_to_u[lifting(s1) + lifting(s2) - lifting(s1 + s2)]``."""
-        ambient, lifting, s_part = self.ambient, self.lifting, self.s_part
-        table = {}
-        for s1 in s_part.elements():
-            for s2 in s_part.elements():
-                drift = ambient.sub(
-                    ambient.add(lifting[s1], lifting[s2]), lifting[s_part.add(s1, s2)]
-                )
-                table[(s1, s2)] = self.n_to_u[drift]
-        return table
+        """``(s1, s2) -> u``, where ``(u, s1 + s2)`` is the pair of ``lifting(s1) + lifting(s2)``."""
+        ambient, lifting, pair_of = self.ambient, self.lifting, self.pair_of
+        states = list(self.s_part.elements())
+        return {
+            (s1, s2): pair_of[ambient.index_of(_add(ambient.factors, lifting[s1], lifting[s2]))][0]
+            for s1 in states
+            for s2 in states
+        }
 
 
 def decompose(ambient: FiniteAbelianGroup, normal: Subgroup) -> ExtensionDecomposition:
     """Decompose ``ambient`` over ``normal`` with deterministic labeling.
 
-    The subgroup and quotient are recognized into canonical coordinate
-    groups.  :func:`quotient` lists the projection in ``elements()`` order,
-    so the first element met in each coset is its minimum, which becomes the
-    coset's lift (the identity coset lifts to the identity).  Each element
-    ``g`` of the coset gets the pair ``(n_to_u[g - lift], s)``, the lift
-    itself ``(e_U, s)``, and the column holds its index at that pair's
-    position.
+    One :func:`_cosets` walk gives the quotient ``S`` in canonical
+    coordinates and files each element ``g`` as ``m + x``: ``m`` its coset's
+    minimum and lift (the identity coset lifts to the identity), ``x`` in
+    ``normal``, whose table is built here and so goes to :func:`_recognize`
+    unchecked.  The column holds ``g``'s index at its pair ``(n_to_u[x], s)``.
     """
-    s_part, to_quotient = quotient(ambient, normal)  # checks that normal is a subgroup
-    moduli = ambient.factors
-    u_part, n_to_u = recognize_with_iso(list(normal.elements), partial(_add, moduli))
-    n_states = s_part.order
-
-    neg_lift: dict[Element, Element] = {}
+    s_part, s_coords, filed = _cosets(ambient, normal)  # checks that normal is a subgroup
+    u_part, n_to_u = _recognize(normal.elements, partial(_add, ambient.factors), ambient.identity())
+    s_index = {m: s_part.index_of(s) for m, s in s_coords.items()}
+    u_index = {x: u_part.index_of(u) * s_part.order for x, u in n_to_u.items()}
     column = [0] * ambient.order
-    for g_index, (g, s) in enumerate(to_quotient.items()):
-        if s not in neg_lift:
-            neg_lift[s] = tuple(-c % d for c, d in zip(g, moduli))
-        u = n_to_u[_add(moduli, g, neg_lift[s])]
-        column[u_part.index_of(u) * n_states + s_part.index_of(s)] = g_index
+    for g, (m, x) in filed.items():
+        column[u_index[x] + s_index[m]] = ambient.index_of(g)
     return ExtensionDecomposition(ambient, u_part, s_part, column)
 
 
@@ -198,37 +191,17 @@ def verify_decomposition(dec: ExtensionDecomposition) -> bool:
 def classify_prime_by_cyclic(dec: ExtensionDecomposition) -> ExtensionKind:
     """Classify an extension of a prime-order group by a cyclic group.
 
-    The extension is a direct product exactly when the lifted generator of
-    the cyclic quotient has order equal to the quotient's; otherwise the
-    accumulated factor-set drift makes the whole group cyclic.
+    The extension is a direct product exactly when the lift of the cyclic
+    quotient's generator, its all-ones state (a cyclic group's moduli are
+    coprime), has the quotient's order; otherwise the accumulated factor-set
+    drift makes the whole group cyclic.
     """
     p_factors = dec.u_part.factors
     if len(p_factors) != 1 or not is_prime(p_factors[0]):
         raise NotApplicable(f"subgroup part {p_factors} is not of prime order")
-    if len(dec.s_part.factors) > 1:
+    if len(invariant_factors(dec.s_part)) > 1:
         raise NotApplicable(f"quotient part {dec.s_part.factors} is not cyclic")
-    m = dec.s_part.order
-    if m == 1:
-        return ExtensionKind.DIRECT_PRODUCT
-    generator = (dec.u_part.identity(), (1,))
-    acc = (dec.u_part.identity(), dec.s_part.identity())
-    for _ in range(m):
-        acc = extension_product(dec, acc, generator)
-    u, s = acc
-    if s != dec.s_part.identity():  # pragma: no cover - m*s is always the identity
-        raise NotApplicable("cyclic power did not close")
-    if u == dec.u_part.identity():
+    lift = dec.pair_to_element(dec.u_part.identity(), (1,) * dec.s_part.rank)
+    if dec.ambient.element_order(lift) == dec.s_part.order:
         return ExtensionKind.DIRECT_PRODUCT
     return ExtensionKind.CYCLIC
-
-
-def factor_set_matrix(dec: ExtensionDecomposition) -> list[list[list[int]]]:
-    """The factor set as a JSON-ready matrix indexed by canonical element order.
-
-    Entry ``[i][j]`` is the coordinate array of the factor-set value at the
-    i-th and j-th elements of the quotient part.
-    """
-    ordered = list(dec.s_part.elements())
-    return [
-        [list(dec.factor_set[(s1, s2)]) for s2 in ordered] for s1 in ordered
-    ]

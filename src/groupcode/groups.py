@@ -10,9 +10,11 @@ enumeration, heights) is one coset-growing span, :func:`_span`.  Every search
 for generator images (surjective homs, automorphisms, basis extraction in
 recognition) is one prefix-span search, :func:`_image_tuples`.  A hom is
 tabulated once, on first read, as its images' target indices
-(:attr:`GroupHom._indices`), which :func:`hom_table` turns into elements;
-recognition coordinates, which sum basis elements under an abstract
-operation, are one linear table, :func:`_linear_table`.  Sums in index
+(:attr:`GroupHom._indices`), which :func:`hom_table` turns into elements.
+Recognition checks only tables from outside (:func:`recognize_with_iso`);
+the package's own tables, such as the coset table of the one coset walk
+:func:`_cosets`, go straight to its core :func:`_recognize`, whose
+coordinates are one linear table, :func:`_linear_table`.  Sums in index
 space come from one table, :func:`_index_sum_rows`.  The order-``p``
 subgroups are one walk over the ``p``-torsion coordinates,
 :func:`prime_order_generators`, and the quotient by each is read from its
@@ -383,29 +385,34 @@ def subgroup_index(g: FiniteAbelianGroup, h: Subgroup) -> int:
 def quotient(g: FiniteAbelianGroup, n: Subgroup) -> tuple[FiniteAbelianGroup, dict[Element, Element]]:
     """Quotient group in canonical form plus the projection g -> quotient.
 
-    Cosets are labeled through their lexicographically minimal representative,
-    which is the first member met walking ``g.elements()`` (lexicographic
-    order), so no coset is sorted.  The returned dict maps every element of
-    ``g``, in that order, to its image coordinates.
+    Read from :func:`_cosets`; the dict maps every element of ``g``, in
+    ``g.elements()`` order, to its coset minimum's coordinates.
+    """
+    q_group, coords, filed = _cosets(g, n)
+    return q_group, {a: coords[filed[a][0]] for a in g.elements()}
+
+
+def _cosets(g: FiniteAbelianGroup, n: Subgroup) -> tuple[FiniteAbelianGroup, dict, dict]:
+    """The one coset walk: ``g / n``, its minima's coordinates, and ``{m + x: (m, x)}``.
+
+    Checks that ``n`` is a subgroup of ``g``.  The first member met walking
+    ``g.elements()`` is its coset's minimum ``m``, and the coset's members
+    ``m + x``, ``x`` in ``n``, are filed then, so no coset is sorted.  The
+    coset table is built inside ``g``, so :func:`_recognize` takes it unchecked.
     """
     n.validate()
     if n.parent != g:
         raise NotASubgroup("subgroup belongs to a different group")
     add = partial(_add, g.factors)
-    rep_of: dict[Element, Element] = {}
-    reps = []
+    filed: dict[Element, tuple[Element, Element]] = {}
+    minima = []
     for a in g.elements():
-        if a not in rep_of:
-            reps.append(a)
+        if a not in filed:
+            minima.append(a)
             for x in n.elements:
-                rep_of[add(a, x)] = a
-
-    def coset_mul(a: Element, b: Element) -> Element:
-        return rep_of[add(a, b)]
-
-    q_group, coords = recognize_with_iso(reps, coset_mul)
-    projection = {a: coords[rep_of[a]] for a in g.elements()}
-    return q_group, projection
+                filed[add(a, x)] = (a, x)
+    q_group, coords = _recognize(minima, lambda a, b: filed[add(a, b)][0], g.identity())
+    return q_group, coords, filed
 
 
 def all_subgroups(g: FiniteAbelianGroup) -> list[Subgroup]:
@@ -501,31 +508,36 @@ def prime_quotient_types(g: FiniteAbelianGroup, p: int) -> dict[int, tuple[int, 
 
 def recognize(elements: Sequence, mul: Callable) -> FiniteAbelianGroup:
     """Canonical invariant factors of a group given by elements and operation."""
-    group, _ = recognize_with_iso(elements, mul)
-    return group
+    return recognize_with_iso(elements, mul)[0]
 
 
 def recognize_with_iso(elements: Sequence, mul: Callable) -> tuple[FiniteAbelianGroup, dict]:
     """Recognize an abelian operation table and return coordinates for it.
 
     Returns the canonical group plus a dict mapping each table element to its
-    residue-vector coordinates.  The basis is extracted deterministically
-    (candidates scanned in table order, maximal orders first), so identical
-    inputs always produce identical labelings.  Coordinates are read off the
-    :func:`_linear_table` of the basis, one :func:`_crt` per invariant factor.
-    Raises ``NotAbelian`` when the table is not an abelian group.
+    residue-vector coordinates, from :func:`_recognize`.  The table comes
+    from the caller, so every table, even a one-element one, is first checked
+    for an identity and commutativity.  Raises ``NotAbelian`` when the table
+    is not an abelian group.
     """
     elements = list(elements)
-    n = len(elements)
-    if n == 1:
-        return FiniteAbelianGroup(()), {elements[0]: ()}
-
     identity = _table_identity(elements, mul)
     for a in elements:
         for b in elements:
             if mul(a, b) != mul(b, a):
                 raise NotAbelian(f"operation does not commute on {a!r}, {b!r}")
+    return _recognize(elements, mul, identity)
 
+
+def _recognize(elements: Sequence, mul: Callable, identity) -> tuple[FiniteAbelianGroup, dict]:
+    """Basis and coordinates of a commutative table with a known identity.
+
+    The basis is extracted deterministically (candidates scanned in table
+    order, maximal orders first), so identical inputs give identical labels.
+    Coordinates are read off the :func:`_linear_table` of the basis, one
+    :func:`_crt` per invariant factor.
+    """
+    n = len(elements)
     orders = {a: _table_order(a, identity, mul, n) for a in elements}
     basis = []  # (rank within its prime, p**e, element), primes in increasing order
     for p in sorted(_factorint(n)):

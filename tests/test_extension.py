@@ -6,6 +6,7 @@ import pytest
 
 from groupcode import (
     ExtensionKind,
+    FiniteAbelianGroup,
     NotApplicable,
     WrongGroup,
     abelian_groups_of_order,
@@ -216,6 +217,17 @@ class TestClassify:
         with pytest.raises(NotApplicable):
             classify_prime_by_cyclic(dec)
 
+    @pytest.mark.parametrize("s_factors", [(6,), (2, 3), (3, 2)], ids=str)
+    def test_cyclic_quotient_in_any_presentation(self, s_factors):
+        # Z2 x Z3 is Z6: cyclicity comes from the invariant factors
+        dec = direct_sum_decomposition(make_group([3]), FiniteAbelianGroup(s_factors))
+        assert classify_prime_by_cyclic(dec) is ExtensionKind.DIRECT_PRODUCT
+
+    def test_non_cyclic_quotient_in_another_presentation_rejected(self):
+        dec = direct_sum_decomposition(make_group([3]), FiniteAbelianGroup((6, 2)))
+        with pytest.raises(NotApplicable, match="not cyclic"):
+            classify_prime_by_cyclic(dec)
+
     def test_composite_subgroup_rejected(self):
         g = make_group([8])
         dec = decompose(g, subgroup_generated(g, [(2,)]))
@@ -236,23 +248,6 @@ class TestClassify:
                         assert is_isomorphic(g, make_group([p] + ([m] if m > 1 else [])))
                     else:
                         assert is_isomorphic(g, make_group([p * m]))
-
-
-class TestFactorSetMatrix:
-    def test_json_matrix_shape_and_values(self, z4_halved):
-        import json
-
-        from groupcode.extension import factor_set_matrix
-
-        matrix = factor_set_matrix(z4_halved)
-        assert matrix == [[[0], [0]], [[0], [1]]]
-        json.dumps(matrix)  # JSON-ready
-
-    def test_zero_matrix_for_split_extensions(self, klein_cube_split):
-        from groupcode.extension import factor_set_matrix
-
-        matrix = factor_set_matrix(klein_cube_split)
-        assert all(entry == [0] for row in matrix for entry in row)
 
 
 class TestDirectSumDecomposition:

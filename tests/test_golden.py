@@ -34,13 +34,13 @@ from groupcode.groups import (
     enumerate_homs,
     make_group,
     prime_order_subgroups,
-    quotient,
     recognize_with_iso,
 )
 from groupcode.cli import main
 from groupcode.encoder import Encoder, encoder_from_spec, encoder_to_spec
 from groupcode.sweep import _json_pieces, enumerate_encoders, enumerate_extensions, sweep_theorems
 from groupcode.trellis import codeword_witness, export_dot
+from coordinate_records import RECORDS
 from specs import SILENT, observed_shift_register
 
 
@@ -473,13 +473,26 @@ def test_control_recognizes_no_operation_table(monkeypatch, systematic_encoder):
     assert [len(calls) for calls in recognized] == [0, 0]
 
 
-def test_sweep_computes_each_quotient_once(monkeypatch):
-    # the quotient type is read from the generator height, so only a subgroup
-    # whose quotient is S is built: one quotient per instance
-    modules = [m for m in (groups, extension, sweep) if hasattr(m, "quotient")]
-    quotients = _count_calls(monkeypatch, modules, "quotient")
+def test_sweep_walks_cosets_once_per_instance(monkeypatch):
+    # decompose reads one coset walk per instance; it calls no quotient and
+    # recognizes no table, since both tables it reads are built in the group
+    walks = _count_calls(monkeypatch, [groups, extension], "_cosets")
+    avoided = [
+        _count_calls(monkeypatch, [m for m in (groups, extension) if hasattr(m, name)], name)
+        for name in ("quotient", "recognize_with_iso")
+    ]
     report = sweep_theorems([2, 3], 6)
-    assert len(quotients) == report.totals["instances"]
+    assert len(walks) == report.totals["instances"] > 0
+    assert avoided == [[], []]
+
+
+def test_decompose_walks_the_ambient_once(monkeypatch):
+    walked = _count_calls(monkeypatch, [groups.FiniteAbelianGroup], "elements")
+    for g in abelian_groups_of_order(24):
+        for h in all_subgroups(g):
+            walked.clear()
+            extension.decompose(g, h)
+            assert len(walked) == 1 and walked[0][0] is g
 
 
 @pytest.mark.parametrize("dedup, count", [(True, 38), (False, 91)], ids=["dedup", "no-dedup"])
@@ -514,19 +527,29 @@ def test_surjective_enumeration_spans_each_prefix_once(monkeypatch):
     assert len(spanned) == 8 + 64 + 512
 
 
+def _coordinate_digest(kind: str) -> tuple[int, str]:
+    digest = hashlib.sha256()
+    count = 0
+    for record in RECORDS[kind]():
+        digest.update(record)
+        count += 1
+    return count, digest.hexdigest()
+
+
 def test_quotient_coordinates_bytes():
     # recognition picks the quotient basis; this pins the coordinates it gives
-    digest = hashlib.sha256()
-    pairs = 0
-    for order in range(1, 33):
-        for g in abelian_groups_of_order(order):
-            for h in all_subgroups(g):
-                q, projection = quotient(g, h)
-                record = (g.factors, h.elements, q.factors, sorted(projection.items()))
-                digest.update(repr(record).encode("utf-8"))
-                pairs += 1
-    assert pairs == 1030
-    assert digest.hexdigest() == "a13cee59125893d2aa166c299184d4112927baa4fd68fbe6b3ec60edbc205a48"
+    assert _coordinate_digest("quotients") == (
+        1030,
+        "a13cee59125893d2aa166c299184d4112927baa4fd68fbe6b3ec60edbc205a48",
+    )
+
+
+def test_decomposition_coordinates_bytes():
+    # U's coordinates and the pair column, which the quotient digest does not cover
+    assert _coordinate_digest("decompositions") == (
+        1030,
+        "fea9cc1d1543f0b8b530bd41730433bd82c96fb3f96c1e1ef85287bef9987641",
+    )
 
 
 def test_unit_group_coordinates_bytes():

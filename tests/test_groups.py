@@ -443,6 +443,11 @@ class TestRecognize:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "1 does not reach the identity within 2 steps\n"
 
+    def test_one_element_table_is_checked(self):
+        # 'x' * 'x' falls outside the table, so 'x' is no identity
+        with pytest.raises(NotAbelian, match="^operation table has no identity$"):
+            recognize_with_iso(["x"], lambda a, b: "y")
+
     def test_basis_span_not_covering_table_raises(self):
         # a repeated element: the census finds one Z2 factor for four entries
         with pytest.raises(NotAbelian, match="^basis span does not cover the table$"):
