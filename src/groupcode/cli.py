@@ -74,11 +74,18 @@ def _emit(lines: Iterable[str], path: str | None = None) -> None:
 
 
 def _parse_coords(text: str) -> list[int]:
-    """Comma-separated integers; the empty string is no coordinates, an empty field exits 2."""
+    """Comma-separated integers; the empty string is no coordinates.
+
+    A field is ASCII digits with an optional sign and surrounding spaces;
+    an empty field, a non-ASCII digit or an ``_`` (which ``int`` would
+    read) exits 2.
+    """
     if text == "":
         return []
     try:
-        return [int(part) for part in text.split(",")]
+        if not text.isascii() or "_" in text:
+            raise ValueError("only ASCII digits, signs and spaces are read")
+        return list(map(int, text.split(",")))
     except ValueError as exc:
         raise SystemExit(_fail(f"cannot parse coordinates {text!r}: {exc}", 2))
 
@@ -149,7 +156,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     tails = dict(zip(distinct, rendered))
     lines.append(f"{'i':>4}  {'u':<8} {'s':<10} {'y':<10}\n")
     rows = zip(itertools.count(1), map(tails.__getitem__, positions))
-    lines.append("".join(map("%4d%s".__mod__, rows)))
+    lines.append("%4d%s" * len(positions) % tuple(itertools.chain.from_iterable(rows)))
     _emit(lines)
     return 0
 

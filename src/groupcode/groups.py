@@ -636,14 +636,20 @@ class GroupHom:
     gen_images: tuple[Element, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gen_images", tuple(tuple(img) for img in self.gen_images))
-        if len(self.gen_images) != len(self.source.factors):
+        images = tuple(map(tuple, self.gen_images))
+        object.__setattr__(self, "gen_images", images)
+        if len(images) != len(self.source.factors):
             raise InvalidHom(
-                f"expected {len(self.source.factors)} generator images, got {len(self.gen_images)}"
+                f"expected {len(self.source.factors)} generator images, got {len(images)}"
             )
-        for d, img in zip(self.source.factors, self.gen_images):
-            self.target.check(img)
-            if any(d * c % m for c, m in zip(img, self.target.factors)):
+        factors = self.target.factors
+        for d, img in zip(self.source.factors, images):
+            # one pass per image: None marks a coordinate outside its Z_m,
+            # a nonzero entry one that d times the image leaves nonzero
+            residues = [d * c % m if 0 <= c < m else None for c, m in zip(img, factors)]
+            if len(img) != len(factors) or None in residues:
+                self.target.check(img)  # raises WrongGroup
+            if any(residues):
                 img_order = self.target.element_order(img)
                 raise InvalidHom(
                     f"image {img} of an order-{d} generator has order "

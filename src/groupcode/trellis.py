@@ -4,9 +4,11 @@ and ``enc._out`` (output indices).
 
 Membership runs on indices: states are bits of a mask and the window's
 symbols become output indices, so a witness becomes elements only when it is
-returned.  A state set's image under one output is the union of that
-output's successor (or predecessor) rows at the set's bits; rows are built
-only for the identity output and the outputs the window reads.  DOT export
+returned.  Rows are built only for the identity output and the outputs the
+window reads.  One backward pass images the future identity core through
+the window's predecessor rows; a greedy walk then picks the least state at
+each time along single successor rows.  The walk needs no forward state sets:
+each of its states is reached from the one before.  DOT export
 renders its labels in bulk from indices (every state, every input and each
 distinct output, one :func:`groupcode.groups.element_labels` call each) and
 fills the pre-cut node and edge blocks of every time step with ``str.join``.
@@ -89,6 +91,17 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
     from into, state ``i``, built only for the identity label 0 and the
     window's labels.  A label no branch carries keeps all-zero rows, so its
     image is empty.
+
+    One backward pass builds ``B_t``, the states at time ``t`` from which the
+    rest of the window leads into the future identity core: ``B_T`` is that
+    core and ``B_t`` is the predecessor image of ``B_{t+1}`` under the
+    symbol read at ``t``.  The walk starts at the least state of ``B_0`` in
+    the past identity core and then takes the least successor in
+    ``B_{t+1}``, which exists because its state lies in ``B_t``.  Each state
+    of the walk is reached from the one before, so it lies in the forward
+    feasible set anyway: the walk needs no forward pass, and the window is
+    rejected exactly when some ``B_t`` is empty or ``B_0`` misses the past
+    core.
     """
     if window.group != enc.output_group:
         raise ValueError("window symbols are not in the encoder output group")
@@ -105,34 +118,26 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
     full = (1 << n_states) - 1
 
     # a window revisits few state sets: each label keeps its images by mask
-    images: dict[int, dict[int, int]] = {k: {} for k in succ}
-    feasible = [_identity_core(succ[0], full)]  # 0 labels the branch (e_U, e_S) -> e_S
-    for k in ids:
-        mask = feasible[-1]
-        seen = images[k]
-        image = seen.get(mask)
-        if image is None:
-            image = seen[mask] = _image(mask, succ[k])
-        if not image:
-            return None
-        feasible.append(image)
-    feasible[-1] &= _identity_core(pred[0], full)
-    if not feasible[-1]:
-        return None
-    images = {k: {} for k in succ}
-    for t in range(len(ids) - 1, -1, -1):
-        k, mask = ids[t], feasible[t + 1]
+    images: dict[int, dict[int, int]] = {k: {} for k in pred}
+    allowed = [_identity_core(pred[0], full)]  # B_T, then B_{T-1} .. B_0
+    for k in reversed(ids):
+        mask = allowed[-1]
         seen = images[k]
         image = seen.get(mask)
         if image is None:
             image = seen[mask] = _image(mask, pred[k])
-        feasible[t] &= image
-        if not feasible[t]:
+        if not image:
             return None
+        allowed.append(image)
+    allowed.reverse()
+    start = allowed[0] & _identity_core(succ[0], full)  # 0 labels (e_U, e_S) -> e_S
+    if not start:
+        return None
 
-    path = [_lowest(feasible[0])]
-    for k, allowed in zip(ids, itertools.islice(feasible, 1, None)):
-        path.append(_lowest(succ[k][path[-1]] & allowed))
+    path = [_lowest(start)]
+    for k, mask in zip(ids, itertools.islice(allowed, 1, None)):
+        mask &= succ[k][path[-1]]
+        path.append((mask & -mask).bit_length() - 1)
     return _elements_at(enc.state_group, path)
 
 

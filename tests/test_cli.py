@@ -395,6 +395,34 @@ class TestEncode:
         assert captured.out == ""
         assert f"cannot parse coordinates {value!r}" in captured.err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--inputs", "1_0"),
+            ("--inputs", "٣"),  # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+            ("--inputs", "0,1_1"),
+            ("--inputs", "1_0, ٣"),
+            ("--state", "5,1_1"),
+        ],
+    )
+    def test_underscores_and_non_ascii_digits_exit_2(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "z12.json"
+        path.write_text(json.dumps(observed_shift_register(12, 2)))
+        argv = ["encode", str(path), "--state", "5,11", "--inputs", "1,3"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot parse coordinates {value!r}" in captured.err
+
+    def test_spaces_and_signs_around_fields_are_read(self, tmp_path, capsys):
+        path = tmp_path / "z12.json"
+        path.write_text(json.dumps(observed_shift_register(12, 2)))
+        assert main(["encode", str(path), "--state", "5,11", "--inputs", "10,3"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["encode", str(path), "--state", " +5,11 ", "--inputs", " 10 ,+3"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_trivial_input_group_reads_only_zeros(self, tmp_path, capsys):
         # each listed coordinate is one empty symbol, written 0
         path = tmp_path / "inputless.json"

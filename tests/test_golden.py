@@ -604,6 +604,33 @@ def test_codeword_witness_images_each_state_set_once_per_symbol(monkeypatch):
     assert len(images) <= 300  # one call per symbol and direction is over 4,000
 
 
+def test_codeword_witness_images_only_predecessor_rows(monkeypatch):
+    # the walk steps along single successor rows, so outside the two identity
+    # cores every image is one of the backward pass, on predecessor rows
+    enc = encoder_from_spec(observed_shift_register(2, 6))
+    states, outputs = encode_forward(enc, (1, 0, 1, 1, 0, 1), [(1,), (0,), (1,), (1,)])
+    outputs += encode_forward(enc, states[-1], zero_tail(enc, states[-1], max_len=65))[1]
+    pred = {}
+    for column, outs in zip(enc._next, enc._out):
+        for source, (target, k) in enumerate(zip(column, outs)):
+            pred.setdefault(k, [0] * enc.state_group.order)[target] |= 1 << source
+    images = _count_calls(monkeypatch, [trellis], "_image")
+    core_images = []
+    identity_core = trellis._identity_core
+
+    def core(rows, full):
+        before = len(images)
+        mask = identity_core(rows, full)
+        core_images.extend(images[before:])
+        del images[before:]
+        return mask
+
+    monkeypatch.setattr(trellis, "_identity_core", core)
+    assert codeword_witness(enc, Window(enc.output_group, 0, outputs)) is not None
+    assert core_images and images
+    assert all(rows in pred.values() for _, rows in images)
+
+
 def test_codeword_witness_builds_the_diagram_once(monkeypatch, systematic_encoder):
     enc = systematic_encoder
     word = [(1,), (0,), (1,)]

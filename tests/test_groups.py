@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import subprocess
 import sys
 
@@ -469,6 +470,10 @@ class TestIsomorphism:
         assert is_isomorphic(g, make_group([6]))
 
 
+NOT_IN_Z2_Z4 = " is not an element of the group with moduli (2, 4)"
+ORDER_4_IN_ORDER_2 = " of an order-2 generator has order 4, which does not divide 2"
+
+
 class TestHoms:
     def test_hom_count_z8_to_z4(self):
         homs = enumerate_homs(make_group([8]), make_group([4]))
@@ -574,6 +579,24 @@ class TestHoms:
         message = r"^image \(1,\) of an order-2 generator has order 4, which does not divide 2$"
         with pytest.raises(InvalidHom, match=message):
             GroupHom(make_group([2, 4]), make_group([4]), ((1,), (1,)))
+
+    @pytest.mark.parametrize(
+        "images, error, message",
+        [
+            ([(0, 2), (2, 0)], WrongGroup, "(2, 0)" + NOT_IN_Z2_Z4),
+            ([(0, 2), (1,)], WrongGroup, "(1,)" + NOT_IN_Z2_Z4),
+            ([(0, 2), (0, 1, 0)], WrongGroup, "(0, 1, 0)" + NOT_IN_Z2_Z4),
+            ([(0, 2), (-1, 0)], WrongGroup, "(-1, 0)" + NOT_IN_Z2_Z4),
+            # a foreign coordinate is reported before the order of the image
+            ([(2, 1), (0, 0)], WrongGroup, "(2, 1)" + NOT_IN_Z2_Z4),
+            ([(0, 2), (1, 1)], InvalidHom, "image (1, 1)" + ORDER_4_IN_ORDER_2),
+            ([(0, 3), (0, 0)], InvalidHom, "image (0, 3)" + ORDER_4_IN_ORDER_2),
+        ],
+    )
+    def test_image_checks_pin_their_messages(self, images, error, message):
+        # Z2 x Z2 -> Z2 x Z4: each image is checked for membership, then for order
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            GroupHom(make_group([2, 2]), make_group([2, 4]), [list(img) for img in images])
 
     def test_surjectivity_detection(self):
         z8, z4 = make_group([8]), make_group([4])

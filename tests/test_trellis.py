@@ -331,19 +331,21 @@ class TestWitnessOnStreamShapes:
             expected = reference_witness(enc, window)
             assert codeword_witness(enc, window) == expected != witness
 
-    @pytest.mark.parametrize("p, m", [(2, 4), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("p, m", STREAM_SHAPES)
     def test_rejected_corruptions_of_the_rate_half_register(self, p, m):
         # the outputs fix the state sequence (s_m is the last input plus the
         # state's first coordinate), so a corruption of either coordinate of
-        # any symbol is caught
+        # any symbol is caught: eight random ones, then both coordinates of
+        # the first symbol and of the last one before the zero tail
         enc = encoder_from_spec(_rate_half_shift_register(p, m))
         outputs = _zero_tailed_outputs(enc, (0,) * m, 256, seed=p * 10 + m)
         window = Window(enc.output_group, 0, outputs)
         assert codeword_witness(enc, window) == reference_witness(enc, window) is not None
         rng = random.Random(m)
+        spots = [(rng.randrange(len(outputs)), rng.randrange(2)) for _ in range(8)]
+        spots += [(t, c) for t in (0, 255) for c in range(2)]
         rejected = 0
-        for _ in range(8):
-            t, c = rng.randrange(len(outputs)), rng.randrange(2)
+        for t, c in spots:
             symbol = list(outputs[t])
             symbol[c] = (symbol[c] + rng.randrange(1, p)) % p
             corrupted = outputs[:t] + [tuple(symbol)] + outputs[t + 1 :]
@@ -351,7 +353,31 @@ class TestWitnessOnStreamShapes:
             expected = reference_witness(enc, window)
             assert codeword_witness(enc, window) == expected
             rejected += expected is None
-        assert rejected == 8
+        assert rejected == 12
+
+    def test_window_rejected_only_at_the_past_core(self):
+        # On the rate-1/2 register the identity label (0, 0) leaves only the
+        # zero state with an identity past, so the past core is {0}.  The
+        # outputs of a word started at a nonzero state s0 name s0 (s_m reads
+        # s_{m-1}, ..., s_1 over the next m steps), and each later state set
+        # of the window is nonempty: the window is rejected only because its
+        # first state set misses the past core.  Once the word that leads 0
+        # to s0 is put in front, it is a codeword.  No encoder of the small
+        # family (Y = Z_p) has such a window of up to eight symbols.
+        enc = encoder_from_spec(_rate_half_shift_register(2, 4))
+        past_core = _reference_identity_core(enc, branches(enc), backwards=True)
+        assert past_core == {(0, 0, 0, 0)}
+        s0 = (1, 0, 1, 1)
+        outputs = _zero_tailed_outputs(enc, s0, 12, seed=3)
+        window = Window(enc.output_group, 0, outputs)
+        assert reference_witness(enc, window) is None
+        assert codeword_witness(enc, window) is None
+        lead = connected(enc, (0, 0, 0, 0), s0, max_len=16)
+        prefix = encode_forward(enc, (0, 0, 0, 0), lead)[1]
+        window = Window(enc.output_group, -len(prefix), prefix + outputs)
+        witness = codeword_witness(enc, window)
+        assert witness == reference_witness(enc, window) is not None
+        assert witness[len(prefix)] == s0
 
     def test_symbol_that_labels_no_branch(self):
         # Y = Z2 x Z2 with output (s1, 0): (0, 1) is in the output group but
