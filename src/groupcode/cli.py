@@ -127,13 +127,12 @@ def _cmd_encode(args: argparse.Namespace) -> int:
             )
         symbols = zip(*[iter(flat)] * u_rank)
     # the frame stays in pair positions j * |S| + i until each row is rendered
-    next_pairs = list(itertools.chain.from_iterable(enc._next))
     final = s_group.index_of(s0_coords)  # checked above; no element index of S is built
-    positions = _walk(next_pairs, n_states, final, _input_indices(enc, symbols))
+    positions = _walk(enc._next, n_states, final, _input_indices(enc, symbols))
     lines = []
     if args.zero_tail:
         if positions:
-            final = next_pairs[positions[-1]]
+            final = enc._next[positions[-1]]
         padding = zero_tail(enc, s_group.element_at(final), max_len=n_states + 1)
         if padding is None:
             lines.append(
@@ -141,17 +140,15 @@ def _cmd_encode(args: argparse.Namespace) -> int:
                 f"within {n_states + 1} steps\n"
             )
         else:
-            positions += _walk(next_pairs, n_states, final, _input_indices(enc, padding))
+            positions += _walk(enc._next, n_states, final, _input_indices(enc, padding))
 
     # each distinct position's row tail (input, next state, output) is rendered once
     distinct = list(set(positions))
-    inputs = list(map(n_states.__rfloordiv__, distinct))
-    outputs = [enc._out[j][p % n_states] for j, p in zip(inputs, distinct)]
     rendered = map(
         "  {:<8} {:<10} {:<10}\n".format,
-        element_labels(u_group, inputs),
-        element_labels(s_group, list(map(next_pairs.__getitem__, distinct))),
-        element_labels(y_group, outputs),
+        element_labels(u_group, list(map(n_states.__rfloordiv__, distinct))),
+        element_labels(s_group, list(map(enc._next.__getitem__, distinct))),
+        element_labels(y_group, list(map(enc._out.__getitem__, distinct))),
     )
     tails = dict(zip(distinct, rendered))
     lines.append(f"{'i':>4}  {'u':<8} {'s':<10} {'y':<10}\n")

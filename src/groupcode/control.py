@@ -12,10 +12,11 @@ State sets are bitmasks over ``state_group.index_of`` (the identity state is
 bit 0), and a set's one-step image is the union of the encoder's successor
 rows at its bits.  The brute-force ``exact_reach`` oracle shares no code with
 the chain: it yields every start state's masks level by level, each pulled
-from the one before over the encoder's next-state columns ``enc._next``,
-which the past kernel and the report's kernel counts read too.  Chain
-levels, the past kernel and counterexamples are element tuples, converted
-through the state group's one element index.
+from the one before over the encoder's next-state column ``enc._next``
+(indexed by pair position ``j * |S| + i``), which the past kernel and the
+report's kernel counts read too.  Chain levels, the past kernel and
+counterexamples are element tuples, converted through the state group's one
+element index.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cache
 from operator import or_
 from typing import Iterator
 
-from .encoder import Encoder, _image, _lowest, _picked, _preimages
+from .encoder import Encoder, _image, _lowest, _picked
 from .errors import NotApplicable, PredicateViolation, TooLarge
 from .groups import (
     Element,
@@ -103,7 +104,8 @@ def past_kernel(enc: Encoder) -> Subgroup:
     identity state lead to distinct states.  Closure is not checked here:
     ``structure_report`` checks it once, as ``past_kernel_is_subgroup``.
     """
-    states = {r for _, r in _preimages(enc, 0)}
+    n_states = enc.state_group.order
+    states = {p % n_states for p, nxt in enumerate(enc._next) if nxt == 0}
     return Subgroup(enc.state_group, tuple(map(enc.state_group.element_at, states)))
 
 
@@ -112,11 +114,13 @@ def exact_reach(enc: Encoder, max_len: int) -> Iterator[list[int]]:
 
     A brute-force oracle over every start state, on bitmasks over state
     indices.  It pulls each level from the one before over the encoder's
-    next-state columns, ``level_{L+1}[i] = OR over u of level_L[next(u, i)]``,
-    and holds only that one; it shares no code with the chain.
+    next-state column, cut here into one slice per input,
+    ``level_{L+1}[i] = OR over u of level_L[next(u, i)]``, and holds only that
+    one; it shares no code with the chain.
     """
-    first, *rest = enc._next
-    level = [1 << i for i in range(len(first))]
+    n_states = enc.state_group.order
+    first, *rest = (enc._next[k : k + n_states] for k in range(0, len(enc._next), n_states))
+    level = [1 << i for i in range(n_states)]
     yield level
     for _ in range(max_len):
         prev = level
@@ -251,11 +255,12 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     )
 
     # the pair map is a bijection onto the ambient group, and the pair (u, e_S)
-    # is the embedded input u, so both counts read the next-state columns
-    kernel_in_ambient = sum(c.count(0) for c in enc._next)
+    # is the embedded input u, at every |S|-th position, so both counts read
+    # the next-state column
+    kernel_in_ambient = enc._next.count(0)
     check("ambient_kernel_size_is_input_order", kernel_in_ambient == p, lambda: kernel_in_ambient)
 
-    collapsing = sum(c[0] == 0 for c in enc._next)
+    collapsing = enc._next[:: s_group.order].count(0)
     degenerate = collapsing == p
     one_step = chain.level(1)
     check(

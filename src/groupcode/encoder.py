@@ -7,17 +7,18 @@ conditions: the next-state map is surjective, the output map is a
 homomorphism, and the branch map ``(u, s) -> (s, output, next state)`` is
 injective.  Encoded sequences are bi-infinite with identity tails and are
 represented as finite windows.  Each encoder is tabulated once, from each
-hom's cached target indices, as int columns ``_next[j][i]`` (next-state
-index) and ``_out[j][i]`` (output index) over input index ``j`` and state
-index ``i``, which every reader walks; elements and indices trade places only
-at the API boundary, where a foreign element raises ``WrongGroup``.
+hom's cached target indices, as two flat int columns over the pair positions
+``p = j * |S| + i`` of input index ``j`` and state index ``i``: ``_next[p]``
+(next-state index) and ``_out[p]`` (output index), which every reader walks;
+elements and indices trade places only at the API boundary, where a foreign
+element raises ``WrongGroup``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress, count
+from itertools import compress, count, cycle
 from operator import ne, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -42,9 +43,9 @@ class Encoder:
 
     ``next_state`` and ``output`` are homomorphisms on the ambient group,
     tabulated at construction into the int columns ``_next`` and ``_out``:
-    each hom's cached target indices are read in the order of the
-    decomposition's shared pair-position column and cut into one slice per
-    input.
+    each hom's cached target indices read in the order of the decomposition's
+    pair-position column, so entry ``p = j * |S| + i`` belongs to input index
+    ``j`` at state index ``i``.
     """
 
     decomposition: ExtensionDecomposition
@@ -58,13 +59,9 @@ class Encoder:
             raise WrongGroup("next-state map is not defined from the ambient group onto states")
         if self.output.source != dec.ambient or self.output.target != self.output_group:
             raise WrongGroup("output map is not defined from the ambient group onto outputs")
-        order, n_states = dec.column, dec.s_part.order
-        nxt = list(map(self.next_state._indices.__getitem__, order))
-        out = list(map(self.output._indices.__getitem__, order))
-        cuts = range(0, len(order), n_states)
         vars(self).update(
-            _next=[nxt[k : k + n_states] for k in cuts],
-            _out=[out[k : k + n_states] for k in cuts],
+            _next=list(map(self.next_state._indices.__getitem__, dec.column)),
+            _out=list(map(self.output._indices.__getitem__, dec.column)),
         )
 
     @property
@@ -82,8 +79,9 @@ class Encoder:
     def step(self, u: Element, s: Element) -> tuple[Element, Element]:
         """Next state and output symbol for input ``u`` at state ``s``."""
         j, i = _position(self.input_group, u), _position(self.state_group, s)
-        y = self.output_group.element_at(self._out[j][i])
-        return self.state_group.element_at(self._next[j][i]), y
+        p = j * self.state_group.order + i
+        y = self.output_group.element_at(self._out[p])
+        return self.state_group.element_at(self._next[p]), y
 
     def next_state_pair(self, u: Element, s: Element) -> Element:
         return self.step(u, s)[0]
@@ -94,10 +92,10 @@ class Encoder:
     @cached_property
     def _successors(self) -> list[int]:
         """Each state's one-step successor mask, by state index, built on first read."""
-        rows = [0] * self.state_group.order
-        for column in self._next:
-            for i, nxt in enumerate(column):
-                rows[i] |= 1 << nxt
+        n_states = self.state_group.order
+        rows = [0] * n_states
+        for i, nxt in zip(cycle(range(n_states)), self._next):
+            rows[i] |= 1 << nxt
         return rows
 
 
@@ -144,11 +142,12 @@ def validate_encoder(enc: Encoder) -> Encoder:
     ``(u, e_S)`` is the embedded input ``u``; every identity has index 0).
     """
     dec = enc.decomposition
-    missing = set(range(dec.s_part.order)).difference(*enc._next)
+    n_states = dec.s_part.order
+    missing = set(range(n_states)).difference(enc._next)
     if missing:
         raise NuNotSurjective(dec.s_part.element_at(min(missing)))
     for j in range(1, dec.u_part.order):
-        if enc._next[j][0] == 0 and enc._out[j][0] == 0:
+        if enc._next[j * n_states] == 0 and enc._out[j * n_states] == 0:
             raise PsiNotInjective((dec.u_part.element_at(j), dec.s_part.identity()))
     return enc
 
@@ -209,12 +208,10 @@ def encode_forward(
     input indices first; :func:`_walk` then visits one pair per symbol.
     """
     i = _position(enc.state_group, s0)
-    next_pairs = list(chain.from_iterable(enc._next))
-    positions = _walk(next_pairs, enc.state_group.order, i, _input_indices(enc, inputs))
-    out_pairs = list(chain.from_iterable(enc._out))
+    positions = _walk(enc._next, enc.state_group.order, i, _input_indices(enc, inputs))
     return (
-        _elements_at(enc.state_group, list(map(next_pairs.__getitem__, positions))),
-        _elements_at(enc.output_group, list(map(out_pairs.__getitem__, positions))),
+        _elements_at(enc.state_group, list(map(enc._next.__getitem__, positions))),
+        _elements_at(enc.output_group, list(map(enc._out.__getitem__, positions))),
     )
 
 
@@ -232,26 +229,18 @@ def _input_indices(enc: Encoder, inputs: Iterable[Element]) -> list[int]:
         raise WrongGroup(f"input symbol {exc.args[0]} is not in the input group") from None
 
 
-def _walk(next_pairs: list[int], n_states: int, i: int, inputs: Iterable[int]) -> list[int]:
+def _walk(next_column: list[int], n_states: int, i: int, inputs: Iterable[int]) -> list[int]:
     """Pair positions ``j * n_states + i`` visited from state index ``i`` by input indices.
 
-    ``next_pairs`` is the next-state column flattened input-major, so the
-    state index after position ``p`` is ``next_pairs[p]``.
+    ``next_column`` is an encoder's ``_next``, so the state index after
+    position ``p`` is ``next_column[p]``.
     """
     positions = []
     for j in inputs:
         p = j * n_states + i
         positions.append(p)
-        i = next_pairs[p]
+        i = next_column[p]
     return positions
-
-
-def _preimages(enc: Encoder, i: int) -> Iterator[tuple[int, int]]:
-    """Index pairs (j, r) stepping onto state index ``i``, j-major: lexicographic pair order."""
-    for j, column in enumerate(enc._next):
-        for r, nxt in enumerate(column):
-            if nxt == i:
-                yield j, r
 
 
 def state_preimages(enc: Encoder, s: Element) -> list[tuple[Element, Element]]:
@@ -260,9 +249,10 @@ def state_preimages(enc: Encoder, s: Element) -> list[tuple[Element, Element]]:
     There are always exactly ``|ambient| / |S|`` of them: the preimage of a
     state under a surjective homomorphism is a kernel coset.
     """
-    pairs = list(_preimages(enc, _position(enc.state_group, s)))
-    inputs = _elements_at(enc.input_group, [j for j, _ in pairs])
-    return list(zip(inputs, _elements_at(enc.state_group, [r for _, r in pairs])))
+    i, n_states = _position(enc.state_group, s), enc.state_group.order
+    positions = [p for p, nxt in enumerate(enc._next) if nxt == i]
+    inputs = _elements_at(enc.input_group, [p // n_states for p in positions])
+    return list(zip(inputs, _elements_at(enc.state_group, [p % n_states for p in positions])))
 
 
 def extend_past(
@@ -273,18 +263,20 @@ def extend_past(
     Returns (past_states, past_inputs, past_outputs) where ``past_states[i]``
     is the state ``i + 1`` steps in the past, and ``past_inputs[i]`` /
     ``past_outputs[i]`` belong to the transition out of it.  Each step picks
-    the lexicographically minimal preimage pair; existence is guaranteed by
+    the lexicographically minimal preimage pair, the first position in the
+    next-state column that holds the target; existence is guaranteed by
     surjectivity of the next-state map.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     past_states, past_inputs, past_outputs = [], [], []
-    target = _position(enc.state_group, s0)
+    target, n_states = _position(enc.state_group, s0), enc.state_group.order
     for _ in range(depth):
-        j, target = next(_preimages(enc, target))
+        p = enc._next.index(target)
+        j, target = divmod(p, n_states)
         past_states.append(target)
         past_inputs.append(j)
-        past_outputs.append(enc._out[j][target])
+        past_outputs.append(enc._out[p])
     return (
         _elements_at(enc.state_group, past_states),
         _elements_at(enc.input_group, past_inputs),
@@ -305,14 +297,14 @@ def connected(enc: Encoder, s: Element, r: Element, max_len: int) -> list[Elemen
     start, goal = _position(enc.state_group, s), _position(enc.state_group, r)
     if start == goal:
         return []
-    previous, via = [-1] * enc.state_group.order, [0] * enc.state_group.order
+    n_states = enc.state_group.order
+    previous, via = [-1] * n_states, [0] * n_states
     previous[start] = start  # each visited state's parent pointer: the state and input reaching it
     frontier = [start]
     for _ in range(max_len):
         reached = []
         for state in frontier:
-            for j, column in enumerate(enc._next):
-                nxt = column[state]
+            for j, nxt in enumerate(enc._next[state::n_states]):
                 if previous[nxt] >= 0:
                     continue
                 previous[nxt], via[nxt] = state, j

@@ -1,6 +1,7 @@
 """State diagrams, trellis paths, splices, and codeword membership; diagrams
 and membership read the encoder's int columns ``enc._next`` (state indices)
-and ``enc._out`` (output indices).
+and ``enc._out`` (output indices), whose entry ``p = j * |S| + i`` belongs to
+input index ``j`` at state index ``i``.
 
 Membership runs on indices: states are bits of a mask and the window's
 symbols become output indices, so a witness becomes elements only when it is
@@ -40,9 +41,9 @@ def branches(enc: Encoder) -> list[Branch]:
     inputs, states = list(enc.input_group.elements()), list(enc.state_group.elements())
     outputs = list(enc.output_group.elements())
     return [
-        Branch(source=s, label=outputs[enc._out[j][i]], target=states[enc._next[j][i]], input=u)
+        Branch(source=s, label=outputs[enc._out[p]], target=states[enc._next[p]], input=u)
         for i, s in enumerate(states)
-        for j, u in enumerate(inputs)
+        for p, u in zip(range(i, len(enc._next), len(states)), inputs)
     ]
 
 
@@ -110,11 +111,10 @@ def codeword_witness(enc: Encoder, window: Window) -> list[Element] | None:
     ids = list(map(symbol_ids.__getitem__, window.symbols))
     succ = {k: [0] * n_states for k in (0, *symbol_ids.values())}
     pred = {k: [0] * n_states for k in succ}
-    for column, outs in zip(enc._next, enc._out):
-        for source, (target, k) in enumerate(zip(column, outs)):
-            if k in succ:
-                succ[k][source] |= 1 << target
-                pred[k][target] |= 1 << source
+    for source, target, k in zip(itertools.cycle(range(n_states)), enc._next, enc._out):
+        if k in succ:
+            succ[k][source] |= 1 << target
+            pred[k][target] |= 1 << source
     full = (1 << n_states) - 1
 
     # a window revisits few state sets: each label keeps its images by mask
@@ -173,13 +173,13 @@ def _dot_lines(enc: Encoder, unrolled_sections: int) -> Iterator[str]:
         for i, s in enumerate(element_labels(enc.state_group, range(n_states)))
     ).split(_SLOT)
     input_labels = element_labels(enc.input_group, range(enc.input_group.order))
-    y_ids = list(set().union(*enc._out))
+    y_ids = list(set(enc._out))
     y_labels = dict(zip(y_ids, element_labels(enc.output_group, y_ids)))
     edge_pieces = "".join(
-        f'  "t{_SLOT}_s{i}" -> "t{_SLOT}_s{enc._next[j][i]}" '
-        f'[label="{u}/{y_labels[enc._out[j][i]]}"];\n'
+        f'  "t{_SLOT}_s{i}" -> "t{_SLOT}_s{enc._next[p]}" '
+        f'[label="{u}/{y_labels[enc._out[p]]}"];\n'
         for i in range(n_states)
-        for j, u in enumerate(input_labels)
+        for p, u in zip(range(i, len(enc._next), n_states), input_labels)
     ).split(_SLOT)
     edges = len(edge_pieces) // 2
     edge_parts = [""] * (2 * len(edge_pieces) - 1)

@@ -316,24 +316,26 @@ class TestZeroTail:
             assert zero_tail(enc, s, max_len=8) == best
 
 
-def _tuple_queue_search(enc, s, r, max_len):
-    """Reference word search: a FIFO queue whose entries carry their whole input word."""
-    start, goal = enc.state_group.index_of(s), enc.state_group.index_of(r)
-    if start == goal:
+def _tuple_queue_search(successors, s, r, max_len):
+    """Reference word search: a FIFO queue whose entries carry their whole input word.
+
+    ``successors[s]`` lists the (input, next state) pairs at state ``s`` in
+    input order.
+    """
+    if s == r:
         return []
-    queue, visited = collections.deque([(start, ())]), {start}
+    queue, visited = collections.deque([(s, ())]), {s}
     while queue:
         state, word = queue.popleft()
         if len(word) >= max_len:
             continue
-        for j, column in enumerate(enc._next):
-            nxt = column[state]
+        for u, nxt in successors[state]:
             if nxt in visited:
                 continue
-            if nxt == goal:
-                return [enc.input_group.element_at(k) for k in word + (j,)]
+            if nxt == r:
+                return list(word + (u,))
             visited.add(nxt)
-            queue.append((nxt, word + (j,)))
+            queue.append((nxt, word + (u,)))
     return None
 
 
@@ -351,10 +353,12 @@ def test_connected_matches_a_tuple_queue_search(spec):
     # parent pointers give the same shortest, lexicographically first words
     enc = encoder_from_spec(spec)
     states = list(enc.state_group.elements())
+    inputs = list(enc.input_group.elements())
+    successors = {s: [(u, enc.step(u, s)[0]) for u in inputs] for s in states}
     for max_len in sorted({1, 2, 3, len(states) + 1}):
         for s in states:
             for r in states:
-                expected = _tuple_queue_search(enc, s, r, max_len)
+                expected = _tuple_queue_search(successors, s, r, max_len)
                 assert connected(enc, s, r, max_len) == expected, (s, r, max_len)
 
 
@@ -442,17 +446,22 @@ class TestLinearTabulation:
 
 
 def _assert_columns_match_checked_maps(enc) -> None:
-    """``_next`` and ``_out`` against the pair map and the checked homs, element by element."""
+    """``_next`` and ``_out`` against the pair map and the checked homs, position by position.
+
+    The columns are flat: position ``p = j * |S| + i`` holds the pair of input
+    index ``j`` and state index ``i``, which is the ambient element at index
+    ``dec.column[p]``.
+    """
     dec = enc.decomposition
-    u_part, s_part = dec.u_part, dec.s_part
-    assert [len(c) for c in enc._next] == [len(c) for c in enc._out] == [s_part.order] * u_part.order
-    positions = set()
-    for g, (u, s) in zip(dec.ambient.elements(), dec.pair_of):
-        j, i = u_part.index_of(u), s_part.index_of(s)
-        positions.add((j, i))
-        assert enc._next[j][i] == s_part.index_of(enc.next_state(g))
-        assert enc._out[j][i] == enc.output_group.index_of(enc.output(g))
-    assert len(positions) == dec.ambient.order
+    u_part, s_part, ambient = dec.u_part, dec.s_part, dec.ambient
+    assert len(enc._next) == len(enc._out) == len(dec.column) == ambient.order
+    assert sorted(dec.column) == list(range(ambient.order))
+    for p, c in enumerate(dec.column):
+        j, i = divmod(p, s_part.order)
+        assert dec.pair_of[c] == (u_part.element_at(j), s_part.element_at(i))
+        g = ambient.element_at(c)
+        assert enc._next[p] == s_part.index_of(enc.next_state(g))
+        assert enc._out[p] == enc.output_group.index_of(enc.output(g))
 
 
 def _unit(m: int, i: int) -> list[int]:

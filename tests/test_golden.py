@@ -610,10 +610,12 @@ def test_codeword_witness_images_only_predecessor_rows(monkeypatch):
     enc = encoder_from_spec(observed_shift_register(2, 6))
     states, outputs = encode_forward(enc, (1, 0, 1, 1, 0, 1), [(1,), (0,), (1,), (1,)])
     outputs += encode_forward(enc, states[-1], zero_tail(enc, states[-1], max_len=65))[1]
-    pred = {}
-    for column, outs in zip(enc._next, enc._out):
-        for source, (target, k) in enumerate(zip(column, outs)):
-            pred.setdefault(k, [0] * enc.state_group.order)[target] |= 1 << source
+    s_group, pred = enc.state_group, {}
+    for source in s_group.elements():
+        for u in enc.input_group.elements():
+            target, y = enc.step(u, source)
+            rows = pred.setdefault(enc.output_group.index_of(y), [0] * s_group.order)
+            rows[s_group.index_of(target)] |= 1 << s_group.index_of(source)
     images = _count_calls(monkeypatch, [trellis], "_image")
     core_images = []
     identity_core = trellis._identity_core

@@ -455,12 +455,13 @@ def reference_dot(enc, unrolled_sections):
         f'  "t{{0}}_s{i}" [label="{label(s_group, s)}"];\n'
         for i, s in enumerate(s_group.elements())
     )
-    input_labels = [label(enc.input_group, u) for u in enc.input_group.elements()]
+    inputs = list(enc.input_group.elements())
     edge_block = "".join(
-        f'  "t{{0}}_s{i}" -> "t{{1}}_s{enc._next[j][i]}" '
-        f'[label="{u}/{label(enc.output_group, enc.output_group.element_at(enc._out[j][i]))}"];\n'
-        for i in range(s_group.order)
-        for j, u in enumerate(input_labels)
+        f'  "t{{0}}_s{i}" -> "t{{1}}_s{s_group.index_of(nxt)}" '
+        f'[label="{label(enc.input_group, u)}/{label(enc.output_group, y)}"];\n'
+        for i, s in enumerate(s_group.elements())
+        for u in inputs
+        for nxt, y in [enc.step(u, s)]
     )
     parts = ["digraph trellis {\n  rankdir=LR;\n  node [shape=circle];\n"]
     parts += [node_block.format(t) for t in range(unrolled_sections + 1)]
@@ -525,6 +526,18 @@ class TestNonsplitColumnsAgainstCheckedEvaluation:
                 expected = [(u, r) for u, r in pairs if _checked_step(enc, u, r)[0] == s]
                 assert state_preimages(enc, s) == expected
 
+    def test_extend_past(self, factors, generator):
+        # each step back is the lexicographically least pair whose checked step lands on the state
+        for enc in _nonsplit_encoders(factors, generator):
+            pairs = sorted(enc.decomposition.pairs())
+            for s in enc.state_group.elements():
+                current = s
+                for r, u, y in zip(*extend_past(enc, s, 4)):
+                    least = next((a, b) for a, b in pairs if _checked_step(enc, a, b)[0] == current)
+                    assert (u, r) == least
+                    assert y == _checked_step(enc, u, r)[1]
+                    current = r
+
     def test_dot_edge_lines(self, factors, generator):
         for enc in _nonsplit_encoders(factors, generator):
             s_group = enc.state_group
@@ -573,7 +586,7 @@ class TestTrivialOutputGroup:
         return encoder_from_spec(SILENT)
 
     def test_columns_hold_only_the_identity_index(self, enc):
-        assert enc._out == [[0, 0], [0, 0]]
+        assert enc._out == [0, 0, 0, 0]
 
     def test_witness_of_the_empty_window(self, enc):
         assert codeword_witness(enc, Window(enc.output_group, 0, ())) == [(0,)]
