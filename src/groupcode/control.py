@@ -9,14 +9,14 @@ whole family of structural facts this package is built to verify on a
 concrete encoder and raises on any violation.
 
 State sets are bitmasks over ``state_group.index_of`` (the identity state is
-bit 0), and a set's one-step image is the union of the encoder's successor
-rows at its bits.  The brute-force ``exact_reach`` oracle shares no code with
-the chain: it yields every start state's masks level by level, each pulled
-from the one before over the encoder's next-state column ``enc._next``
-(indexed by pair position ``j * |S| + i``), which the past kernel and the
-report's kernel counts read too.  Chain levels, the past kernel and
-counterexamples are element tuples, converted through the state group's one
-element index.
+bit 0).  Everything reads the encoder's next-state column ``enc._next``, by
+pair position ``j * |S| + i``: a set's one-step image is the entries at its
+states' positions (:func:`groupcode.encoder._step`), and the past kernel and
+kernel counts are the positions holding 0.  The brute-force ``exact_reach``
+oracle shares no code with the chain: it yields every start state's masks
+level by level, each pulled from the one before.  Chain levels, the past
+kernel and counterexamples are element tuples, converted through the state
+group's one element index.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import cache
 from operator import or_
 from typing import Iterator
 
-from .encoder import Encoder, _image, _lowest, _picked
+from .encoder import Encoder, _lowest, _picked, _step
 from .errors import NotApplicable, PredicateViolation, TooLarge
 from .groups import (
     Element,
@@ -37,7 +37,7 @@ from .groups import (
     is_prime,
 )
 
-STATE_GUARD = 2**14  # bound on |S|: the successor rows and each oracle level hold |S|^2 bits
+STATE_GUARD = 2**14  # bound on |S|: each oracle level holds |S|^2 bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,12 +77,8 @@ def _members(enc: Encoder, mask: int) -> tuple[Element, ...]:
 def forward_chain(enc: Encoder) -> ReachabilityChain:
     """Compute the reachability levels until the first repetition."""
     s_group = enc.state_group
-    rows = enc._successors
     masks = [1]  # the identity state has index 0
-    while True:
-        image = _image(masks[-1], rows)
-        if image == masks[-1]:
-            break
+    while (image := _step(enc, masks[-1])) != masks[-1]:
         masks.append(image)
         if len(masks) > s_group.order:  # pragma: no cover - nesting bounds growth
             raise PredicateViolation(
@@ -222,7 +218,6 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     s_group = enc.state_group
 
     masks = chain._masks
-    rows = enc._successors
     full = (1 << s_group.order) - 1
     kmask = sum(1 << s_group._index[s] for s in kernel.elements)
 
@@ -242,7 +237,7 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     )
     nested = all(not masks[i - 1] & ~masks[i] for i in range(1, len(masks)))
     check("chain_is_nested", nested, chain.sizes)
-    repeated = _image(masks[-1], rows)
+    repeated = _step(enc, masks[-1])
     check(
         "chain_stabilizes_permanently",
         repeated == masks[-1],
@@ -284,7 +279,7 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
         lambda: (overlap, s_group.element_at(_lowest(kmask & masks[overlap] & ~1))),
     )
 
-    escaped = _image(kmask, rows)
+    escaped = _step(enc, kmask)
     absorbed = next((i for i, m in enumerate(masks) if not kmask & ~m and escaped & ~m), None)
     check(
         "past_kernel_images_absorbed",
@@ -305,7 +300,7 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     for k in range(2, len(masks)):
         if chain.levels[k].order == p * chain.levels[k - 1].order:
             layer, above = masks[k - 1] & ~masks[k - 2], masks[k] & ~masks[k - 1]
-            if stray := _image(layer, rows) & ~above:
+            if stray := _step(enc, layer) & ~above:
                 fresh = (k, stray)
                 break
     check(

@@ -9,16 +9,16 @@ injective.  Encoded sequences are bi-infinite with identity tails and are
 represented as finite windows.  Each encoder is tabulated once, from each
 hom's cached target indices, as two flat int columns over the pair positions
 ``p = j * |S| + i`` of input index ``j`` and state index ``i``: ``_next[p]``
-(next-state index) and ``_out[p]`` (output index), which every reader walks;
-elements and indices trade places only at the API boundary, where a foreign
-element raises ``WrongGroup``.
+(next-state index) and ``_out[p]`` (output index), which every reader walks
+and which are all it holds; elements and indices trade places only at the API
+boundary, where a foreign element raises ``WrongGroup``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import compress, count, cycle
+from functools import reduce
+from itertools import compress, count
 from operator import ne, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -32,7 +32,7 @@ from .errors import (
     WrongGroup,
 )
 from .extension import ExtensionDecomposition, direct_sum_decomposition
-from .groups import Element, FiniteAbelianGroup, GroupHom, direct_sum
+from .groups import Element, FiniteAbelianGroup, GroupHom, _elements_at, direct_sum
 
 PAIR_GUARD = 2**20  # bound on |U| * |S|: every table is built over all (u, s) pairs
 
@@ -89,15 +89,6 @@ class Encoder:
     def output_pair(self, u: Element, s: Element) -> Element:
         return self.step(u, s)[1]
 
-    @cached_property
-    def _successors(self) -> list[int]:
-        """Each state's one-step successor mask, by state index, built on first read."""
-        n_states = self.state_group.order
-        rows = [0] * n_states
-        for i, nxt in zip(cycle(range(n_states)), self._next):
-            rows[i] |= 1 << nxt
-        return rows
-
 
 def _position(group: FiniteAbelianGroup, a: Sequence[int]) -> int:
     """Index of the coordinate sequence ``a`` in ``group.elements()``; WrongGroup if foreign.
@@ -124,9 +115,16 @@ def _picked(items: Iterable, mask: int) -> Iterator:
     return compress(items, bin(mask)[:1:-1].encode().translate(_BITS))
 
 
-def _image(mask: int, rows: list[int]) -> int:
-    """Union of ``rows`` at the set bits of ``mask``: with successor rows, its one-step image."""
-    return reduce(or_, _picked(rows, mask), 0)
+def _step(enc: Encoder, mask: int) -> int:
+    """One-step image of the state set ``mask``, read off the next-state column.
+
+    Its bits are the distinct ``enc._next[p]`` at the positions ``p = j * |S| + i``
+    with bit ``i`` set, picked by one ``compress`` whose selectors are the mask's
+    bits padded to |S| and repeated once per input.
+    """
+    selectors = bin(mask)[:1:-1].encode().translate(_BITS).ljust(enc.state_group.order, b"\0")
+    picked = compress(enc._next, selectors * enc.input_group.order)
+    return reduce(or_, map((1).__lshift__, set(picked)), 0)
 
 
 def _lowest(mask: int) -> int:
@@ -213,12 +211,6 @@ def encode_forward(
         _elements_at(enc.state_group, list(map(enc._next.__getitem__, positions))),
         _elements_at(enc.output_group, list(map(enc._out.__getitem__, positions))),
     )
-
-
-def _elements_at(group: FiniteAbelianGroup, indices: list[int]) -> list[Element]:
-    """The elements at ``indices``, each distinct index converted once, with no table of the group."""
-    at = {i: group.element_at(i) for i in set(indices)}
-    return list(map(at.__getitem__, indices))
 
 
 def _input_indices(enc: Encoder, inputs: Iterable[Element]) -> list[int]:

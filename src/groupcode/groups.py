@@ -229,10 +229,10 @@ def format_element(g: FiniteAbelianGroup, a: Element) -> str:
 def element_labels(g: FiniteAbelianGroup, indices: Sequence[int]) -> list[str]:
     """The :func:`format_element` text of the element at each index, in the order given.
 
-    Indices are not range-checked.  Each coordinate's digit strings are built
-    once and its digits are read as one column over all indices; the columns
-    are joined with no separator when every factor is at most 10, else with
-    commas.  The trivial group's one element is ``"()"``.
+    Indices are not range-checked.  Each coordinate is read as one column of
+    values over all indices and rendered with ``str``; the columns are joined
+    with no separator when every factor is at most 10, else with commas.  The
+    trivial group's one element is ``"()"``.
     """
     if not g.factors:
         return ["()"] * len(indices)
@@ -241,8 +241,7 @@ def element_labels(g: FiniteAbelianGroup, indices: Sequence[int]) -> list[str]:
     weight = g.order
     for d in g.factors:
         weight //= d
-        digits = list(map(str, range(d)))
-        columns.append(map(digits.__getitem__, map(d.__rmod__, map(weight.__rfloordiv__, indices))))
+        columns.append(map(str, map(d.__rmod__, map(weight.__rfloordiv__, indices))))
     return list(map(sep.join, zip(*columns)))
 
 
@@ -710,7 +709,13 @@ def hom_table(h: GroupHom) -> list[Element]:
 
     Read from the hom's cached target indices; ``h(a)`` stays the checked evaluation.
     """
-    return list(map(list(h.target.elements()).__getitem__, h._indices))
+    return _elements_at(h.target, h._indices)
+
+
+def _elements_at(g: FiniteAbelianGroup, indices: Sequence[int]) -> list[Element]:
+    """The elements at ``indices``, each distinct index converted once, with no table of the group."""
+    at = {i: g.element_at(i) for i in set(indices)}
+    return list(map(at.__getitem__, indices))
 
 
 def identity_hom(g: FiniteAbelianGroup) -> GroupHom:

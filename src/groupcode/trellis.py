@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterator
 
-from .encoder import Encoder, Window, _elements_at, _image, _lowest
+from .encoder import Encoder, Window, _lowest, _picked
 from .encoder import connected  # noqa: F401 - re-exported
-from .groups import Element, element_labels
+from .groups import Element, _elements_at, element_labels
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,9 @@ class Branch:
 def branches(enc: Encoder) -> list[Branch]:
     """All transitions of the state diagram, state-major then input-minor."""
     inputs, states = list(enc.input_group.elements()), list(enc.state_group.elements())
-    outputs = list(enc.output_group.elements())
+    labels = _elements_at(enc.output_group, enc._out)
     return [
-        Branch(source=s, label=outputs[enc._out[p]], target=states[enc._next[p]], input=u)
+        Branch(source=s, label=labels[p], target=states[enc._next[p]], input=u)
         for i, s in enumerate(states)
         for p, u in zip(range(i, len(enc._next), len(states)), inputs)
     ]
@@ -61,6 +63,11 @@ def concatenate(y1: Window, y2: Window, j: int) -> Window:
         y1.symbol_at(i) if i < j else y2.symbol_at(i) for i in range(start, end)
     )
     return Window(y1.group, start, symbols).trimmed()
+
+
+def _image(mask: int, rows: list[int]) -> int:
+    """Union of ``rows`` at the set bits of ``mask``: the set's image under one label's rows."""
+    return reduce(or_, _picked(rows, mask), 0)
 
 
 def _identity_core(rows: list[int], full: int) -> int:

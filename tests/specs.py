@@ -53,3 +53,13 @@ SILENT = {
     "nu": {"gen_images": [[1], [0]]},
     "omega": {"gen_images": [[], []]},
 }
+
+# Y = Z_{10^12}: the state follows the input and input 1 emits 5 * 10^11, so
+# no table over the output group may be built
+HUGE_OUTPUT = {
+    "U": {"factors": [2]},
+    "S": {"factors": [2]},
+    "Y": {"factors": [10**12]},
+    "nu": {"gen_images": [[1], [0]]},
+    "omega": {"gen_images": [[5 * 10**11], [0]]},
+}

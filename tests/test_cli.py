@@ -17,7 +17,7 @@ from groupcode.encoder import encode_forward, encoder_from_spec, zero_tail
 from groupcode.errors import WrongGroup
 from groupcode.groups import FiniteAbelianGroup, format_element
 from groupcode.trellis import export_dot
-from specs import INPUTLESS, RANK2_ACCUMULATOR, STATELESS, observed_shift_register
+from specs import HUGE_OUTPUT, INPUTLESS, RANK2_ACCUMULATOR, STATELESS, observed_shift_register
 
 EX_SPEC = {
     "U": {"factors": [2]},
@@ -165,12 +165,11 @@ def _corrupt_reach(monkeypatch, level, state, value):
     monkeypatch.setattr(control, "exact_reach", corrupted)
 
 
-def _image_based_reach(enc, max_len):
-    """An oracle that pushes every start state's mask through ``control._image``."""
-    table = enc._successors
+def _step_based_reach(enc, max_len):
+    """An oracle that pushes every start state's mask through ``control._step``."""
     result = [[1 << i for i in range(enc.state_group.order)]]
     for _ in range(max_len):
-        result.append([control._image(mask, table) for mask in result[-1]])
+        result.append([control._step(enc, mask) for mask in result[-1]])
     return result
 
 
@@ -207,11 +206,9 @@ class TestOracleDisagreement:
         # dropping state 11 (bit 3) from every image leaves the level
         # {00, 01, 10}; an oracle built from the same corrupted one-step
         # images agrees with it, so the closure predicate is what fails
-        original = control._image
-        monkeypatch.setattr(
-            control, "_image", lambda mask, table: original(mask, table) & ~(1 << 3)
-        )
-        monkeypatch.setattr(control, "exact_reach", _image_based_reach)
+        original = control._step
+        monkeypatch.setattr(control, "_step", lambda enc, mask: original(enc, mask) & ~(1 << 3))
+        monkeypatch.setattr(control, "exact_reach", _step_based_reach)
         assert main(["analyze", spec_path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -219,12 +216,10 @@ class TestOracleDisagreement:
         assert "Traceback" not in captured.err
 
     def test_corrupted_image_alone_is_caught_by_the_oracle(self, spec_path, capsys, monkeypatch):
-        # the oracle pulls levels over the transition graph without ``_image``,
+        # the oracle pulls levels over the transition graph without ``_step``,
         # so the level {00, 01, 10} disagrees with its exact two-step reach
-        original = control._image
-        monkeypatch.setattr(
-            control, "_image", lambda mask, table: original(mask, table) & ~(1 << 3)
-        )
+        original = control._step
+        monkeypatch.setattr(control, "_step", lambda enc, mask: original(enc, mask) & ~(1 << 3))
         assert main(["analyze", spec_path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -247,11 +242,11 @@ class TestOracleDisagreement:
             "nu": {"gen_images": [[0, 0, 1], [0, 0, 0], [0, 1, 0], [1, 0, 0]]},
             "omega": {"gen_images": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
         }))
-        original = control._image
+        original = control._step
         monkeypatch.setattr(
             control,
-            "_image",
-            lambda mask, table: original(mask, table) | (1 << 2 if mask == 0b10001 else 0),
+            "_step",
+            lambda enc, mask: original(enc, mask) | (1 << 2 if mask == 0b10001 else 0),
         )
         assert main(["analyze", str(path)]) == 1
         captured = capsys.readouterr()
@@ -586,6 +581,41 @@ class TestTrellis:
                 ]
             )
             == 3
+        )
+
+
+class TestHugeOutputGroup:
+    """Y = Z_{10^12}: labels are rendered from the output indices in use, never from a table."""
+
+    @pytest.fixture
+    def huge_path(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(HUGE_OUTPUT))
+        return str(path)
+
+    def test_encode(self, huge_path, capsys):
+        assert main(["encode", huge_path, "--inputs", "1,0"]) == 0
+        assert capsys.readouterr().out == (
+            "   i  u        s          y         \n"
+            "   1  1        1          500000000000\n"
+            "   2  0        0          0         \n"
+        )
+
+    def test_trellis(self, huge_path, capsys):
+        assert main(["trellis", huge_path, "--sections", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "digraph trellis {\n"
+            "  rankdir=LR;\n"
+            "  node [shape=circle];\n"
+            '  "t0_s0" [label="0"];\n'
+            '  "t0_s1" [label="1"];\n'
+            '  "t1_s0" [label="0"];\n'
+            '  "t1_s1" [label="1"];\n'
+            '  "t0_s0" -> "t1_s0" [label="0/0"];\n'
+            '  "t0_s0" -> "t1_s1" [label="1/500000000000"];\n'
+            '  "t0_s1" -> "t1_s0" [label="0/0"];\n'
+            '  "t0_s1" -> "t1_s1" [label="1/500000000000"];\n'
+            "}\n"
         )
 
 

@@ -326,18 +326,18 @@ class TestOracleBeyondPrimeInputs:
             assert reach_sets(enc, exact_reach(enc, length)) == _ref_exact_reach(enc, length)
 
     def test_never_reads_the_chain_images(self, systematic_encoder, monkeypatch):
-        def refuse(mask, table):
-            raise AssertionError("exact_reach read _image")
+        def refuse(enc, mask):
+            raise AssertionError("exact_reach read _step")
 
-        monkeypatch.setattr(control, "_image", refuse)
-        monkeypatch.setattr(encoder, "_image", refuse)
+        monkeypatch.setattr(control, "_step", refuse)
+        monkeypatch.setattr(encoder, "_step", refuse)
         for enc in [systematic_encoder, *_split_encoders([4], [2, 2])]:
             length = enc.state_group.order + 1
             assert reach_sets(enc, exact_reach(enc, length)) == _ref_exact_reach(enc, length)
 
 
 class TestImageOfEveryStateSet:
-    """``_image`` on every state set, not only on the chain's levels, which are subgroups."""
+    """``_step`` on every state set, not only on the chain's levels, which are subgroups."""
 
     @pytest.mark.parametrize(
         "u_factors, s_factors",
@@ -349,9 +349,8 @@ class TestImageOfEveryStateSet:
             states = list(enc.state_group.elements())
             # a set's one-step image is the union of its states' images
             after = [_ref_one_step_image(enc, (s,)) for s in states]
-            rows = enc._successors
             for mask in range(1 << len(states)):
-                image = encoder._image(mask, rows)
+                image = encoder._step(enc, mask)
                 expected = set().union(*(a for i, a in enumerate(after) if mask >> i & 1))
                 assert {s for i, s in enumerate(states) if image >> i & 1} == expected, mask
 
@@ -378,9 +377,9 @@ class TestStructureReport:
         # image gains the identity state, which no single step reaches, so the
         # counterexample lists the stray states instead of a step
         verdict = decide_controllability(systematic_encoder)
-        original = control._image
+        original = control._step
         monkeypatch.setattr(
-            control, "_image", lambda mask, table: original(mask, table) | (1 if mask == 0b10 else 0)
+            control, "_step", lambda enc, mask: original(enc, mask) | (1 if mask == 0b10 else 0)
         )
         with pytest.raises(PredicateViolation) as caught:
             structure_report(systematic_encoder, verdict)

@@ -328,12 +328,17 @@ def test_analysis_json_computes_each_fact_once(monkeypatch, systematic_encoder):
     }
 
 
-def test_analysis_json_builds_the_successor_table_once(monkeypatch):
-    # the chain and the predicates share one table of successor rows
+def test_encoder_caches_nothing_beyond_its_columns():
+    # the chain, the predicates, the walk, the witness and the diagram all
+    # read the two int columns, so no reader leaves a table on the encoder
     enc = encoder_from_spec(observed_shift_register(2, 3))
-    built = _count_builds(monkeypatch, Encoder, "_successors")
     analysis_json(enc)
-    assert built == [enc]
+    encode_forward(enc, (0, 0, 0), [(1,), (0,), (1,)])
+    assert codeword_witness(enc, Window(enc.output_group, 0, ((1,), (0,), (1,))))
+    export_dot(enc, 2)
+    assert set(vars(enc)) == {
+        "decomposition", "output_group", "next_state", "output", "_next", "_out"
+    }
 
 
 def test_encoder_build_hashes_no_element(monkeypatch):

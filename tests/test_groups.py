@@ -208,6 +208,16 @@ class TestElementLabels:
         assert element_labels(make_group([2, 12]), [1, 23]) == ["0,1", "1,11"]
         assert element_labels(make_group([]), [0, 0]) == ["()", "()"]
 
+    def test_labels_render_only_the_residues_asked_for(self):
+        # one table of 10^12 digit strings could not be built
+        big = 10**12
+        assert element_labels(FiniteAbelianGroup((big,)), [0, 7, big - 1]) == [
+            "0", "7", "999999999999"
+        ]
+        assert element_labels(FiniteAbelianGroup((big, 3)), [0, 5, 3 * big - 1]) == [
+            "0,0", "1,2", "999999999999,2"
+        ]
+
     @pytest.mark.parametrize("a", [(2,), (0, 0), (-1,), ()], ids=str)
     def test_format_element_rejects_foreign_elements(self, a):
         with pytest.raises(WrongGroup):

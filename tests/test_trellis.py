@@ -25,9 +25,15 @@ from groupcode import (
 )
 from groupcode.encoder import encoder_from_extension, encoder_from_spec
 from groupcode.errors import PsiNotInjective
-from groupcode.groups import abelian_groups_of_order, enumerate_homs, format_element, identity_hom
+from groupcode.groups import (
+    abelian_groups_of_order,
+    enumerate_homs,
+    format_element,
+    hom_table,
+    identity_hom,
+)
 from groupcode.sweep import enumerate_extensions
-from specs import INPUTLESS, SILENT, STATELESS, STREAM_SHAPES, observed_shift_register
+from specs import HUGE_OUTPUT, INPUTLESS, SILENT, STATELESS, STREAM_SHAPES, observed_shift_register
 
 
 def _reference_identity_core(enc, diagram, backwards):
@@ -127,6 +133,17 @@ class TestBranches:
         for b in branches(systematic_encoder):
             incoming[b.target] += 1
         assert set(incoming.values()) == {systematic_encoder.input_group.order}
+
+    def test_huge_output_group_converts_only_the_labels_in_use(self):
+        # Y = Z_{10^12}: a list of the output group's elements could not be built
+        enc = encoder_from_spec(HUGE_OUTPUT)
+        half = (5 * 10**11,)
+        assert branches(enc) == [
+            Branch(source=(s,), label=half if u else (0,), target=(u,), input=(u,))
+            for s in (0, 1)
+            for u in (0, 1)
+        ]
+        assert hom_table(enc.output) == [(0,), (0,), half, half]
 
 
 class TestConnected:
