@@ -15,12 +15,13 @@ states' positions (:func:`groupcode.encoder._step`), and the past kernel and
 kernel counts are the positions holding 0.  The brute-force ``exact_reach``
 oracle shares no code with the chain: it yields every start state's masks
 level by level, each pulled from the one before.  Chain levels, the past
-kernel and counterexamples are element tuples, converted through the state
-group's one element index.
+kernel and counterexamples are element tuples, picked from
+``state_group.elements()``; a level is cyclic when its exponent is its order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from operator import or_
@@ -31,7 +32,6 @@ from .errors import NotApplicable, PredicateViolation, TooLarge
 from .groups import (
     Element,
     Subgroup,
-    _order,
     invariant_factors,
     is_p_power,
     is_prime,
@@ -70,8 +70,8 @@ class ControlVerdict:
 
 
 def _members(enc: Encoder, mask: int) -> tuple[Element, ...]:
-    """The states at the set bits of ``mask``, in index order."""
-    return tuple(_picked(enc.state_group._index, mask))
+    """The states at the set bits of ``mask``, picked from ``state_group.elements()`` in index order."""
+    return tuple(_picked(enc.state_group.elements(), mask))
 
 
 def forward_chain(enc: Encoder) -> ReachabilityChain:
@@ -196,8 +196,9 @@ class StructureReport:
 
 
 def _subgroup_is_cyclic(sub: Subgroup) -> bool:
-    """Cyclic iff some element has the group's order (unchecked: levels are validated)."""
-    return any(_order(sub.parent.factors, a) == sub.order for a in sub.elements)
+    """Cyclic iff its exponent, the lcm over coordinates of ``d / gcd(d, column)``, is its order."""
+    columns = zip(sub.parent.factors, zip(*sub.elements))
+    return math.lcm(*(d // math.gcd(d, *column) for d, column in columns)) == sub.order
 
 
 def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
@@ -219,7 +220,7 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
 
     masks = chain._masks
     full = (1 << s_group.order) - 1
-    kmask = sum(1 << s_group._index[s] for s in kernel.elements)
+    kmask = sum(1 << s_group.index_of(s) for s in kernel.elements)
 
     predicates: dict[str, bool] = {}
     notes: dict[str, str] = {}

@@ -91,20 +91,12 @@ class Encoder:
 
 
 def _position(group: FiniteAbelianGroup, a: Sequence[int]) -> int:
-    """Index of the coordinate sequence ``a`` in ``group.elements()``; WrongGroup if foreign.
+    """Index of the coordinate sequence ``a`` in ``group.elements()``, in O(rank); WrongGroup if foreign.
 
     ``a`` names the element whose coordinates it equals, as a dict key would
-    (``1.0`` is ``1``, ``1.5`` is foreign).  It is checked and its index is
-    computed in O(rank), so no element index of the group is built.
+    (``1.0`` is ``1``, ``1.5`` is foreign): ``FiniteAbelianGroup.contains``.
     """
-    try:
-        coords = tuple(a)
-        ints = tuple(map(int, coords))
-        if ints == coords and group.contains(ints):
-            return group.index_of(ints)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise WrongGroup(f"{a} is not an element of the group with moduli {group.factors}")
+    return group.index_of(group.check(a))
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits as ``compress`` selectors
@@ -214,9 +206,13 @@ def encode_forward(
 
 
 def _input_indices(enc: Encoder, inputs: Iterable[Element]) -> list[int]:
-    """Input index of each symbol; the first foreign symbol raises ``WrongGroup``."""
+    """Input index of each symbol, from a dict over the input group's elements built per call.
+
+    The first foreign symbol raises ``WrongGroup``.
+    """
+    index = {a: j for j, a in enumerate(enc.input_group.elements())}
     try:
-        return list(map(enc.input_group._index.__getitem__, map(tuple, inputs)))
+        return list(map(index.__getitem__, map(tuple, inputs)))
     except KeyError as exc:
         raise WrongGroup(f"input symbol {exc.args[0]} is not in the input group") from None
 

@@ -18,10 +18,10 @@ coordinates are one linear table, :func:`_linear_table`.  Sums in index
 space come from one table, :func:`_index_sum_rows`.  The order-``p``
 subgroups are one walk over the ``p``-torsion coordinates,
 :func:`prime_order_generators`, and the quotient by each is read from its
-generator's height, :func:`prime_quotient_types`.  A group keeps one
-element index, built on first read.  Labels are rendered in bulk from
-element indices by :func:`element_labels`; :func:`format_element` is its
-checked one-element form.  Everything is immutable.
+generator's height, :func:`prime_quotient_types`.  Every order filter reads
+one torsion box, :func:`_torsion`, and a group holds only its moduli.
+Labels are rendered in bulk from element indices by :func:`element_labels`;
+:func:`format_element` is its checked one-element form.  Everything is immutable.
 """
 
 from __future__ import annotations
@@ -57,10 +57,7 @@ class FiniteAbelianGroup:
     factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(int(d) for d in self.factors))
-        for d in self.factors:
-            if d < 2:
-                raise InvalidFactor(f"cyclic factor must be >= 2, got {d}")
+        object.__setattr__(self, "factors", tuple(map(_modulus, self.factors)))
 
     @property
     def order(self) -> int:
@@ -74,24 +71,26 @@ class FiniteAbelianGroup:
         return (0,) * len(self.factors)
 
     def contains(self, a: Element) -> bool:
-        return len(a) == len(self.factors) and all(
-            0 <= c < d for c, d in zip(a, self.factors)
-        )
+        """Whether each coordinate of ``a`` equals an int in range, as a dict key would; never raises.
+
+        ``(1.0, 0)`` and ``(True, False)`` name ``(1, 0)``; ``(0.5, 0)`` and ``("1", 0)`` name nothing.
+        """
+        try:
+            return len(a) == len(self.factors) and all(
+                c == int(c) and 0 <= c < d for c, d in zip(a, self.factors)
+            )
+        except (TypeError, ValueError, OverflowError):
+            return False
 
     def check(self, a: Element) -> Element:
+        """The element ``a`` names, in int coordinates; ``WrongGroup`` unless :meth:`contains`."""
         if not self.contains(a):
             raise WrongGroup(f"{a} is not an element of the group with moduli {self.factors}")
-        return a
+        return tuple(map(int, a))
 
     def elements(self) -> Iterator[Element]:
         """All elements in mixed-radix (lexicographic) order."""
-        ranges = [range(d) for d in self.factors]
-        return (tuple(c) for c in itertools.product(*ranges))
-
-    @cached_property
-    def _index(self) -> dict[Element, int]:
-        """``{element: index}`` in ``elements()`` order, built on first read."""
-        return {a: i for i, a in enumerate(self.elements())}
+        return itertools.product(*map(range, self.factors))
 
     def element_at(self, index: int) -> Element:
         if not 0 <= index < self.order:
@@ -113,15 +112,13 @@ class FiniteAbelianGroup:
         return _add(self.factors, self.check(a), self.check(b))
 
     def neg(self, a: Element) -> Element:
-        self.check(a)
-        return tuple((-x) % d for x, d in zip(a, self.factors))
+        return tuple((-x) % d for x, d in zip(self.check(a), self.factors))
 
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.neg(b))
 
     def scalar_mul(self, n: int, a: Element) -> Element:
-        self.check(a)
-        return tuple((n * x) % d for x, d in zip(a, self.factors))
+        return tuple((n * x) % d for x, d in zip(self.check(a), self.factors))
 
     def element_order(self, a: Element) -> int:
         """Least n >= 1 with n*a = identity."""
@@ -131,6 +128,22 @@ class FiniteAbelianGroup:
         if not self.factors:
             return "Z1"
         return " x ".join(f"Z{d}" for d in self.factors)
+
+
+def _modulus(d) -> int:
+    """``d`` as a cyclic factor; ``InvalidFactor`` unless it equals an int of at least 2."""
+    try:
+        if int(d) == d >= 2:
+            return int(d)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    kind = ">= 2" if isinstance(d, int) else "an integer >= 2"
+    raise InvalidFactor(f"cyclic factor must be {kind}, got {d!r}")
+
+
+def _torsion(g: FiniteAbelianGroup, n: int) -> Iterator[Element]:
+    """The ``a`` with ``n a = 0`` in ``elements()`` order: in ``Z_d``, multiples of ``d / gcd(d, n)``."""
+    return itertools.product(*(range(0, d, d // math.gcd(d, n)) for d in g.factors))
 
 
 def _add(moduli: tuple[int, ...], a: Element, b: Element) -> Element:
@@ -222,8 +235,7 @@ def _linear_table(op: Callable, identity, gens: Iterable[tuple[int, object]]) ->
 
 def format_element(g: FiniteAbelianGroup, a: Element) -> str:
     """Compact rendering: digits concatenated when unambiguous, else comma-joined."""
-    g.check(a)
-    return element_labels(g, [g.index_of(a)])[0]
+    return element_labels(g, [g.index_of(g.check(a))])[0]
 
 
 def element_labels(g: FiniteAbelianGroup, indices: Sequence[int]) -> list[str]:
@@ -251,10 +263,7 @@ def make_group(invariant_factors: Sequence[int]) -> FiniteAbelianGroup:
     Arbitrary moduli are accepted and normalized, so ``make_group([2, 3])``
     and ``make_group([6])`` return the same group.
     """
-    for d in invariant_factors:
-        if int(d) < 2:
-            raise InvalidFactor(f"cyclic factor must be >= 2, got {d}")
-    return FiniteAbelianGroup(_invariant_chain(tuple(int(d) for d in invariant_factors)))
+    return FiniteAbelianGroup(_invariant_chain(tuple(map(_modulus, invariant_factors))))
 
 
 def direct_sum(*groups: FiniteAbelianGroup) -> FiniteAbelianGroup:
@@ -436,26 +445,25 @@ def all_subgroups(g: FiniteAbelianGroup) -> list[Subgroup]:
 
 
 def elements_of_order(g: FiniteAbelianGroup, n: int) -> list[Element]:
-    return [a for a in g.elements() if g.element_order(a) == n]
+    """The elements of order ``n``: the ``n``-torsion outside each ``n / q``-torsion, ``q`` prime."""
+    if n < 1:
+        return []
+    lower = set().union(*(_torsion(g, n // q) for q in _factorint(n)))
+    return [a for a in _torsion(g, n) if a not in lower]
 
 
 def prime_order_generators(g: FiniteAbelianGroup, p: int) -> Iterator[Element]:
     """The least non-identity member of each order-``p`` subgroup (``p`` prime), in lexicographic order.
 
-    The elements ``a`` with ``p a = 0`` are the ``p``-torsion: coordinate
-    ``i`` is a multiple of ``d_i / p`` when ``p`` divides ``d_i``, else 0.
-    Its ``p^rank`` tuples are walked in lexicographic order, which is the
-    order of their coefficient tuples ``c`` over ``Z_p``; the subgroup of
-    ``a`` is ``{k a}``, whose least non-identity member is the multiple whose
-    first nonzero coefficient is 1, so exactly those tuples are kept.
+    The elements ``a`` with ``p a = 0`` are the ``p``-torsion box :func:`_torsion`.
+    Its ``p^rank`` tuples come in lexicographic order, which is the order of
+    their coefficient tuples ``c`` over ``Z_p``; the subgroup of ``a`` is
+    ``{k a}``, whose least non-identity member is the multiple whose first
+    nonzero coefficient is 1, so exactly those tuples are kept.
     """
-    ranges = [range(0, d, d // p) if d % p == 0 else (0,) for d in g.factors]
-    for a in itertools.product(*ranges):
-        for c, d in zip(a, g.factors):
-            if c:
-                if c * p == d:
-                    yield a
-                break
+    for a in _torsion(g, p):
+        if next((c * p == d for c, d in zip(a, g.factors) if c), False):
+            yield a
 
 
 def prime_order_subgroups(g: FiniteAbelianGroup, p: int) -> list[Subgroup]:
@@ -636,24 +644,21 @@ class GroupHom:
 
     def __post_init__(self) -> None:
         images = tuple(map(tuple, self.gen_images))
-        object.__setattr__(self, "gen_images", images)
         if len(images) != len(self.source.factors):
             raise InvalidHom(
                 f"expected {len(self.source.factors)} generator images, got {len(images)}"
             )
         factors = self.target.factors
+        checked = []
         for d, img in zip(self.source.factors, images):
-            # one pass per image: None marks a coordinate outside its Z_m,
-            # a nonzero entry one that d times the image leaves nonzero
-            residues = [d * c % m if 0 <= c < m else None for c, m in zip(img, factors)]
-            if len(img) != len(factors) or None in residues:
-                self.target.check(img)  # raises WrongGroup
-            if any(residues):
-                img_order = self.target.element_order(img)
+            img = self.target.check(img)  # int coordinates, or WrongGroup
+            if any(d * c % m for c, m in zip(img, factors)):
                 raise InvalidHom(
                     f"image {img} of an order-{d} generator has order "
-                    f"{img_order}, which does not divide {d}"
+                    f"{_order(factors, img)}, which does not divide {d}"
                 )
+            checked.append(img)
+        object.__setattr__(self, "gen_images", tuple(checked))
 
     def __call__(self, a: Element) -> Element:
         self.source.check(a)
@@ -732,9 +737,9 @@ def hom_image(h: GroupHom) -> Subgroup:
 
 
 def hom_kernel(h: GroupHom) -> Subgroup:
-    e = h.target.identity()
-    members = tuple(a for a in h.source.elements() if h(a) == e)
-    return Subgroup(h.source, members)
+    """The source elements at the zeros (the identity's index) of the hom's cached target indices."""
+    zeros = [k for k, i in enumerate(h._indices) if i == 0]
+    return Subgroup(h.source, tuple(map(h.source.element_at, zeros)))
 
 
 def is_surjective(h: GroupHom) -> bool:
@@ -742,12 +747,8 @@ def is_surjective(h: GroupHom) -> bool:
 
 
 def _hom_candidates(g1: FiniteAbelianGroup, g2: FiniteAbelianGroup) -> list[list[Element]]:
-    """Per coordinate generator of ``g1``, the elements of ``g2`` it may map to.
-
-    The images of an order-``d`` generator are the elements whose order
-    divides ``d``, in ``g2.elements()`` order.
-    """
-    return [[a for a in g2.elements() if d % _order(g2.factors, a) == 0] for d in g1.factors]
+    """Per coordinate generator of ``g1``, of order ``d``, its possible images: ``g2``'s ``d``-torsion."""
+    return [list(_torsion(g2, d)) for d in g1.factors]
 
 
 def enumerate_homs(
@@ -775,14 +776,13 @@ def automorphisms(g: FiniteAbelianGroup) -> list[GroupHom]:
     """Every automorphism of ``g``, in lexicographic generator-image order.
 
     An automorphism sends each coordinate generator to an element of the
-    same order, and its restriction to the first i generators is injective,
-    so :func:`_image_tuples` requires prefix spans of exact size
-    ``d_1 * ... * d_i`` (Hillar and Rhea, Amer. Math. Monthly 2007).
+    same order (:func:`elements_of_order`, listed once per modulus), and its
+    restriction to the first i generators is injective, so :func:`_image_tuples`
+    requires prefix spans of exact size ``d_1 * ... * d_i`` (Hillar and Rhea,
+    Amer. Math. Monthly 2007).
     """
-    by_order: dict[int, list[Element]] = {}
-    for a in g.elements():
-        by_order.setdefault(g.element_order(a), []).append(a)
-    lists = [by_order.get(d, []) for d in g.factors]
+    by_order = {d: elements_of_order(g, d) for d in set(g.factors)}
+    lists = list(map(by_order.get, g.factors))
     sizes = list(itertools.accumulate(g.factors, operator.mul, initial=1))
     tuples = _image_tuples(lists, partial(_add, g.factors), g.identity(), sizes)
     return [GroupHom(g, g, images) for images in tuples]

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import functools
 import json
 import os
 import pickle
@@ -316,23 +315,21 @@ class TestEncode:
 
     def test_builds_no_state_index(self, tmp_path, capsys, monkeypatch):
         # the start state and the zero-tail search index S in O(rank) each,
-        # so no element-to-index dict of the 2^16 states is built
+        # so the 2^16 states are never listed and nothing is left on S
         path = tmp_path / "register.json"
         path.write_text(json.dumps(observed_shift_register(2, 16)))
-        built = []
-        original = vars(FiniteAbelianGroup)["_index"].func
+        listed = []
+        original = FiniteAbelianGroup.elements
 
         def counted(self):
-            built.append(self.order)
+            listed.append(self)
             return original(self)
 
-        prop = functools.cached_property(counted)
-        prop.__set_name__(FiniteAbelianGroup, "_index")
-        monkeypatch.setattr(FiniteAbelianGroup, "_index", prop)
+        monkeypatch.setattr(FiniteAbelianGroup, "elements", counted)
         assert main(["encode", str(path), "--inputs", "1,0,1", "--zero-tail"]) == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
         assert rows[-1][2] == "0" * 16
-        assert 2**16 not in built
+        assert 2**16 not in [g.order for g in listed]
 
     def test_bad_symbol_exits_2(self, spec_path, capsys):
         assert main(["encode", spec_path, "--state", "0,0", "--inputs", "0,7"]) == 2

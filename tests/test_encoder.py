@@ -124,6 +124,19 @@ class TestMakeEncoder:
         with pytest.raises(InvalidHom):
             make_encoder(u, s, y, [[1], [1]], [[0], [1]])
 
+    def test_integral_float_image_names_its_element(self, systematic_encoder):
+        u, s, y = make_group([2]), make_group([2, 2]), make_group([2, 2])
+        nu = [[0, 1], [0, 1], [1.0, 0]]
+        enc = make_encoder(u, s, y, nu, [[1, 0], [0, 0], [0, 1]])
+        assert enc._next == systematic_encoder._next
+        assert enc.next_state.gen_images[2] == (1, 0)
+
+    @pytest.mark.parametrize("image", [[0.5, 0], ["1", 0]])
+    def test_foreign_next_state_image_raises_wrong_group(self, image):
+        u, s, y = make_group([2]), make_group([2, 2]), make_group([2, 2])
+        with pytest.raises(WrongGroup):
+            make_encoder(u, s, y, [[0, 1], [0, 1], image], [[1, 0], [0, 0], [0, 1]])
+
     def test_step_rejects_foreign_pairs(self, systematic_encoder):
         with pytest.raises(WrongGroup):
             systematic_encoder.step((1,), (2, 0))
@@ -575,6 +588,12 @@ class TestWindow:
         with pytest.raises(WrongGroup) as info:
             Window(y, 0, symbols)
         assert str(info.value).startswith("(0, 3) is not an element")
+
+    @pytest.mark.parametrize("symbol", [(0.5, 0), ("1", 0)])
+    def test_non_integral_symbol_is_refused(self, systematic_encoder, symbol):
+        # a window holding it never reaches the codeword witness
+        with pytest.raises(WrongGroup):
+            Window(systematic_encoder.output_group, 0, [(1, 0), symbol])
 
     def test_list_typed_symbols_are_stored_as_tuples(self, systematic_encoder):
         w = Window(systematic_encoder.output_group, 0, [[1, 0], [1, 0], [0, 1]])

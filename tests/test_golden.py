@@ -341,13 +341,18 @@ def test_encoder_caches_nothing_beyond_its_columns():
     }
 
 
+def _enumerated(monkeypatch) -> list:
+    """Wrap ``FiniteAbelianGroup.elements``; returns the log of groups it listed."""
+    return _count_calls(monkeypatch, [groups.FiniteAbelianGroup], "elements")
+
+
 def test_encoder_build_hashes_no_element(monkeypatch):
-    # the columns are read from each hom's target indices: no state index, no element table
-    indexed = _count_builds(monkeypatch, groups.FiniteAbelianGroup, "_index")
+    # the columns are read from each hom's target indices: no group is listed, no element table
+    enumerated = _enumerated(monkeypatch)
     tabled = _count_calls(monkeypatch, [groups], "hom_table")
     enc = encoder_from_spec(observed_shift_register(2, 8))
     assert enc.state_group.order == 256
-    assert enc.state_group not in indexed
+    assert enumerated == []
     assert tabled == []
 
 
@@ -415,41 +420,39 @@ def test_split_element_to_pair_builds_no_pair_map(monkeypatch):
 
 def test_index_to_element_reads_build_no_state_index(monkeypatch):
     # only the visited indices become elements; branches lists every state in order
-    indexed = _count_builds(monkeypatch, groups.FiniteAbelianGroup, "_index")
+    enumerated = _enumerated(monkeypatch)
     enc = encoder_from_spec(observed_shift_register(2, 16))
     state = (1, 0) * 8
     before = (0,) + state[:-1]  # (s1..sm) -> (s2..sm, u + s1), least input first
     assert encoder.extend_past(enc, state, 3) == ([before, state, before], [(0,)] * 3, [(0,), (1,), (0,)])
     assert encoder.state_preimages(enc, state) == [((0,), (0,) + state[:-1]), ((1,), (1,) + state[:-1])]
+    assert enumerated == []
     listed = trellis.branches(enc)
     assert len(listed) == 2 * 2**16
     assert listed[-1] == trellis.Branch((1,) * 16, (1,), (1,) * 15 + (0,), (1,))
-    assert enc.state_group not in indexed
+    assert [args[0] for args in enumerated].count(enc.state_group) == 1
+    enumerated.clear()
     # a witness builds O(|S|^2)-bit mask rows, so it reads the 2^10-state register
     small = encoder_from_spec(observed_shift_register(2, 10))
     states, outputs = encode_forward(small, (0,) * 10, [(1,), (0,), (1,)] + [(0,)] * 10)
     witness = codeword_witness(small, Window(small.output_group, 0, tuple(outputs)))
     # the input word's states until its last output, then the least path into the zero tail
     assert witness[1:11] == states[:10] and witness[-1] == (0,) * 10
-    assert small.state_group not in indexed
+    assert small.state_group not in [args[0] for args in enumerated]
 
 
-def test_state_index_is_built_once_per_instance(monkeypatch):
-    # the successor tables and chain members of all encoders read one index
-    instance = _instance(2, [2, 2], (2, 2, 2))
-    encoders = enumerate_encoders(instance)
-    original = groups.FiniteAbelianGroup.elements
-    enumerated = []
-
-    def counted(self):
-        enumerated.append(self)
-        return original(self)
-
-    monkeypatch.setattr(groups.FiniteAbelianGroup, "elements", counted)
-    for enc in encoders:
-        control.past_kernel(enc)
-        control.forward_chain(enc)
-    assert sum(g is instance.state_group for g in enumerated) <= 1
+def test_groups_cache_nothing(monkeypatch):
+    # group facts are read from the moduli, so no reader leaves a table on a group
+    used = _count_calls(monkeypatch, [groups.FiniteAbelianGroup], "__post_init__")
+    enc = encoder_from_spec(observed_shift_register(2, 3))
+    analysis_json(enc)
+    encode_forward(enc, (0, 0, 0), [(1,), (0,), (1,)])
+    assert codeword_witness(enc, Window(enc.output_group, 0, ((1,), (0,), (1,))))
+    export_dot(enc, 2)
+    sweep_theorems([2, 3], 6)
+    touched = [args[0] for args in used]
+    assert enc.state_group in touched and len(touched) > 50
+    assert all(vars(g) == {"factors": g.factors} for g in touched)
 
 
 def test_analysis_json_checks_each_closure_once(monkeypatch, systematic_encoder):

@@ -41,8 +41,11 @@ from groupcode import (
 )
 from groupcode.groups import (
     _add,
+    _hom_candidates,
     _index_sum_rows,
     _linear_table,
+    _order,
+    _torsion,
     element_height,
     element_labels,
     elements_of_order,
@@ -119,10 +122,21 @@ class TestMakeGroup:
         assert make_group([6, 4]).factors == (2, 12)
         assert make_group([2, 3]) == make_group([6])
 
-    @pytest.mark.parametrize("bad", [[1], [0], [-3], [2, 1]])
+    @pytest.mark.parametrize(
+        "bad",
+        [[1], [0], [-3], [2, 1], [2.5], [2.9, 3], ["6"], [None], [float("nan")], [float("inf")]],
+    )
     def test_invalid_factor(self, bad):
+        # a factor must equal an int of at least 2, in either constructor
         with pytest.raises(InvalidFactor):
             make_group(bad)
+        with pytest.raises(InvalidFactor):
+            FiniteAbelianGroup(tuple(bad))
+
+    def test_integral_factor_is_stored_as_int(self):
+        g = FiniteAbelianGroup((2.0, 4))
+        assert g.factors == (2, 4) and all(type(d) is int for d in g.factors)
+        assert make_group([2.0, 3]).factors == (6,)
 
 
 class TestArithmetic:
@@ -164,6 +178,27 @@ class TestArithmetic:
         # out-of-range coordinates raise instead of wrapping modulo 4
         with pytest.raises(WrongGroup):
             getattr(make_group([4]), op)(a, b)
+
+    @pytest.mark.parametrize(
+        "a, named", [((1.0, 0), True), ((True, False), True), ((0.5, 0), False), (("1", 0), False)]
+    )
+    def test_coordinates_name_the_element_they_equal(self, a, named):
+        g = make_group([2, 2])
+        assert g.contains(a) is named
+        if named:
+            assert g.check(a) == (1, 0) and all(type(c) is int for c in g.check(a))
+        else:
+            with pytest.raises(WrongGroup):
+                g.check(a)
+
+    @pytest.mark.parametrize(
+        "a", [None, 5, "10", (None, 0), ([1], 0), (float("nan"), 0), (float("inf"), 0), (1j, 0)]
+    )
+    def test_contains_never_raises(self, a):
+        g = make_group([2, 2])
+        assert g.contains(a) is False
+        with pytest.raises(WrongGroup):
+            g.check(a)
 
     def test_element_indexing_roundtrip(self):
         g = make_group([2, 3, 4])
@@ -585,6 +620,13 @@ class TestHoms:
         for h in enumerate_homs(src, dst):
             assert hom_kernel(h).order * hom_image(h).order == src.order
 
+    def test_images_are_stored_as_ints(self):
+        g = make_group([2, 2])
+        h = GroupHom(g, g, ((1.0, 0), (True, False)))
+        assert h.gen_images == ((1, 0), (1, 0))
+        assert all(type(c) is int for img in h.gen_images for c in img)
+        assert h._indices == GroupHom(g, g, ((1, 0), (1, 0)))._indices
+
     def test_invalid_generator_image(self):
         message = r"^image \(1,\) of an order-2 generator has order 4, which does not divide 2$"
         with pytest.raises(InvalidHom, match=message):
@@ -601,6 +643,9 @@ class TestHoms:
             ([(2, 1), (0, 0)], WrongGroup, "(2, 1)" + NOT_IN_Z2_Z4),
             ([(0, 2), (1, 1)], InvalidHom, "image (1, 1)" + ORDER_4_IN_ORDER_2),
             ([(0, 3), (0, 0)], InvalidHom, "image (0, 3)" + ORDER_4_IN_ORDER_2),
+            # a coordinate must equal an int
+            ([(0, 2), (0.5, 0)], WrongGroup, "(0.5, 0)" + NOT_IN_Z2_Z4),
+            ([(0, 2), ("1", 0)], WrongGroup, "('1', 0)" + NOT_IN_Z2_Z4),
         ],
     )
     def test_image_checks_pin_their_messages(self, images, error, message):
@@ -731,6 +776,44 @@ def test_prime_order_generators_match_the_element_scan():
                 assert [sub.elements[1] for sub in prime_order_subgroups(g, p)] == expected
                 cases += 1
     assert cases == 419
+
+
+def test_torsion_matches_the_element_scan():
+    # the coordinate box against testing n a = 0 on every element, for every
+    # abelian group of order <= 64 and every 0 <= n <= |g|
+    for g in small_groups(64):
+        elements = list(g.elements())
+        for n in range(g.order + 1):
+            expected = [a for a in elements if not any(n * c % d for c, d in zip(a, g.factors))]
+            assert list(_torsion(g, n)) == expected, (g, n)
+
+
+def test_hom_candidates_match_the_order_filter():
+    # per generator of g1, the elements of g2 whose order divides its order
+    for g1 in small_groups(16):
+        for g2 in small_groups(16):
+            expected = [
+                [a for a in g2.elements() if d % _order(g2.factors, a) == 0] for d in g1.factors
+            ]
+            assert _hom_candidates(g1, g2) == expected, (g1, g2)
+
+
+def test_elements_of_order_match_the_element_scan():
+    for g in small_groups(64):
+        orders = {a: _order(g.factors, a) for a in g.elements()}
+        for n in range(-1, g.order + 2):
+            assert elements_of_order(g, n) == [a for a, k in orders.items() if k == n], (g, n)
+
+
+def test_hom_kernel_matches_the_checked_evaluation():
+    homs = 0
+    for src in small_groups(8):
+        for dst in small_groups(8):
+            for h in enumerate_homs(src, dst):
+                expected = [a for a in src.elements() if h(a) == dst.identity()]
+                assert hom_kernel(h) == Subgroup(src, tuple(expected)), h
+                homs += 1
+    assert homs > 1000
 
 
 def _prime_factors(n: int) -> list[int]:
