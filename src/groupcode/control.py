@@ -14,24 +14,29 @@ pair position ``j * |S| + i``: a set's one-step image is the entries at its
 states' positions (:func:`groupcode.encoder._step`), and the past kernel and
 kernel counts are the positions holding 0.  The brute-force ``exact_reach``
 oracle shares no code with the chain: it yields every start state's masks
-level by level, each pulled from the one before.  Chain levels, the past
-kernel and counterexamples are element tuples, picked from
-``state_group.elements()``; a level is cyclic when its exponent is its order.
+level by level, each pulled from the one before.  State sets stay masks, closed
+by :func:`groupcode.groups._mask_generators`, cyclic when the lcm of their
+generators' orders is their size; element tuples are built for counterexamples,
+the JSON and the ``Subgroup`` views ``levels``, ``stuck_level``, ``past_kernel``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
-from operator import or_
+from functools import cache, cached_property
+from itertools import compress, count
+from operator import not_, or_
 from typing import Iterator
 
 from .encoder import Encoder, _lowest, _picked, _step
 from .errors import NotApplicable, PredicateViolation, TooLarge
 from .groups import (
     Element,
+    FiniteAbelianGroup,
     Subgroup,
+    _mask_generators,
+    _order,
     invariant_factors,
     is_p_power,
     is_prime,
@@ -44,20 +49,27 @@ STATE_GUARD = 2**14  # bound on |S|: each oracle level holds |S|^2 bits
 class ReachabilityChain:
     """Levels reachable from the identity state in exactly 0, 1, 2, ... steps.
 
-    ``levels`` stops before the first repetition; ``level(i)`` extends it as
-    a constant sequence beyond the stabilization point.
+    ``masks`` stops before the first repetition; ``levels`` are its element
+    views, built on first read, and ``level(i)`` extends them as a constant
+    sequence beyond the stabilization point.
     """
 
-    levels: tuple[Subgroup, ...]
+    state_group: FiniteAbelianGroup
+    masks: tuple[int, ...] = field(repr=False)
     stabilized_at: int
     reaches_all: bool
-    _masks: tuple[int, ...] = field(repr=False)  # the levels over state indices
+
+    @cached_property
+    def levels(self) -> tuple[Subgroup, ...]:
+        return tuple(Subgroup(self.state_group, _members(self.state_group, m)) for m in self.masks)
 
     def level(self, i: int) -> Subgroup:
+        if i < 0:
+            raise ValueError(f"no level is reached in {i} steps")
         return self.levels[min(i, self.stabilized_at)]
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(level.order for level in self.levels)
+        return tuple(m.bit_count() for m in self.masks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,13 +77,16 @@ class ControlVerdict:
     controllable: bool
     index: int | None
     chain: ReachabilityChain
-    stuck_level: Subgroup | None
     window_below_two: bool
 
+    @property
+    def stuck_level(self) -> Subgroup | None:
+        return None if self.controllable else self.chain.levels[-1]
 
-def _members(enc: Encoder, mask: int) -> tuple[Element, ...]:
-    """The states at the set bits of ``mask``, picked from ``state_group.elements()`` in index order."""
-    return tuple(_picked(enc.state_group.elements(), mask))
+
+def _members(g: FiniteAbelianGroup, mask: int) -> tuple[Element, ...]:
+    """The elements at the set bits of ``mask``, picked from ``g.elements()`` in index order."""
+    return tuple(_picked(g.elements(), mask))
 
 
 def forward_chain(enc: Encoder) -> ReachabilityChain:
@@ -85,11 +100,17 @@ def forward_chain(enc: Encoder) -> ReachabilityChain:
                 "chain_stabilizes", tuple(m.bit_count() for m in masks)
             )
     return ReachabilityChain(
-        levels=tuple(Subgroup(s_group, _members(enc, m)) for m in masks),
+        state_group=s_group,
+        masks=tuple(masks),
         stabilized_at=len(masks) - 1,
         reaches_all=masks[-1].bit_count() == s_group.order,
-        _masks=tuple(masks),
     )
+
+
+def _kernel_mask(enc: Encoder) -> int:
+    """The past kernel over state indices: the states at the positions holding 0."""
+    n_states = enc.state_group.order
+    return sum({1 << p % n_states for p in compress(count(), map(not_, enc._next))})
 
 
 def past_kernel(enc: Encoder) -> Subgroup:
@@ -100,9 +121,7 @@ def past_kernel(enc: Encoder) -> Subgroup:
     identity state lead to distinct states.  Closure is not checked here:
     ``structure_report`` checks it once, as ``past_kernel_is_subgroup``.
     """
-    n_states = enc.state_group.order
-    states = {p % n_states for p, nxt in enumerate(enc._next) if nxt == 0}
-    return Subgroup(enc.state_group, tuple(map(enc.state_group.element_at, states)))
+    return Subgroup(enc.state_group, _members(enc.state_group, _kernel_mask(enc)))
 
 
 def exact_reach(enc: Encoder, max_len: int) -> Iterator[list[int]]:
@@ -150,9 +169,9 @@ def decide_controllability(enc: Encoder) -> ControlVerdict:
     full = (1 << s_group.order) - 1
     short = early = None  # the first state index failing each index check
     for L, level in enumerate(exact_reach(enc, chain.stabilized_at + 1)):
-        if level[0] != chain._masks[min(L, chain.stabilized_at)]:
+        if level[0] != chain.masks[min(L, chain.stabilized_at)]:
             raise PredicateViolation(
-                "chain_matches_exact_reach", (L, list(_members(enc, level[0])))
+                "chain_matches_exact_reach", (L, list(_members(s_group, level[0])))
             )
         if L == index:
             short = next((i for i, mask in enumerate(level) if mask != full), None)
@@ -167,7 +186,6 @@ def decide_controllability(enc: Encoder) -> ControlVerdict:
         controllable=controllable,
         index=index,
         chain=chain,
-        stuck_level=None if controllable else chain.levels[-1],
         window_below_two=controllable and index < 2,
     )
 
@@ -184,21 +202,26 @@ class StructureReport:
     raises ``PredicateViolation`` instead.  ``degenerate_inputs`` flags
     encoders whose inputs at the identity state all collapse onto it (their
     one-step level is trivial rather than of input-group size).
-    ``past_kernel`` is the past kernel the predicates were checked on.
+    ``kernel_mask`` is the past kernel the predicates were checked on, over
+    state indices; ``past_kernel`` is its element view, built on first read.
     """
 
     prime: int
+    state_group: FiniteAbelianGroup
     state_factors: tuple[int, ...]
     predicates: dict[str, bool]
     degenerate_inputs: bool
-    past_kernel: Subgroup
+    kernel_mask: int = field(repr=False)
     notes: dict[str, str] = field(default_factory=dict)
 
+    @cached_property
+    def past_kernel(self) -> Subgroup:
+        return Subgroup(self.state_group, _members(self.state_group, self.kernel_mask))
 
-def _subgroup_is_cyclic(sub: Subgroup) -> bool:
-    """Cyclic iff its exponent, the lcm over coordinates of ``d / gcd(d, column)``, is its order."""
-    columns = zip(sub.parent.factors, zip(*sub.elements))
-    return math.lcm(*(d // math.gcd(d, *column) for d, column in columns)) == sub.order
+
+def _is_cyclic(g: FiniteAbelianGroup, gens: list[Element], size: int) -> bool:
+    """Whether the subgroup spanned by ``gens`` is cyclic: the lcm of their orders is its ``size``."""
+    return math.lcm(*(_order(g.factors, a) for a in gens)) == size
 
 
 def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
@@ -214,13 +237,9 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     if not is_prime(p):
         raise NotApplicable(f"input group order {p} is not prime")
 
-    chain = verdict.chain
-    kernel = past_kernel(enc)
-    s_group = enc.state_group
-
-    masks = chain._masks
+    chain, s_group = verdict.chain, enc.state_group
+    masks, sizes, kmask = chain.masks, chain.sizes(), _kernel_mask(enc)
     full = (1 << s_group.order) - 1
-    kmask = sum(1 << s_group.index_of(s) for s in kernel.elements)
 
     predicates: dict[str, bool] = {}
     notes: dict[str, str] = {}
@@ -231,24 +250,17 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
         if not ok:
             raise PredicateViolation(name, witness())
 
-    check(
-        "chain_levels_are_subgroups",
-        all(level.is_closed() for level in chain.levels),
-        chain.sizes,
-    )
+    gens = [_mask_generators(s_group, m) for m in masks]
+    check("chain_levels_are_subgroups", None not in gens, chain.sizes)
     nested = all(not masks[i - 1] & ~masks[i] for i in range(1, len(masks)))
     check("chain_is_nested", nested, chain.sizes)
     repeated = _step(enc, masks[-1])
     check(
         "chain_stabilizes_permanently",
         repeated == masks[-1],
-        lambda: (chain.stabilized_at, list(_members(enc, repeated))),
+        lambda: (chain.stabilized_at, list(_members(s_group, repeated))),
     )
-    check(
-        "chain_levels_are_p_groups",
-        all(is_p_power(level.order, p) for level in chain.levels),
-        chain.sizes,
-    )
+    check("chain_levels_are_p_groups", all(is_p_power(n, p) for n in sizes), chain.sizes)
 
     # the pair map is a bijection onto the ambient group, and the pair (u, e_S)
     # is the embedded input u, at every |S|-th position, so both counts read
@@ -258,18 +270,19 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
 
     collapsing = enc._next[:: s_group.order].count(0)
     degenerate = collapsing == p
-    one_step = chain.level(1)
+    kernel_size, one_step = kmask.bit_count(), sizes[min(1, chain.stabilized_at)]
     check(
         "one_step_levels_share_size",
-        kernel.order == one_step.order == p // collapsing,
-        lambda: (kernel.order, one_step.order, collapsing),
+        kernel_size == one_step == p // collapsing,
+        lambda: (kernel_size, one_step, collapsing),
     )
     if degenerate:
         notes["degenerate_inputs"] = (
             "all inputs fix the identity state; one-step levels are trivial"
         )
 
-    check("past_kernel_is_subgroup", kernel.is_closed(), lambda: kernel.elements)
+    kernel_closed = _mask_generators(s_group, kmask) is not None
+    check("past_kernel_is_subgroup", kernel_closed, lambda: _members(s_group, kmask))
 
     # bit 0 is the identity state; a level "overlaps" the kernel when they
     # share a state other than the identity
@@ -285,21 +298,21 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     check(
         "past_kernel_images_absorbed",
         absorbed is None,
-        lambda: (absorbed, list(_members(enc, escaped & ~masks[absorbed]))),
+        lambda: (absorbed, list(_members(s_group, escaped & ~masks[absorbed]))),
     )
 
     trap = next((i for i, m in enumerate(masks) if m != full and kmask & m & ~1), None)
     check(
         "past_kernel_overlap_traps_chain",
         trap is None or not verdict.controllable,
-        lambda: (trap, list(kernel.elements)),
+        lambda: (trap, list(_members(s_group, kmask))),
     )
 
     # states first reached at level k - 1 step into level k and nowhere lower
     # when level k is p times level k - 1 (the layer below level 1 is empty)
     fresh = None
     for k in range(2, len(masks)):
-        if chain.levels[k].order == p * chain.levels[k - 1].order:
+        if sizes[k] == p * sizes[k - 1]:
             layer, above = masks[k - 1] & ~masks[k - 2], masks[k] & ~masks[k - 1]
             if stray := _step(enc, layer) & ~above:
                 fresh = (k, stray)
@@ -307,24 +320,24 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
     check(
         "fresh_level_inputs_escape",
         fresh is None,
-        lambda: (fresh[0], list(_members(enc, fresh[1]))),
+        lambda: (fresh[0], list(_members(s_group, fresh[1]))),
     )
 
     check(
         "controllable_level_sizes_are_p_powers",
         not verdict.controllable
-        or all(chain.levels[i].order == p ** i for i in range(verdict.index + 1)),
+        or all(sizes[i] == p ** i for i in range(verdict.index + 1)),
         chain.sizes,
     )
 
-    cyclic = cache(lambda i: _subgroup_is_cyclic(chain.levels[i]))  # each level at most once
+    cyclic = [_is_cyclic(s_group, g, n) for g, n in zip(gens, sizes)]
     uncyclic = next(
-        (i for i in range(2, chain.stabilized_at) if cyclic(i) and not cyclic(i + 1)), None
+        (i for i in range(2, chain.stabilized_at) if cyclic[i] and not cyclic[i + 1]), None
     )
     check(
         "cyclic_levels_stay_cyclic",
         uncyclic is None,
-        lambda: (uncyclic, chain.levels[uncyclic].elements, chain.levels[uncyclic + 1].elements),
+        lambda: (uncyclic, *(_members(s_group, m) for m in masks[uncyclic : uncyclic + 2])),
     )
 
     s_factors = invariant_factors(s_group)
@@ -347,10 +360,11 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
 
     return StructureReport(
         prime=p,
+        state_group=s_group,
         state_factors=s_factors,
         predicates=predicates,
         degenerate_inputs=degenerate,
-        past_kernel=kernel,
+        kernel_mask=kmask,
         notes=notes,
     )
 
@@ -372,9 +386,9 @@ def analysis_json(enc: Encoder) -> dict:
         "controllable": verdict.controllable,
         "index": verdict.index,
         "window_below_two": verdict.window_below_two,
-        "chain": [[name(s) for s in level.elements] for level in verdict.chain.levels],
+        "chain": [list(map(name, _members(enc.state_group, m))) for m in verdict.chain.masks],
         "chain_sizes": list(verdict.chain.sizes()),
-        "past_kernel": [name(s) for s in report.past_kernel.elements],
+        "past_kernel": list(map(name, _members(enc.state_group, report.kernel_mask))),
         "predicates": dict(sorted(report.predicates.items())),
         "degenerate_inputs": report.degenerate_inputs,
         "input_factors": list(enc.input_group.factors),

@@ -5,8 +5,9 @@ Groups are residue-vector groups: a group is a tuple of coordinate moduli
 ``0 <= c_i < d_i``, added componentwise.  ``make_group`` normalizes the
 moduli to the canonical divisibility chain; ``direct_sum`` concatenates
 moduli verbatim so pair coordinates survive (used by the encoder layer).
-Every subgroup closure (generated subgroups, the closure test, subgroup
-enumeration, heights) is one coset-growing span, :func:`_span`.  Every search
+Generated subgroups and subgroup enumeration are one coset-growing span,
+:func:`_span`; the closure test is one translation test on an index mask,
+:func:`_mask_generators` over :func:`_translate`.  Every search
 for generator images (surjective homs, automorphisms, basis extraction in
 recognition) is one prefix-span search, :func:`_image_tuples`.  A hom is
 tabulated once, on first read, as its images' target indices
@@ -179,6 +180,25 @@ def _span(op: Callable, identity, gens: Iterable, start: set | None = None) -> s
     return span
 
 
+@lru_cache(maxsize=None)
+def _digit_shift(moduli: tuple[int, ...], k: int, c: int) -> tuple[int, int, int]:
+    """Adding ``c`` to digit ``k`` (modulus ``d``, weight ``w``) moves the indices whose digit is below
+    ``d - c`` up ``c w`` and the others down ``(d - c) w``: their mask and the two shifts."""
+    d, w = moduli[k], math.prod(moduli[k + 1 :])
+    period = "0" * (c * w) + "1" * ((d - c) * w)  # one period of the mask, high bits first
+    return int(period * math.prod(moduli[:k]), 2), c * w, (d - c) * w
+
+
+def _translate(moduli: tuple[int, ...], mask: int, a: Element) -> int:
+    """The index mask of ``X + a``, ``X`` at the bits of ``mask``: per digit an AND, two shifts, an OR."""
+    for k, c in enumerate(a):
+        if c:
+            stay, up, down = _digit_shift(moduli, k, c)
+            low = mask & stay
+            mask = low << up | (mask ^ low) >> down
+    return mask
+
+
 def _image_tuples(
     lists: Sequence[Sequence], op: Callable, identity, sizes: Sequence[int | None]
 ) -> Iterator[tuple]:
@@ -347,29 +367,35 @@ class Subgroup:
         return a in self._member_set
 
     def is_closed(self) -> bool:
-        """Whether the element set is a subgroup of ``parent``.
-
-        The identity must be a member, every member an element of ``parent``,
-        and the span of the members (one :func:`_span`, under ``2 |span|``
-        adds instead of the ``|L|^2`` pairwise sums) equal to the set.  Span
-        members are the identity or ``_add`` outputs, so members are checked
-        only when the span differs or some member's length is not the rank.
-        """
+        """Whether the members, each checked in ``parent``, form a subgroup: :func:`_mask_generators`."""
         g = self.parent
-        identity = g.identity()
-        if identity not in self._member_set:
-            return False
-        span = _span(partial(_add, g.factors), identity, self.elements)
-        if span == self._member_set and set(map(len, self.elements)) == {g.rank}:
-            return True
-        for a in self.elements:
-            g.check(a)
-        return False
+        mask = sum(1 << g.index_of(g.check(a)) for a in self.elements)
+        return _mask_generators(g, mask) is not None
 
     def validate(self) -> "Subgroup":
         if not self.is_closed():
             raise NotASubgroup(f"element set {self.elements} is not a subgroup")
         return self
+
+
+def _mask_generators(g: FiniteAbelianGroup, mask: int) -> list[Element] | None:
+    """Generators of the subgroup ``X`` at the bits of ``mask``, or None when ``X`` is no subgroup.
+
+    ``X`` must hold the identity, bit 0, and ``X + a = X`` for each least member ``a`` outside the
+    span ``H`` so far, which then grows by its cosets ``H + a, H + 2a, ...`` back to ``H``.
+    """
+    if not mask & 1:
+        return None
+    gens, span = [], 1
+    while rest := mask & ~span:
+        a = g.element_at((rest & -rest).bit_length() - 1)
+        if _translate(g.factors, mask, a) != mask:
+            return None
+        gens.append(a)
+        coset = span
+        while not (coset := _translate(g.factors, coset, a)) & 1:
+            span |= coset
+    return gens
 
 
 def subgroup_generated(g: FiniteAbelianGroup, gens: Iterable[Element]) -> Subgroup:

@@ -23,9 +23,15 @@ from groupcode import (
     structure_report,
     subgroup_generated,
 )
-from groupcode.control import _subgroup_is_cyclic, analysis_json, exact_reach
+from groupcode.control import _is_cyclic, _kernel_mask, analysis_json, exact_reach
 from groupcode.encoder import encoder_from_extension, encoder_from_spec
-from groupcode.groups import abelian_groups_of_order, all_subgroups, identity_hom, recognize
+from groupcode.groups import (
+    _mask_generators,
+    abelian_groups_of_order,
+    all_subgroups,
+    identity_hom,
+    recognize,
+)
 from groupcode.sweep import enumerate_encoders, enumerate_extensions
 from specs import observed_shift_register
 
@@ -98,6 +104,15 @@ class TestForwardChain:
                 for s in current
             }
             assert set(level.elements) == current
+
+    def test_negative_level_is_rejected(self):
+        # no level is reached in a negative number of steps
+        chain = forward_chain(encoder_from_spec(observed_shift_register(2, 3)))
+        assert chain.sizes() == (1, 2, 4, 8)
+        assert chain.level(9).order == 8
+        for i in (-1, -2):
+            with pytest.raises(ValueError):
+                chain.level(i)
 
     def test_levels_are_nested_subgroups(self, systematic_encoder):
         chain = forward_chain(systematic_encoder)
@@ -265,7 +280,44 @@ def _ref_exact_reach(enc, max_len):
     return table
 
 
+def _ref_closure_and_cyclicity(g, members) -> tuple[bool, bool]:
+    """Element brute force: whether ``members`` is a subgroup, and whether one member generates it."""
+    members = set(members)
+    closed = (
+        g.identity() in members
+        and all(g.neg(a) in members for a in members)
+        and all(g.add(a, b) in members for a in members for b in members)
+    )
+    return closed, closed and any(g.element_order(a) == len(members) for a in members)
+
+
 class TestBitmasksAgainstTupleSets:
+    def test_level_and_kernel_verdicts_on_the_no_dedup_family(self):
+        # every encoder with p in {2, 3} and |S| <= 9 over every normal subgroup;
+        # each distinct state set is brute-forced once
+        checked, verdicts = 0, {}
+        for p in (2, 3):
+            for order in range(1, 10):
+                for state_group in abelian_groups_of_order(order):
+                    for instance in enumerate_extensions(p, state_group, dedup=False):
+                        for enc in enumerate_encoders(instance):
+                            g = enc.state_group
+                            for mask in forward_chain(enc).masks + (_kernel_mask(enc),):
+                                key = (g.factors, mask)
+                                if key not in verdicts:
+                                    gens = _mask_generators(g, mask)
+                                    closed = gens is not None
+                                    cyclic = closed and _is_cyclic(g, gens, mask.bit_count())
+                                    members = control._members(g, mask)
+                                    assert (closed, cyclic) == _ref_closure_and_cyclicity(g, members)
+                                    verdicts[key] = (closed, cyclic)
+                            checked += 1
+        assert checked == 47251
+        # 48 distinct sets, every one a subgroup, cyclic and non-cyclic ones both met
+        assert len(verdicts) == 48
+        assert {closed for closed, _ in verdicts.values()} == {True}
+        assert {cyclic for _, cyclic in verdicts.values()} == {True, False}
+
     def test_complete_family(self, family_p23):
         # every encoder with p in {2, 3} and |S| <= 9
         assert len(family_p23) == 3829
@@ -401,7 +453,9 @@ class TestStructureReport:
             for g in abelian_groups_of_order(order):
                 for sub in all_subgroups(g):
                     recognized = recognize(list(sub.elements), g.add)
-                    assert _subgroup_is_cyclic(sub) == (len(recognized.factors) <= 1)
+                    mask = sum(1 << g.index_of(a) for a in sub.elements)
+                    cyclic = _is_cyclic(g, _mask_generators(g, mask), sub.order)
+                    assert cyclic == (len(recognized.factors) <= 1)
                     checked += 1
         assert checked == 1030
 

@@ -178,6 +178,17 @@ STUCK_Z4_CUBE = {
 }
 
 
+# a state group of mixed moduli Z2 x Z4 x Z8: translations cross digits of
+# three different strides; the chain stops at 8 states
+MIXED_MODULI = {
+    "U": {"factors": [2]},
+    "S": {"factors": [2, 4, 8]},
+    "Y": {"factors": [2, 2, 4, 8]},
+    "nu": {"gen_images": [[1, 0, 0], [0, 2, 4], [1, 3, 6], [0, 2, 1]]},
+    "omega": {"gen_images": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+}
+
+
 @pytest.mark.parametrize(
     "spec, chain_sizes, digest",
     [
@@ -191,8 +202,13 @@ STUCK_Z4_CUBE = {
             [1, 2, 4, 8],
             "7466909bdc2c7bb0f26db05a0c1cbb17698c4c806f84ec0deb8a9b6323919fbd",
         ),
+        (
+            MIXED_MODULI,
+            [1, 2, 4, 8],
+            "50bafc418f7b83b7e9762871de3d5fc60761e9dfb0d856ec673d29bf0bc396e2",
+        ),
     ],
-    ids=["controllable-Z2^8", "stuck-Z4^3"],
+    ids=["controllable-Z2^8", "stuck-Z4^3", "stuck-Z2xZ4xZ8"],
 )
 def test_analysis_bytes_at_scale(spec, chain_sizes, digest):
     payload = analysis_json(encoder_from_spec(spec))
@@ -318,13 +334,13 @@ def test_sweep_decides_one_encoder_per_orbit(monkeypatch):
 def test_analysis_json_computes_each_fact_once(monkeypatch, systematic_encoder):
     counters = {
         name: _count_calls(monkeypatch, [control], name)
-        for name in ("decide_controllability", "exact_reach", "past_kernel")
+        for name in ("decide_controllability", "exact_reach", "_kernel_mask")
     }
     analysis_json(systematic_encoder)
     assert {name: len(calls) for name, calls in counters.items()} == {
         "decide_controllability": 1,
         "exact_reach": 1,
-        "past_kernel": 1,
+        "_kernel_mask": 1,
     }
 
 
@@ -456,10 +472,29 @@ def test_groups_cache_nothing(monkeypatch):
 
 
 def test_analysis_json_checks_each_closure_once(monkeypatch, systematic_encoder):
+    tested = _count_calls(monkeypatch, [groups, control], "_mask_generators")
     checked = _count_calls(monkeypatch, [Subgroup], "is_closed")
     payload = analysis_json(systematic_encoder)
-    # one check per chain level plus one for the past kernel
-    assert len(checked) == len(payload["chain"]) + 1 == 4
+    # one mask test per chain level plus one for the past kernel, no element set checked
+    assert len(tested) == len(payload["chain"]) + 1 == 4
+    assert checked == []
+
+
+def test_control_layer_builds_no_subgroup(monkeypatch):
+    # verdicts and reports read state sets as masks; element views are built on request
+    encoders = [encoder_from_spec(observed_shift_register(2, 8))] + [
+        enc
+        for p in (2, 3)
+        for order in range(1, 7)
+        for state_group in abelian_groups_of_order(order)
+        for instance in enumerate_extensions(p, state_group)
+        for enc in enumerate_encoders(instance)
+    ]
+    built = _count_calls(monkeypatch, [Subgroup], "__post_init__")
+    for enc in encoders:
+        structure_report(enc, decide_controllability(enc))
+    assert len(encoders) > 100
+    assert built == []
 
 
 def test_control_recognizes_no_operation_table(monkeypatch, systematic_encoder):

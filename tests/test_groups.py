@@ -44,8 +44,10 @@ from groupcode.groups import (
     _hom_candidates,
     _index_sum_rows,
     _linear_table,
+    _mask_generators,
     _order,
     _torsion,
+    _translate,
     element_height,
     element_labels,
     elements_of_order,
@@ -53,6 +55,16 @@ from groupcode.groups import (
     prime_order_generators,
     prime_quotient_types,
 )
+
+
+def _reordered_groups(max_order: int) -> list[FiniteAbelianGroup]:
+    """Every abelian group of order <= ``max_order``, once per distinct ordering of its invariant factors."""
+    return [
+        FiniteAbelianGroup(factors)
+        for order in range(1, max_order + 1)
+        for g in abelian_groups_of_order(order)
+        for factors in sorted(set(itertools.permutations(g.factors)))
+    ]
 
 
 def brute_order(g, a):
@@ -288,8 +300,8 @@ class TestSubgroups:
 
     @pytest.mark.parametrize(
         "factors, members",
-        [([4], ((0,), (5,))), ([2], ((0,), ()))],
-        ids=["unreduced", "short"],
+        [([4], ((0,), (5,))), ([2], ((0,), ())), ([4], ((1,), (7,)))],
+        ids=["unreduced", "short", "no-identity"],
     )
     def test_closure_rejects_foreign_members(self, factors, members):
         with pytest.raises(WrongGroup):
@@ -312,6 +324,41 @@ class TestSubgroups:
                         assert Subgroup(g, subset).is_closed() == brute, (g, subset)
                         checked += 1
         assert checked == 1 + 3 + 7 + 2 * 15 + 31 + 63 + 127 + 3 * 255 + 2 * 511
+
+    def test_translation_matches_element_sums(self):
+        # every mask and every element of every abelian group of order <= 8,
+        # under every ordering of its invariant factors
+        checked = 0
+        for g in _reordered_groups(8):
+            elements = list(g.elements())
+            for mask in range(1 << g.order):
+                members = [x for i, x in enumerate(elements) if mask >> i & 1]
+                for a in elements:
+                    moved = sum(1 << g.index_of(g.add(x, a)) for x in members)
+                    assert _translate(g.factors, mask, a) == moved, (g, mask, a)
+                    checked += 1
+        # presentations of order n, times 2^n masks, times n elements
+        assert checked == 2 + 2 * 4 + 3 * 8 + 2 * 4 * 16 + 5 * 32 + 6 * 64 + 7 * 128 + 4 * 8 * 256
+
+    def test_mask_closure_matches_pairwise_brute_force(self):
+        # every nonempty mask of every abelian group of order <= 12, under
+        # every ordering of its invariant factors
+        checked = 0
+        for g in _reordered_groups(12):
+            elements = list(g.elements())
+            index = {x: i for i, x in enumerate(elements)}
+            neg = [index[g.neg(x)] for x in elements]
+            sums = [[index[g.add(x, y)] for y in elements] for x in elements]
+            for mask in range(1, 1 << g.order):
+                members = [i for i in range(g.order) if mask >> i & 1]
+                brute = (
+                    mask & 1 == 1
+                    and all(mask >> neg[i] & 1 for i in members)
+                    and all(mask >> sums[i][j] & 1 for i in members for j in members)
+                )
+                assert (_mask_generators(g, mask) is not None) == brute, (g, mask)
+                checked += 1
+        assert checked == 17659
 
     def test_lagrange_over_all_subgroups(self):
         for factors in ([8], [2, 4], [2, 2, 2], [3, 3], [12]):
