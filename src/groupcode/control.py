@@ -10,11 +10,14 @@ concrete encoder and raises on any violation.
 
 State sets are bitmasks over ``state_group.index_of`` (the identity state is
 bit 0).  Everything reads the encoder's next-state column ``enc._next``, by
-pair position ``j * |S| + i``: a set's one-step image is the entries at its
-states' positions (:func:`groupcode.encoder._step`), and the past kernel and
-kernel counts are the positions holding 0.  The brute-force ``exact_reach``
-oracle shares no code with the chain: it yields every start state's masks
-level by level, each pulled from the one before.  State sets stay masks, closed
+pair position ``j * |S| + i``.  Each chain level is the span of the entries
+at a few positions (:func:`groupcode.groups._span_mask`): the inputs at the
+identity state and input 0 at the generators of the level before.  The
+report's predicates take a set's one-step image, the entries at its states'
+positions (:func:`groupcode.encoder._step`), and the past kernel and kernel
+counts are the positions holding 0.  The brute-force ``exact_reach`` oracle
+shares no code with the chain: it yields every start state's masks level by
+level, each pulled from the one before.  State sets stay masks, closed
 by :func:`groupcode.groups._mask_generators`, cyclic when the lcm of their
 generators' orders is their size; element tuples are built for counterexamples,
 the JSON and the ``Subgroup`` views ``levels``, ``stuck_level``, ``past_kernel``.
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import compress, count
 from operator import not_, or_
 from typing import Iterator
@@ -37,6 +40,8 @@ from .groups import (
     Subgroup,
     _mask_generators,
     _order,
+    _span_mask,
+    element_labels,
     invariant_factors,
     is_p_power,
     is_prime,
@@ -90,11 +95,23 @@ def _members(g: FiniteAbelianGroup, mask: int) -> tuple[Element, ...]:
 
 
 def forward_chain(enc: Encoder) -> ReachabilityChain:
-    """Compute the reachability levels until the first repetition."""
-    s_group = enc.state_group
+    """Compute the reachability levels until the first repetition.
+
+    Level k + 1 is the image of the pairs over level k, a subgroup of the
+    ambient group: the span of nu(N), whose generators are the embedded input
+    generators, each the pair ``(u, e_S)`` at position ``index(u) * |S|``, and
+    of nu(l(g)) for each generator ``g`` of level k, the pair ``(e_U, g)`` at
+    position ``index(g)``.  Level k's generators are nu(N)'s and their images
+    under (nu l)^j, j < k, so level k + 1 is level k grown by the newest
+    images, (nu l)^k, in one :func:`_span_mask`.
+    """
+    s_group, nxt = enc.state_group, enc._next
+    u = enc.input_group.factors
+    newest = [nxt[math.prod(u[k + 1 :]) * s_group.order] for k in range(len(u))]
     masks = [1]  # the identity state has index 0
-    while (image := _step(enc, masks[-1])) != masks[-1]:
-        masks.append(image)
+    while (level := _span_mask(s_group, newest, masks[-1])) != masks[-1]:
+        masks.append(level)
+        newest = [nxt[i] for i in newest]
         if len(masks) > s_group.order:  # pragma: no cover - nesting bounds growth
             raise PredicateViolation(
                 "chain_stabilizes", tuple(m.bit_count() for m in masks)
@@ -373,22 +390,21 @@ def structure_report(enc: Encoder, verdict: ControlVerdict) -> StructureReport:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _element_str(a: Element) -> str:
-    return ",".join(str(c) for c in a)
-
-
 def analysis_json(enc: Encoder) -> dict:
     """JSON-ready analysis payload: verdict, chain, past kernel, predicates."""
     verdict = decide_controllability(enc)
     report = structure_report(enc, verdict)
-    name = cache(_element_str)  # nested levels repeat states: format each one once
+    s_group, masks, kmask = enc.state_group, verdict.chain.masks, report.kernel_mask
+    # nested levels repeat states: label every index up to the last one named, once
+    top = (masks[-1] | kmask).bit_length()
+    labels = element_labels(s_group, range(top), ",") if s_group.factors else [""]
     return {
         "controllable": verdict.controllable,
         "index": verdict.index,
         "window_below_two": verdict.window_below_two,
-        "chain": [list(map(name, _members(enc.state_group, m))) for m in verdict.chain.masks],
+        "chain": [list(_picked(labels, m)) for m in masks],
         "chain_sizes": list(verdict.chain.sizes()),
-        "past_kernel": list(map(name, _members(enc.state_group, report.kernel_mask))),
+        "past_kernel": list(_picked(labels, kmask)),
         "predicates": dict(sorted(report.predicates.items())),
         "degenerate_inputs": report.degenerate_inputs,
         "input_factors": list(enc.input_group.factors),

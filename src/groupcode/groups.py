@@ -6,12 +6,16 @@ Groups are residue-vector groups: a group is a tuple of coordinate moduli
 moduli to the canonical divisibility chain; ``direct_sum`` concatenates
 moduli verbatim so pair coordinates survive (used by the encoder layer).
 Generated subgroups and subgroup enumeration are one coset-growing span,
-:func:`_span`; the closure test is one translation test on an index mask,
-:func:`_mask_generators` over :func:`_translate`.  Every search
-for generator images (surjective homs, automorphisms, basis extraction in
-recognition) is one prefix-span search, :func:`_image_tuples`.  A hom is
-tabulated once, on first read, as its images' target indices
-(:attr:`GroupHom._indices`), which :func:`hom_table` turns into elements.
+:func:`_span`; on index masks one coset walk, :func:`_grown`, serves both
+the span of some elements, :func:`_span_mask`, and the closure test, one
+translation test :func:`_mask_generators` over :func:`_translate`.  Every
+search for generator images (surjective homs, automorphisms, basis
+extraction in recognition) is one prefix-span search, :func:`_image_tuples`.
+A hom is tabulated once, on first read, as its images' target indices
+(:attr:`GroupHom._indices`): one int of fixed-width slots per target
+coordinate, grown by shifts and ORs, summed into one int and read back in
+one pass (:func:`_read_slots`).
+:func:`hom_table` turns those indices into elements.
 Recognition checks only tables from outside (:func:`recognize_with_iso`);
 the package's own tables, such as the coset table of the one coset walk
 :func:`_cosets`, go straight to its core :func:`_recognize`, whose
@@ -30,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
@@ -258,17 +263,18 @@ def format_element(g: FiniteAbelianGroup, a: Element) -> str:
     return element_labels(g, [g.index_of(g.check(a))])[0]
 
 
-def element_labels(g: FiniteAbelianGroup, indices: Sequence[int]) -> list[str]:
+def element_labels(g: FiniteAbelianGroup, indices: Sequence[int], sep: str | None = None) -> list[str]:
     """The :func:`format_element` text of the element at each index, in the order given.
 
     Indices are not range-checked.  Each coordinate is read as one column of
     values over all indices and rendered with ``str``; the columns are joined
-    with no separator when every factor is at most 10, else with commas.  The
-    trivial group's one element is ``"()"``.
+    with ``sep``, by default with no separator when every factor is at most
+    10, else with commas.  The trivial group's one element is ``"()"``.
     """
     if not g.factors:
         return ["()"] * len(indices)
-    sep = "" if all(d <= 10 for d in g.factors) else ","
+    if sep is None:
+        sep = "" if all(d <= 10 for d in g.factors) else ","
     columns = []
     weight = g.order
     for d in g.factors:
@@ -382,7 +388,7 @@ def _mask_generators(g: FiniteAbelianGroup, mask: int) -> list[Element] | None:
     """Generators of the subgroup ``X`` at the bits of ``mask``, or None when ``X`` is no subgroup.
 
     ``X`` must hold the identity, bit 0, and ``X + a = X`` for each least member ``a`` outside the
-    span ``H`` so far, which then grows by its cosets ``H + a, H + 2a, ...`` back to ``H``.
+    span ``H`` so far, which then grows by :func:`_grown`.
     """
     if not mask & 1:
         return None
@@ -392,10 +398,27 @@ def _mask_generators(g: FiniteAbelianGroup, mask: int) -> list[Element] | None:
         if _translate(g.factors, mask, a) != mask:
             return None
         gens.append(a)
-        coset = span
-        while not (coset := _translate(g.factors, coset, a)) & 1:
-            span |= coset
+        span = _grown(g.factors, span, a)
     return gens
+
+
+def _span_mask(g: FiniteAbelianGroup, gens: Iterable[int], span: int = 1) -> int:
+    """The index mask of the subgroup spanned by the subgroup mask ``span`` and the elements at ``gens``.
+
+    Each index outside the span so far grows it by :func:`_grown`; the others cost one bit test.
+    """
+    for i in gens:
+        if not span >> i & 1:
+            span = _grown(g.factors, span, g.element_at(i))
+    return span
+
+
+def _grown(moduli: tuple[int, ...], span: int, a: Element) -> int:
+    """The subgroup mask ``span`` (``H``) grown by ``a``: its cosets ``H + a, H + 2a, ...`` back to ``H``."""
+    coset = span
+    while not (coset := _translate(moduli, coset, a)) & 1:
+        span |= coset
+    return span
 
 
 def subgroup_generated(g: FiniteAbelianGroup, gens: Iterable[Element]) -> Subgroup:
@@ -697,24 +720,67 @@ class GroupHom:
     def _indices(self) -> list[int]:
         """Each source element's image as an index into ``target.elements()``, built on first read.
 
-        Each target coordinate is one int column over the source elements,
-        grown from the last source generator to the first: an order-``n``
-        generator with coefficient ``a`` in a ``Z_d`` coordinate adds each
-        multiple ``c * a`` (mod ``d``) to the column built so far, so a zero
-        coefficient repeats the column ``n`` times.  Each column is folded into
-        the mixed-radix index when built, so one column is held beside it.
+        A SWAR kernel: each target coordinate's digits over the source
+        elements are one int of fixed-width slots, slot ``i`` holding element
+        ``i``'s digit.  The slots are 8, 16, 32 or 64 bits (wider past that),
+        the least that hold twice the largest modulus and every target index.
+        A column grows from the last source generator to the first by shifts
+        and ORs: a generator of order ``n`` and coefficient ``a`` turns the
+        block built so far into ``n`` blocks, block ``c`` holding the old one
+        plus ``c a`` mod ``d`` in every slot.  The blocks double, each new
+        half the old half plus ``h a`` for its ``h`` blocks, so a zero
+        coefficient only copies and a count past ``n`` is cut off by a mask.
+        Adding ``c`` mod ``d`` to every slot at once: adding ``top - d`` more,
+        ``top`` the slot's top bit, sets that bit exactly where the sum reached
+        ``d``, and ``d`` is taken off those slots.  The columns, weighted by
+        the mixed radix, sum into one int of indices with no carry between
+        slots, which :func:`_read_slots` reads back.
         """
-        indices = [0] * self.source.order
-        for k, d in enumerate(self.target.factors):
-            column = [0]
-            for n, img in zip(reversed(self.source.factors), reversed(self.gen_images)):
-                a = img[k]
-                if a == 0:
-                    column = column * n
-                else:
-                    column = [(m + v) % d for m in range(0, n * a, a) for v in column]
-            indices = list(map(operator.add, map(d.__mul__, indices), column))
-        return indices
+        moduli, orders = self.target.factors, self.source.factors
+        bits = 8
+        while 1 << bits - 1 < max(moduli, default=1) or 1 << bits < self.target.order:
+            bits *= 2
+        width, top = bits // 8, 1 << bits - 1
+        # a constant over many slots is one slot's bytes repeated, never a product
+        high = top.to_bytes(width, "little")
+        total, weight = 0, 1
+        for k in reversed(range(len(moduli))):
+            d = moduli[k]
+            low = (top - d).to_bytes(width, "little")
+            column, block = 0, bits  # one slot holding 0; ``block`` counts bits
+            for n, img in zip(reversed(orders), reversed(self.gen_images)):
+                h = 1
+                while h < n:
+                    copy = column
+                    if c := h * img[k] % d:
+                        slots = h * block // bits
+                        copy += int.from_bytes(c.to_bytes(width, "little") * slots, "little")
+                        over = copy + int.from_bytes(low * slots, "little")
+                        over &= int.from_bytes(high * slots, "little")
+                        copy -= (over >> bits - 1) * d
+                    column |= copy << h * block
+                    h *= 2
+                if h > n:
+                    column &= (1 << n * block) - 1
+                block *= n
+            total += weight * column
+            weight *= d
+        return _read_slots(total, self.source.order, width)
+
+
+def _read_slots(total: int, count: int, width: int) -> list[int]:
+    """The ``count`` slots of ``width`` bytes in ``total``, lowest first.
+
+    Up to 8 bytes one ``to_bytes`` in native order is cast to native items,
+    whose list comes out highest slot first on a big-endian machine; wider
+    slots are read one by one.
+    """
+    if width > 8:
+        raw = total.to_bytes(count * width, "little")
+        return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    raw = memoryview(total.to_bytes(count * width, sys.byteorder))
+    cells = raw.cast("BHIQ"[width.bit_length() - 1]).tolist()
+    return cells if sys.byteorder == "little" else cells[::-1]
 
 
 def _index_sum_rows(g: FiniteAbelianGroup, a: int = 1, b: int = 1) -> list[list[int]]:

@@ -164,11 +164,17 @@ def _corrupt_reach(monkeypatch, level, state, value):
     monkeypatch.setattr(control, "exact_reach", corrupted)
 
 
-def _step_based_reach(enc, max_len):
-    """An oracle that pushes every start state's mask through ``control._step``."""
+def _drop_state_11(monkeypatch):
+    """Drop state 11 (bit 3) from every span the chain builds, so its level 2 is {00, 01, 10}."""
+    original = control._span_mask
+    monkeypatch.setattr(control, "_span_mask", lambda *args: original(*args) & ~(1 << 3))
+
+
+def _dropping_reach(enc, max_len):
+    """An oracle that pushes every start state's mask through ``control._step``, dropping state 11."""
     result = [[1 << i for i in range(enc.state_group.order)]]
     for _ in range(max_len):
-        result.append([control._step(enc, mask) for mask in result[-1]])
+        result.append([control._step(enc, mask) & ~(1 << 3) for mask in result[-1]])
     return result
 
 
@@ -202,12 +208,11 @@ class TestOracleDisagreement:
         assert "chain_matches_exact_reach" in capsys.readouterr().err
 
     def test_level_that_is_not_a_subgroup_exits_1(self, spec_path, capsys, monkeypatch):
-        # dropping state 11 (bit 3) from every image leaves the level
-        # {00, 01, 10}; an oracle built from the same corrupted one-step
-        # images agrees with it, so the closure predicate is what fails
-        original = control._step
-        monkeypatch.setattr(control, "_step", lambda enc, mask: original(enc, mask) & ~(1 << 3))
-        monkeypatch.setattr(control, "exact_reach", _step_based_reach)
+        # dropping state 11 (bit 3) from every span leaves the level
+        # {00, 01, 10}; an oracle whose one-step images drop the same state
+        # agrees with it, so the closure predicate is what fails
+        _drop_state_11(monkeypatch)
+        monkeypatch.setattr(control, "exact_reach", _dropping_reach)
         assert main(["analyze", spec_path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -215,10 +220,9 @@ class TestOracleDisagreement:
         assert "Traceback" not in captured.err
 
     def test_corrupted_image_alone_is_caught_by_the_oracle(self, spec_path, capsys, monkeypatch):
-        # the oracle pulls levels over the transition graph without ``_step``,
+        # the oracle pulls levels over the transition graph without a span,
         # so the level {00, 01, 10} disagrees with its exact two-step reach
-        original = control._step
-        monkeypatch.setattr(control, "_step", lambda enc, mask: original(enc, mask) & ~(1 << 3))
+        _drop_state_11(monkeypatch)
         assert main(["analyze", spec_path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -334,6 +334,53 @@ class TestBitmasksAgainstTupleSets:
             assert reach_sets(enc, exact_reach(enc, length)) == _ref_exact_reach(enc, length)
 
 
+def _step_chain(enc) -> tuple[int, ...]:
+    """Oracle: the chain with each level the one-step image ``encoder._step`` of the one before."""
+    masks = [1]
+    while (image := encoder._step(enc, masks[-1])) != masks[-1]:
+        masks.append(image)
+    return tuple(masks)
+
+
+def _input_entering_s1(p: int, m: int) -> dict:
+    """``(s1..sm) -> (u + sm, s1..s(m-1))``: the observed register with its coordinates reversed."""
+    unit = [[int(i == j) for j in range(m)] for i in range(m)]
+    spec = observed_shift_register(p, m)
+    spec["nu"] = {"gen_images": [unit[0]] + [unit[(i + 1) % m] for i in range(m)]}
+    return spec
+
+
+class TestSpanChain:
+    def test_matches_the_step_chain_on_the_no_dedup_family(self):
+        # every encoder with p in {2, 3} and |S| <= 9 over every normal subgroup
+        checked = 0
+        for p in (2, 3):
+            for order in range(1, 10):
+                for state_group in abelian_groups_of_order(order):
+                    for instance in enumerate_extensions(p, state_group, dedup=False):
+                        for enc in enumerate_encoders(instance):
+                            assert forward_chain(enc).masks == _step_chain(enc)
+                            checked += 1
+        assert checked == 47251
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    @pytest.mark.parametrize("build", [observed_shift_register, _input_entering_s1], ids=["into-sm", "into-s1"])
+    def test_matches_the_step_chain_on_shift_registers(self, build, m):
+        enc = encoder_from_spec(build(2, m))
+        chain = forward_chain(enc)
+        assert chain.masks == _step_chain(enc)
+        assert chain.sizes() == tuple(2**i for i in range(m + 1))
+
+    def test_reads_no_step(self, systematic_encoder, monkeypatch):
+        # the chain is spanned from generators; only the report reads one-step images
+        def refuse(enc, mask):
+            raise AssertionError("forward_chain read _step")
+
+        monkeypatch.setattr(control, "_step", refuse)
+        monkeypatch.setattr(encoder, "_step", refuse)
+        assert forward_chain(systematic_encoder).sizes() == (1, 2, 4)
+
+
 def _split_encoders(u_factors, s_factors):
     """Every encoder on U + S whose next-state map is onto S, with the identity output."""
     u, s = make_group(u_factors), make_group(s_factors)
@@ -485,6 +532,10 @@ class TestAnalysisJson:
         assert payload["chain_sizes"] == [1, 2, 4]
         assert all(payload["predicates"].values())
         assert payload == analysis_json(systematic_encoder)
+
+    def test_trivial_state_group_renders_empty_labels(self, stateless_encoder):
+        payload = analysis_json(stateless_encoder)
+        assert (payload["chain"], payload["past_kernel"]) == ([[""]], [""])
 
     def test_frozen_payload(self, frozen_state_encoder):
         payload = analysis_json(frozen_state_encoder)

@@ -216,6 +216,27 @@ def test_analysis_bytes_at_scale(spec, chain_sizes, digest):
     assert _sha256(_canonical(payload)) == digest
 
 
+# sha256 of each encoder column, its entries in decimal and comma-joined,
+# recorded from the per-coordinate list tabulation the slot columns replaced
+COLUMN_DIGESTS = {
+    (2, 16): {
+        "_next": "823f9f425910aa9cabed9fca7445b1025515938a5d6a74595e2a4d4976162093",
+        "_out": "cc30d25cdc4ac47ab45ae14c1a4d02fdb4f87424221e98d323779004587a09fb",
+    },
+    (3, 9): {
+        "_next": "923b8c997754b9fc49d1431737959c5fcb9904aa04b8093717b4e9d452ef3093",
+        "_out": "b8e8bb9d39f6a58b3a1cad3835c5dfebb9ed5e7e11aca31eef40f7582fb40cfc",
+    },
+}
+
+
+@pytest.mark.parametrize("p, m", sorted(COLUMN_DIGESTS))
+def test_encoder_column_bytes(p, m):
+    enc = encoder_from_spec(observed_shift_register(p, m))
+    digests = {name: _sha256(",".join(map(str, getattr(enc, name)))) for name in ("_next", "_out")}
+    assert digests == COLUMN_DIGESTS[(p, m)]
+
+
 def test_analyze_rate_half_shift_register_with_4096_states(tmp_path):
     # (s1..s12) -> (s2..s12, u + s1) with output (u, s12): the brute-force
     # oracle over all 4,096 start states has to finish well inside the timeout
@@ -703,10 +724,12 @@ def test_control_reads_the_columns(monkeypatch, systematic_encoder, spec):
 
 
 def test_analysis_json_formats_each_state_once(monkeypatch):
-    # the chain is nested, so the m = 6 levels list 127 states, 64 distinct
+    # the chain is nested, so the m = 6 levels list 127 states, 64 distinct,
+    # all labelled by one bulk call
     enc = encoder_from_spec(observed_shift_register(2, 6))
-    formatted = _count_calls(monkeypatch, [control], "_element_str")
+    formatted = _count_calls(monkeypatch, [control], "element_labels")
     payload = analysis_json(enc)
     listed = [s for level in payload["chain"] for s in level] + payload["past_kernel"]
     assert len(listed) == 129
-    assert len(formatted) == len(set(listed)) == 64
+    [(_, indices, _)] = formatted
+    assert len(indices) == len(set(listed)) == 64

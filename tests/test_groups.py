@@ -46,6 +46,7 @@ from groupcode.groups import (
     _linear_table,
     _mask_generators,
     _order,
+    _span_mask,
     _torsion,
     _translate,
     element_height,
@@ -55,6 +56,8 @@ from groupcode.groups import (
     prime_order_generators,
     prime_quotient_types,
 )
+from groupcode import groups
+from specs import HUGE_OUTPUT
 
 
 def _reordered_groups(max_order: int) -> list[FiniteAbelianGroup]:
@@ -264,6 +267,13 @@ class TestElementLabels:
         assert element_labels(FiniteAbelianGroup((big, 3)), [0, 5, 3 * big - 1]) == [
             "0,0", "1,2", "999999999999,2"
         ]
+
+    def test_labels_take_a_separator(self):
+        g = make_group([2, 4])
+        assert element_labels(g, [0, 7], ",") == ["0,0", "1,3"]
+        assert element_labels(g, [7], "") == element_labels(g, [7]) == ["13"]
+        assert element_labels(make_group([12, 12]), [13], "") == ["11"]
+        assert element_labels(make_group([]), [0], ",") == ["()"]
 
     @pytest.mark.parametrize("a", [(2,), (0, 0), (-1,), ()], ids=str)
     def test_format_element_rejects_foreign_elements(self, a):
@@ -903,3 +913,79 @@ class TestFamilies:
     def test_trivial_subgroup_helper(self):
         g = make_group([5])
         assert trivial_subgroup(g).elements == ((0,),)
+
+
+def _per_coordinate_indices(h: GroupHom) -> list[int]:
+    """Oracle: each target coordinate as a Python list over the source elements, folded into the index.
+
+    Grown from the last source generator to the first: an order-``n`` generator
+    with coefficient ``a`` in a ``Z_d`` coordinate adds each multiple ``c * a``
+    (mod ``d``) to the column built so far.
+    """
+    indices = [0] * h.source.order
+    for k, d in enumerate(h.target.factors):
+        column = [0]
+        for n, img in zip(reversed(h.source.factors), reversed(h.gen_images)):
+            a = img[k]
+            column = column * n if a == 0 else [(m + v) % d for m in range(0, n * a, a) for v in column]
+        indices = [d * i + c for i, c in zip(indices, column)]
+    return indices
+
+
+class TestSlotTabulation:
+    def test_every_hom_between_groups_of_order_at_most_16(self):
+        groups_16 = [g for n in range(1, 17) for g in abelian_groups_of_order(n)]
+        homs = 0
+        for src, dst in itertools.product(groups_16, repeat=2):
+            for h in enumerate_homs(src, dst):
+                assert h._indices == _per_coordinate_indices(h), h
+                homs += 1
+        assert (len(groups_16), homs) == (25, 91949)
+
+    @pytest.mark.parametrize(
+        "source, target, images, width",
+        [
+            # a modulus above 2^7 needs 16-bit slots though |T| fits in 8 bits
+            ((200,), (200,), [(7,)], 2),
+            ((4, 16), (16, 16), [(4, 12), (3, 5)], 1),
+            ((16, 16), (16, 16), [(1, 0), (15, 1)], 1),
+            ((257,), (257,), [(3,)], 2),
+            ((2, 257), (2, 257), [(1, 0), (0, 256)], 2),
+            ((3, 4), (3, 1 << 16), [(1, 0), (0, 3 << 14)], 4),
+            ((4, 4), (2, 4, 2, 4, 2, 4, 2, 4) * 2, [(1, 2) * 8, (0, 3, 1, 1) * 4], 4),
+            ((6,), (6, 1 << 32), [(5, 1 << 31)], 8),
+            # the output map of specs.HUGE_OUTPUT, into Z_{10^12}
+            ((2, 2), (10**12,), HUGE_OUTPUT["omega"]["gen_images"], 8),
+            # |T| = 2^70 is past every native item: 16-byte slots, read one by one
+            ((2, 2), (2,) * 70, [(1, 0) * 35, (1, 1, 0) * 23 + (1,)], 16),
+        ],
+        ids=[
+            "mod-200", "T=256", "T=256,Z16^2", "T=257", "Z2xZ257", "32-bit", "T=2^24", "64-bit",
+            "HUGE_OUTPUT", "Z2^70",
+        ],
+    )
+    def test_each_slot_width(self, monkeypatch, source, target, images, width):
+        widths = []
+        read = groups._read_slots
+        monkeypatch.setattr(groups, "_read_slots", lambda *args: widths.append(args[2]) or read(*args))
+        h = GroupHom(FiniteAbelianGroup(source), FiniteAbelianGroup(target), tuple(map(tuple, images)))
+        assert h._indices == _per_coordinate_indices(h)
+        assert hom_table(h) == [h(a) for a in h.source.elements()]
+        assert widths == [width]
+
+    @pytest.mark.parametrize(
+        "source, target", [((), (2, 3)), ((2, 3), ()), ((), ())], ids=["trivial-source", "trivial-target", "both"]
+    )
+    def test_trivial_source_or_target(self, source, target):
+        src, dst = FiniteAbelianGroup(source), FiniteAbelianGroup(target)
+        for h in enumerate_homs(src, dst):
+            assert h._indices == _per_coordinate_indices(h) == [0] * src.order
+
+
+def test_span_mask_matches_the_element_span():
+    # every pair of generators of every group of order <= 12, in every factor ordering
+    for g in _reordered_groups(12):
+        n = g.order
+        for i, j in itertools.product(range(n), repeat=2):
+            expected = subgroup_generated(g, [g.element_at(i), g.element_at(j)])
+            assert _span_mask(g, [i, j]) == sum(1 << g.index_of(a) for a in expected.elements), (g, i, j)
